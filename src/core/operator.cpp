@@ -107,13 +107,17 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
   s->num_rows = a.num_rows;
   s->num_cols = a.num_cols;
   s->nnz = a.nnz();
+  // Each CSR is released as soon as its derived form exists, so at most
+  // one CSR is alive while the backward form is built.
   sparse::CsrMatrix at = sparse::transpose(a);
   switch (kind) {
     case KernelKind::Baseline:
       if (compressed) {
         s->ccsr_fwd = sparse::compress_csr(a, sparse::kCsrPartsize, precision);
+        a = {};
         s->ccsr_bwd =
             sparse::compress_csr(at, sparse::kCsrPartsize, precision);
+        at = {};
         s->regular_bytes =
             s->ccsr_fwd->regular_bytes() + s->ccsr_bwd->regular_bytes();
         break;
@@ -126,7 +130,9 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
       break;
     case KernelKind::EllBlock:
       s->ell_fwd = sparse::to_ell_block(a, ell_block_rows);
+      a = {};
       s->ell_bwd = sparse::to_ell_block(at, ell_block_rows);
+      at = {};
       s->regular_bytes =
           (s->ell_fwd->padded_nnz() + s->ell_bwd->padded_nnz()) *
           static_cast<std::int64_t>(sizeof(idx_t) + sizeof(real));
@@ -135,14 +141,18 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
       if (compressed) {
         s->cbuf_fwd = sparse::compress_buffered(
             sparse::build_buffered(a, buffer), precision);
+        a = {};
         s->cbuf_bwd = sparse::compress_buffered(
             sparse::build_buffered(at, buffer), precision);
+        at = {};
         s->regular_bytes =
             s->cbuf_fwd->regular_bytes() + s->cbuf_bwd->regular_bytes();
         break;
       }
       s->buf_fwd = sparse::build_buffered(a, buffer);
+      a = {};
       s->buf_bwd = sparse::build_buffered(at, buffer);
+      at = {};
       s->regular_bytes =
           (s->buf_fwd->nnz() + s->buf_bwd->nnz()) *
               static_cast<std::int64_t>(sizeof(buf_idx_t) + sizeof(real)) +

@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "perf/timer.hpp"
 #include "shard/partition.hpp"
+#include "sparse/footprint.hpp"
 #include "sparse/spmm.hpp"
 #include "sparse/spmv.hpp"
 #include "sparse/transpose.hpp"
@@ -67,14 +68,13 @@ ShardedOperator::Side ShardedOperator::build_side(
   side.footprint.resize(static_cast<std::size_t>(P));
   side.tiles.resize(static_cast<std::size_t>(P));
   std::vector<std::vector<int>> first_tile(static_cast<std::size_t>(P));
+  sparse::FootprintIndex footprint(m.num_cols);
   for (int p = 0; p < P; ++p) {
     const idx_t rb = side.rows.begin(p);
     const idx_t re = side.rows.end(p);
     auto& fp = side.footprint[static_cast<std::size_t>(p)];
-    fp.assign(m.ind.begin() + static_cast<std::ptrdiff_t>(m.displ[rb]),
-              m.ind.begin() + static_cast<std::ptrdiff_t>(m.displ[re]));
-    std::sort(fp.begin(), fp.end());
-    fp.erase(std::unique(fp.begin(), fp.end()), fp.end());
+    fp = footprint.collect(m, rb, re);
+    footprint.index(fp);
     first_tile[static_cast<std::size_t>(p)].assign(fp.size(), -1);
 
     // Tile cuts distribute the shard's kernel partitions over the uniform
@@ -106,8 +106,7 @@ ShardedOperator::Side ShardedOperator::build_side(
       local.val.reserve(static_cast<std::size_t>(block_nnz));
       for (idx_t r = block.row_begin; r < block.row_begin + block.rows; ++r) {
         for (nnz_t j = m.displ[r]; j < m.displ[r + 1]; ++j) {
-          const auto it = std::lower_bound(fp.begin(), fp.end(), m.ind[j]);
-          const auto pos = static_cast<idx_t>(it - fp.begin());
+          const idx_t pos = footprint.position(m.ind[j]);
           local.ind.push_back(pos);
           local.val.push_back(m.val[j]);
           auto& ft = first_tile[static_cast<std::size_t>(p)]

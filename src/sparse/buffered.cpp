@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "common/grid.hpp"
+#include "sparse/footprint.hpp"
 
 namespace memxct::sparse {
 
@@ -50,19 +51,17 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
     nnz_t nnz = 0;
   };
   std::vector<PartPlan> plans(static_cast<std::size_t>(numparts));
-#pragma omp parallel for schedule(dynamic, 4)
-  for (idx_t p = 0; p < numparts; ++p) {
-    auto& plan = plans[static_cast<std::size_t>(p)];
-    const idx_t r0 = p * partsize;
-    const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
-    for (idx_t r = r0; r < r1; ++r) {
-      plan.nnz += a.displ[r + 1] - a.displ[r];
-      plan.cols.insert(plan.cols.end(), a.ind.begin() + a.displ[r],
-                       a.ind.begin() + a.displ[r + 1]);
+#pragma omp parallel
+  {
+    FootprintIndex footprint(a.num_cols);
+#pragma omp for schedule(dynamic, 4)
+    for (idx_t p = 0; p < numparts; ++p) {
+      auto& plan = plans[static_cast<std::size_t>(p)];
+      const idx_t r0 = p * partsize;
+      const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
+      plan.nnz = a.displ[r1] - a.displ[r0];
+      plan.cols = footprint.collect(a, r0, r1);
     }
-    std::sort(plan.cols.begin(), plan.cols.end());
-    plan.cols.erase(std::unique(plan.cols.begin(), plan.cols.end()),
-                    plan.cols.end());
   }
 
   // Prefix sums over partitions: stage counts, map sizes, nnz.
@@ -120,14 +119,14 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
         part_nnz_start[static_cast<std::size_t>(p)] +
         plans[static_cast<std::size_t>(p)].nnz;
 
-  // Pass 2 (parallel): fill map, displ, ind, val per partition. Each CSR
-  // entry is located once (binary search in the partition's sorted distinct
-  // columns gives its stage and 16-bit slot); a counting pass then lays the
-  // entries out stage-major.
+  // Pass 2 (parallel): fill map, displ, ind, val per partition. An entry's
+  // position in the partition's sorted distinct columns gives its stage
+  // (position / buffsize) and 16-bit slot (position % buffsize); a counting
+  // pass then lays the entries out stage-major.
 #pragma omp parallel
   {
-    std::vector<nnz_t> counts;       // per (stage, row) entry counts
-    std::vector<idx_t> entry_pos;    // per CSR entry: footprint position
+    FootprintIndex footprint(a.num_cols);
+    std::vector<nnz_t> counts;  // per (stage, row) entry counts
 #pragma omp for schedule(dynamic, 4)
     for (idx_t p = 0; p < numparts; ++p) {
       const auto& plan = plans[static_cast<std::size_t>(p)];
@@ -140,20 +139,14 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
       // map: the partition's distinct columns, chunked by stage.
       std::copy(plan.cols.begin(), plan.cols.end(),
                 b.map.begin() + b.stagedispl[static_cast<std::size_t>(stage0)]);
+      footprint.index(plan.cols);
 
-      // Locate every entry once: position in plan.cols determines stage
-      // (position / buffsize) and buffer slot (position % buffsize).
-      const nnz_t e0 = a.displ[r0];
-      entry_pos.resize(static_cast<std::size_t>(a.displ[r1] - e0));
       counts.assign(static_cast<std::size_t>(stages) * partsize, 0);
       for (idx_t r = r0; r < r1; ++r) {
         const idx_t j = r - r0;
         for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
-          const auto it =
-              std::lower_bound(plan.cols.begin(), plan.cols.end(), a.ind[k]);
-          const auto pos = static_cast<idx_t>(it - plan.cols.begin());
-          entry_pos[static_cast<std::size_t>(k - e0)] = pos;
-          ++counts[static_cast<std::size_t>(pos / buffsize) * partsize + j];
+          const idx_t stage = footprint.position(a.ind[k]) / buffsize;
+          ++counts[static_cast<std::size_t>(stage) * partsize + j];
         }
       }
 
@@ -175,7 +168,7 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
       for (idx_t r = r0; r < r1; ++r) {
         const idx_t j = r - r0;
         for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
-          const idx_t pos = entry_pos[static_cast<std::size_t>(k - e0)];
+          const idx_t pos = footprint.position(a.ind[k]);
           nnz_t& cur =
               counts[static_cast<std::size_t>(pos / buffsize) * partsize + j];
           b.ind[static_cast<std::size_t>(cur)] =

@@ -10,10 +10,11 @@
 
 namespace memxct::sparse {
 
-/// Returns A^T. Column counting is OpenMP-parallel with per-thread
-/// histograms reduced by scan; the placement pass walks rows in order so
-/// entries within each transposed row appear in increasing original-row
-/// order (and therefore sorted, preserving locality).
+/// Returns A^T in O(nnz + blocks·cols). Both passes are OpenMP-parallel
+/// over contiguous source-row blocks: per-block column histograms are
+/// scanned into per-block cursors, so entries within each transposed row
+/// appear in increasing original-row order (sorted, preserving locality)
+/// and the result is bitwise identical for any thread count.
 [[nodiscard]] CsrMatrix transpose(const CsrMatrix& a);
 
 /// The alternative Section 3.5.1 rejects: an atomic-cursor parallel

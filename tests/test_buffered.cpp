@@ -1,11 +1,16 @@
 // Tests for the multi-stage input-buffered SpMV (Listing 3, Section 3.3).
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include "common/error.hpp"
 
+#include <functional>
 #include <set>
+#include <string>
 
+#include "geometry/projector.hpp"
 #include "sparse/buffered.hpp"
+#include "sparse/transpose.hpp"
 #include "test_util.hpp"
 
 namespace memxct::sparse {
@@ -150,6 +155,125 @@ TEST(Buffered, HilbertLikeBandedMatrixFewStages) {
   // Each 64-row partition touches ≲ 64+2*16 distinct columns < 256.
   EXPECT_EQ(bm.num_stages(), bm.num_partitions());
 }
+
+// ---------------------------------------------------------------------------
+// Oracle: the production build must reproduce the reference builder
+// (testutil::reference_build_buffered) byte for byte, at any thread count.
+
+void expect_same_buffered(const BufferedMatrix& got,
+                          const BufferedMatrix& want) {
+  EXPECT_EQ(got.num_rows, want.num_rows);
+  EXPECT_EQ(got.num_cols, want.num_cols);
+  EXPECT_TRUE(testutil::same_bytes(got.partdispl, want.partdispl));
+  EXPECT_TRUE(testutil::same_bytes(got.stagedispl, want.stagedispl));
+  EXPECT_TRUE(testutil::same_bytes(got.stagenz, want.stagenz));
+  EXPECT_TRUE(testutil::same_bytes(got.map, want.map));
+  EXPECT_TRUE(testutil::same_bytes(got.displ, want.displ));
+  EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind));
+  EXPECT_TRUE(testutil::same_bytes(got.val, want.val));
+}
+
+// Rows [first, last) emptied: whole empty partitions and stray empty rows.
+CsrMatrix with_empty_rows(const CsrMatrix& a, idx_t first, idx_t last) {
+  CsrBuilder b(a.num_rows, a.num_cols);
+  std::vector<std::pair<idx_t, real>> row;
+  for (idx_t r = 0; r < a.num_rows; ++r) {
+    row.clear();
+    if (r < first || r >= last)
+      for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k)
+        row.emplace_back(a.ind[k], a.val[k]);
+    b.set_row(r, row);
+  }
+  return b.assemble();
+}
+
+// Every `partsize`-row partition touches exactly `width` distinct columns.
+CsrMatrix exact_footprints(idx_t rows, idx_t partsize, idx_t width) {
+  const idx_t parts = ceil_div(rows, partsize);
+  CsrBuilder b(rows, parts * width);
+  std::vector<std::pair<idx_t, real>> row;
+  for (idx_t r = 0; r < rows; ++r) {
+    row.clear();
+    const idx_t base = (r / partsize) * width;
+    for (idx_t c = r % partsize; c < width; c += partsize)
+      row.emplace_back(base + c, static_cast<real>(r + 1) / (c + 1));
+    b.set_row(r, row);
+  }
+  return b.assemble();
+}
+
+CsrMatrix projection_matrix() {
+  const auto g = geometry::make_geometry(20, 24);
+  const hilbert::Ordering sino(g.sinogram_extent(),
+                               hilbert::CurveKind::Hilbert, 4);
+  const hilbert::Ordering tomo(g.tomogram_extent(),
+                               hilbert::CurveKind::Hilbert, 4);
+  return geometry::build_projection_matrix(g, sino, tomo);
+}
+
+struct OracleCase {
+  std::string name;
+  std::function<CsrMatrix()> matrix;
+  BufferConfig config;
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<OracleCase> oracle_cases() {
+  return {
+      {"Buffsize1", [] { return testutil::random_csr(37, 50, 0.2, 61); },
+       {8, 1}},
+      {"Buffsize65536",
+       [] { return testutil::random_csr(10, 70000, 0.9, 62); },
+       {4, 65536}},
+      {"FootprintIsBuffsizeMultiple",
+       [] { return exact_footprints(64, 16, 96); },
+       {16, 32}},
+      {"FootprintEqualsBuffsize",
+       [] { return exact_footprints(30, 8, 64); },
+       {8, 64}},
+      {"EmptyRowsAndPartitions",
+       [] {
+         return with_empty_rows(testutil::random_csr(100, 60, 0.15, 63), 16,
+                                53);
+       },
+       {16, 32}},
+      {"EmptyMatrix", [] { return testutil::random_csr(40, 40, 0.0, 64); },
+       {16, 64}},
+      {"RaggedLastPartition",
+       [] { return testutil::random_csr(13, 30, 0.4, 65); },
+       {8, 16}},
+      {"ProjectionMatrix", [] { return projection_matrix(); }, {32, 256}},
+      {"ProjectionMatrixTranspose",
+       [] { return transpose(projection_matrix()); },
+       {64, 128}},
+      {"ProjectionMatrixBuffsize1", [] { return projection_matrix(); },
+       {16, 1}},
+  };
+}
+
+class BufferedOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(BufferedOracle, MatchesReferenceBuilderBytewise) {
+  const auto& param = GetParam();
+  const CsrMatrix a = param.matrix();
+  const BufferedMatrix want =
+      testutil::reference_build_buffered(a, param.config);
+  ASSERT_NO_THROW(want.validate());
+  const int saved = omp_get_max_threads();
+  for (const int threads : {1, 3, 4}) {
+    omp_set_num_threads(threads);
+    SCOPED_TRACE(threads);
+    expect_same_buffered(build_buffered(a, param.config), want);
+  }
+  omp_set_num_threads(saved);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, BufferedOracle, ::testing::ValuesIn(oracle_cases()),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
 }  // namespace memxct::sparse

@@ -1,5 +1,6 @@
 // Tests for the scan-based order-preserving transposition (Section 3.5.1).
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include "sparse/transpose.hpp"
 #include "test_util.hpp"
@@ -132,6 +133,59 @@ TEST(Transpose, KnownSmallCase) {
   EXPECT_EQ(at.ind[1], 0);
   EXPECT_FLOAT_EQ(at.val[1], 2.0f);
   EXPECT_FLOAT_EQ(at.val[2], 3.0f);
+}
+
+// Serial scan transposition: source rows walked in ascending order, each
+// entry appended at its destination row's cursor.
+CsrMatrix reference_transpose(const CsrMatrix& a) {
+  CsrMatrix t;
+  t.num_rows = a.num_cols;
+  t.num_cols = a.num_rows;
+  t.displ.assign(static_cast<std::size_t>(t.num_rows) + 1, 0);
+  for (nnz_t k = 0; k < a.nnz(); ++k)
+    ++t.displ[static_cast<std::size_t>(a.ind[k]) + 1];
+  for (idx_t c = 0; c < t.num_rows; ++c)
+    t.displ[static_cast<std::size_t>(c) + 1] +=
+        t.displ[static_cast<std::size_t>(c)];
+  t.ind.resize(static_cast<std::size_t>(a.nnz()));
+  t.val.resize(static_cast<std::size_t>(a.nnz()));
+  std::vector<nnz_t> cursor(t.displ.begin(), t.displ.end() - 1);
+  for (idx_t r = 0; r < a.num_rows; ++r)
+    for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
+      const nnz_t pos = cursor[static_cast<std::size_t>(a.ind[k])]++;
+      t.ind[static_cast<std::size_t>(pos)] = r;
+      t.val[static_cast<std::size_t>(pos)] = a.val[k];
+    }
+  return t;
+}
+
+TEST(Transpose, BitwiseIdenticalForAnyThreadCount) {
+  // Includes matrices with fewer rows than threads (1, 2 and 5 rows under
+  // 7 threads) and a banded, locality-ordered shape.
+  const std::vector<CsrMatrix> cases = {
+      testutil::random_csr(1, 9, 0.8, 31),
+      testutil::random_csr(2, 5, 0.6, 32),
+      testutil::random_csr(5, 40, 0.3, 33),
+      testutil::random_csr(97, 61, 0.1, 34),
+      testutil::random_csr(40, 40, 0.0, 35),
+      testutil::banded_csr(300, 200, 12, 36),
+  };
+  const int saved = omp_get_max_threads();
+  for (const CsrMatrix& a : cases) {
+    const CsrMatrix want = reference_transpose(a);
+    for (const int threads : {1, 2, 3, 4, 7}) {
+      omp_set_num_threads(threads);
+      const CsrMatrix got = transpose(a);
+      SCOPED_TRACE(testing::Message() << a.num_rows << "x" << a.num_cols
+                                      << " on " << threads << " threads");
+      EXPECT_EQ(got.num_rows, want.num_rows);
+      EXPECT_EQ(got.num_cols, want.num_cols);
+      EXPECT_TRUE(testutil::same_bytes(got.displ, want.displ));
+      EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind));
+      EXPECT_TRUE(testutil::same_bytes(got.val, want.val));
+    }
+  }
+  omp_set_num_threads(saved);
 }
 
 }  // namespace

@@ -3,12 +3,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "common/grid.hpp"
 #include "common/rng.hpp"
+#include "sparse/buffered.hpp"
 #include "sparse/csr.hpp"
 
 namespace memxct::testutil {
@@ -75,6 +78,68 @@ inline double rel_error(std::span<const real> a, std::span<const real> b) {
     den += static_cast<double>(b[i]) * b[i];
   }
   return std::sqrt(num) / std::max(std::sqrt(den), 1e-30);
+}
+
+/// True when two vectors hold the same bytes (bitwise, so -0.0 != 0.0 and
+/// identical NaNs compare equal).
+template <class Vec>
+bool same_bytes(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(),
+                      a.size() * sizeof(typename Vec::value_type)) == 0);
+}
+
+/// Reference staged-structure builder: the straightforward construction the
+/// production build_buffered must reproduce byte for byte. Each partition's
+/// footprint is its full column list sorted and deduplicated, and every
+/// entry is located in it by binary search.
+inline sparse::BufferedMatrix reference_build_buffered(
+    const sparse::CsrMatrix& a, const sparse::BufferConfig& config) {
+  sparse::BufferedMatrix b;
+  b.num_rows = a.num_rows;
+  b.num_cols = a.num_cols;
+  b.config = config;
+  const idx_t partsize = config.partsize;
+  const idx_t buffsize = config.buffsize;
+  const idx_t numparts = std::max<idx_t>(1, ceil_div(a.num_rows, partsize));
+  b.partdispl.push_back(0);
+  b.stagedispl.push_back(0);
+  b.displ.push_back(0);
+  for (idx_t p = 0; p < numparts; ++p) {
+    const idx_t r0 = p * partsize;
+    const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
+    std::vector<idx_t> cols(a.ind.begin() + a.displ[r0],
+                            a.ind.begin() + a.displ[r1]);
+    std::sort(cols.begin(), cols.end());
+    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+    const auto footprint = static_cast<idx_t>(cols.size());
+    const idx_t stages = std::max<idx_t>(1, ceil_div(footprint, buffsize));
+    b.partdispl.push_back(b.partdispl.back() + stages);
+    b.map.insert(b.map.end(), cols.begin(), cols.end());
+    for (idx_t s = 0; s < stages; ++s) {
+      const idx_t lo = s * buffsize;
+      const idx_t nz = std::max<idx_t>(0, std::min(buffsize, footprint - lo));
+      b.stagenz.push_back(nz);
+      b.stagedispl.push_back(b.stagedispl.back() + nz);
+      // Stage-major: every row's entries of this stage, rows in order,
+      // entries in column order within each row.
+      for (idx_t j = 0; j < partsize; ++j) {
+        const idx_t r = r0 + j;
+        if (r < r1)
+          for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
+            const auto pos = static_cast<idx_t>(
+                std::lower_bound(cols.begin(), cols.end(), a.ind[k]) -
+                cols.begin());
+            if (pos / buffsize != s) continue;
+            b.ind.push_back(static_cast<buf_idx_t>(pos % buffsize));
+            b.val.push_back(a.val[k]);
+          }
+        b.displ.push_back(static_cast<nnz_t>(b.ind.size()));
+      }
+    }
+  }
+  return b;
 }
 
 }  // namespace memxct::testutil
