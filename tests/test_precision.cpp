@@ -195,6 +195,11 @@ struct FamilyCase {
   double budget;
 };
 
+// Names the case after its family. Without it gtest prints the raw bytes of
+// the struct (a string pointer and padding), so the test names would change
+// with every build.
+void PrintTo(const FamilyCase& c, std::ostream* os) { *os << c.name; }
+
 class CompressedFamilies : public ::testing::TestWithParam<FamilyCase> {};
 
 TEST_P(CompressedFamilies, MeetsErrorBudgetAtAllWidths) {
