@@ -46,8 +46,9 @@ std::string ServerMetrics::summary() const {
   return os.str();
 }
 
-Server::Server(ServerOptions options)
+Server::Server(ServerOptions options, const solve::Clock& clock)
     : options_(std::move(options)),
+      clock_(clock),
       registry_(options_.registry),
       scheduler_({.queue_capacity = options_.queue_capacity > 0
                       ? options_.queue_capacity
@@ -69,6 +70,12 @@ Server::Server(ServerOptions options)
 }
 
 Server::~Server() { shutdown(); }
+
+std::chrono::steady_clock::time_point Server::now() const noexcept {
+  return std::chrono::steady_clock::time_point(
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::nanoseconds(clock_.now_ns())));
+}
 
 void Server::shutdown() {
   {
@@ -139,14 +146,14 @@ std::int64_t Server::submit(const geometry::Geometry& geometry,
   // The spans point at caller memory; the owned copies above are the truth.
   state->options.warm_start_image = {};
   state->options.angle_mask = {};
-  state->submit_time = std::chrono::steady_clock::now();
+  state->submit_time = now();
   if (options.deadline_seconds > 0.0) {
     state->has_deadline = true;
     state->deadline =
         state->submit_time +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
             std::chrono::duration<double>(options.deadline_seconds));
-    state->token.set_deadline_after(options.deadline_seconds);
+    state->token.set_deadline_after(options.deadline_seconds, clock_);
   }
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -245,10 +252,10 @@ ServerMetrics Server::snapshot() const {
 
 void Server::finish(const std::shared_ptr<RequestState>& state,
                     RequestStatus status) {
-  const auto now = std::chrono::steady_clock::now();
+  const auto done = now();
   {
     std::lock_guard<std::mutex> lk(mu_);
-    state->total_seconds = seconds_between(state->submit_time, now);
+    state->total_seconds = seconds_between(state->submit_time, done);
     state->status = status;
     auto& pm =
         priority_metrics_[static_cast<std::size_t>(state->options.priority)];
@@ -320,8 +327,7 @@ bool Server::acquire_with_retry(const std::shared_ptr<RequestState>& state,
       // to other requests.
       const double delay = retry_.delay_seconds(state->id, attempt);
       if (state->has_deadline &&
-          std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<
+          now() + std::chrono::duration_cast<
                       std::chrono::steady_clock::duration>(
                       std::chrono::duration<double>(delay)) >=
               state->deadline) {
@@ -389,7 +395,7 @@ void Server::worker_main() {
 
   while (auto popped = scheduler_.next()) {
     const std::shared_ptr<RequestState> state = *popped;
-    const auto pickup = std::chrono::steady_clock::now();
+    const auto pickup = now();
     state->queue_seconds = seconds_between(state->submit_time, pickup);
     state->progress.arm();  // watchdog staleness measures from pickup
     {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <array>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -166,7 +167,10 @@ struct ServerMetrics {
 
 class Server {
  public:
-  explicit Server(ServerOptions options = {});
+  /// `clock` times deadlines, queue waits and latencies and must outlive
+  /// the server; tests pass one they drive to make deadlines deterministic.
+  explicit Server(ServerOptions options = {},
+                  const solve::Clock& clock = solve::Clock::steady());
   ~Server();
 
   Server(const Server&) = delete;
@@ -217,8 +221,10 @@ class Server {
   bool acquire_with_retry(const std::shared_ptr<RequestState>& state,
                           const core::Config& config,
                           OperatorRegistry::Lease& lease, std::string& error);
+  [[nodiscard]] std::chrono::steady_clock::time_point now() const noexcept;
 
   ServerOptions options_;
+  const solve::Clock& clock_;
   int threads_per_worker_ = 1;
   OperatorRegistry registry_;
   RequestScheduler scheduler_;

@@ -14,6 +14,30 @@
 
 namespace memxct::solve {
 
+/// Time source for deadline checks. Production code reads the steady clock;
+/// a test can pass a clock it drives itself, so whether a deadline has
+/// passed does not depend on how loaded the machine is.
+class Clock {
+ public:
+  virtual ~Clock() = default;
+  /// Monotone nanoseconds since an arbitrary fixed epoch.
+  [[nodiscard]] virtual std::int64_t now_ns() const noexcept = 0;
+  /// The process-wide steady clock.
+  [[nodiscard]] static const Clock& steady() noexcept;
+};
+
+inline const Clock& Clock::steady() noexcept {
+  struct Steady final : Clock {
+    [[nodiscard]] std::int64_t now_ns() const noexcept override {
+      const auto now = std::chrono::steady_clock::now().time_since_epoch();
+      return std::chrono::duration_cast<std::chrono::nanoseconds>(now)
+          .count();
+    }
+  };
+  static const Steady clock;
+  return clock;
+}
+
 /// Cooperative cancellation + deadline token, checked by the iterative
 /// solvers at iteration granularity (between whole forward/backprojection
 /// pairs, never inside a kernel). One owner (e.g. the serve layer's request
@@ -28,18 +52,19 @@ class CancelToken {
     cancelled_.store(true, std::memory_order_relaxed);
   }
 
-  /// Arms an absolute deadline `seconds` from now (steady clock). Replaces
-  /// any earlier deadline; seconds <= 0 disarms.
-  void set_deadline_after(double seconds) noexcept {
+  /// Arms an absolute deadline `seconds` from now on `clock`, which later
+  /// deadline checks read and which must outlive the token. Replaces any
+  /// earlier deadline; seconds <= 0 disarms.
+  void set_deadline_after(double seconds,
+                          const Clock& clock = Clock::steady()) noexcept {
     if (seconds <= 0.0) {
       deadline_ns_.store(0, std::memory_order_relaxed);
       return;
     }
-    const auto now = std::chrono::steady_clock::now().time_since_epoch();
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now).count() +
-        static_cast<std::int64_t>(seconds * 1e9);
-    deadline_ns_.store(ns, std::memory_order_relaxed);
+    clock_.store(&clock, std::memory_order_relaxed);
+    deadline_ns_.store(
+        clock.now_ns() + static_cast<std::int64_t>(seconds * 1e9),
+        std::memory_order_relaxed);
   }
 
   [[nodiscard]] bool cancel_requested() const noexcept {
@@ -48,9 +73,7 @@ class CancelToken {
   [[nodiscard]] bool deadline_expired() const noexcept {
     const std::int64_t d = deadline_ns_.load(std::memory_order_relaxed);
     if (d == 0) return false;
-    const auto now = std::chrono::steady_clock::now().time_since_epoch();
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(now).count() >=
-           d;
+    return clock_.load(std::memory_order_relaxed)->now_ns() >= d;
   }
   /// What the solvers poll: explicit cancellation or an expired deadline.
   [[nodiscard]] bool should_stop() const noexcept {
@@ -59,7 +82,8 @@ class CancelToken {
 
  private:
   std::atomic<bool> cancelled_{false};
-  std::atomic<std::int64_t> deadline_ns_{0};  ///< steady-clock ns; 0 = none.
+  std::atomic<std::int64_t> deadline_ns_{0};  ///< clock_ ns; 0 = none.
+  std::atomic<const Clock*> clock_{&Clock::steady()};
 };
 
 /// Lightweight progress heartbeat published by the iterative solvers: one

@@ -191,17 +191,7 @@ void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,
                    std::span<real> y) {
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
   MEMXCT_CHECK(static_cast<idx_t>(y.size()) == a.num_rows);
-  const idx_t partsize = a.config.partsize;
-  const idx_t buffsize = a.config.buffsize;
   const idx_t numparts = a.num_partitions();
-  const idx_t num_rows = a.num_rows;
-  const idx_t* const partdispl = a.partdispl.data();
-  const nnz_t* const stagedispl = a.stagedispl.data();
-  const idx_t* const stagenz = a.stagenz.data();
-  const idx_t* const map = a.map.data();
-  const nnz_t* const displ = a.displ.data();
-  const buf_idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
   const real* const xp = x.data();
   real* const yp = y.data();
 
@@ -209,39 +199,12 @@ void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,
   {
     // Listing 3's stack arrays, hoisted to per-thread scratch because sizes
     // are runtime tuning parameters.
-    AlignedVector<real> input(static_cast<std::size_t>(buffsize));
-    AlignedVector<real> output(static_cast<std::size_t>(partsize));
+    AlignedVector<real> input(static_cast<std::size_t>(a.config.buffsize));
+    AlignedVector<real> output(static_cast<std::size_t>(a.config.partsize));
 #pragma omp for schedule(dynamic)
-    for (idx_t part = 0; part < numparts; ++part) {
-      std::fill(output.begin(), output.end(), real{0});
-      for (idx_t stage = partdispl[part]; stage < partdispl[part + 1];
-           ++stage) {
-        // Staging: gather this stage's footprint into the L1 buffer.
-        const nnz_t mstart = stagedispl[stage];
-        const idx_t nz = stagenz[stage];
-#pragma omp simd
-        for (idx_t i = 0; i < nz; ++i) input[i] = xp[map[mstart + i]];
-        // Compute: each partition row consumes its run for this stage.
-        const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
-        for (idx_t j = 0; j < partsize; ++j) {
-          // Strict scalar accumulation order (no simd reduction): the
-          // multi-RHS kernels (sparse/spmm.hpp) promise per-slice results
-          // bitwise equal to this kernel, which only holds if this sum is
-          // not reassociated. SIMD throughput is recovered across slices
-          // on the block path instead of across nonzeros here.
-          real acc = 0;
-          for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i)
-            acc += input[ind[i]] * val[i];
-          output[j] += acc;
-        }
-      }
-      // Tail guard hoisted out of the store loop: full partitions take the
-      // branchless full-width path, only the last partition truncates.
-      const idx_t rstart = part * partsize;
-      const idx_t rows_here = std::min<idx_t>(partsize, num_rows - rstart);
-#pragma omp simd
-      for (idx_t i = 0; i < rows_here; ++i) yp[rstart + i] = output[i];
-    }
+    for (idx_t part = 0; part < numparts; ++part)
+      buffered_partition(a, part, xp, input.data(), output.data(), yp, 0,
+                         a.num_rows);
   }
 }
 

@@ -15,6 +15,7 @@
 // (and hence the number of stages) stays small.
 #pragma once
 
+#include <algorithm>
 #include <span>
 
 #include "perf/counters.hpp"
@@ -61,6 +62,80 @@ struct BufferedMatrix {
   /// Structural validation (stage sizes, index bounds, coverage).
   void validate() const;
 };
+
+/// Matrix-stream prefetch (DESIGN.md §19). One core cannot keep enough
+/// misses in flight to stream the matrix at DRAM rate, so the run walker
+/// below asks for the stream a fixed distance ahead, once per chunk.
+inline constexpr nnz_t kStreamChunk = 16;          ///< Entries per prefetch.
+inline constexpr nnz_t kStreamPrefetchAhead = 512;  ///< Distance, in entries.
+
+/// Walks the run [b, e) of a buffered matrix's (ind, val) stream of `nnz`
+/// entries, calling f(ind[i], val[i]) for each i in strict ascending order,
+/// so any sum the caller forms is bitwise that of the plain loop. The run
+/// goes in kStreamChunk-entry chunks with one prefetch of `val` and `ind`
+/// kStreamPrefetchAhead entries ahead per chunk (clamped to the last entry,
+/// so no pointer leaves the arrays), then a scalar tail. Prefetching per
+/// chunk rather than behind a per-entry branch keeps the entry loop clean.
+template <class F>
+inline void for_each_in_run(const buf_idx_t* ind, const real* val, nnz_t nnz,
+                            nnz_t b, nnz_t e, F&& f) {
+  nnz_t i = b;
+  for (; e - i >= kStreamChunk; i += kStreamChunk) {
+    const nnz_t ahead = std::min(i + kStreamPrefetchAhead, nnz - 1);
+    __builtin_prefetch(val + ahead);
+    __builtin_prefetch(ind + ahead);
+    for (nnz_t k = i; k < i + kStreamChunk; ++k) f(ind[k], val[k]);
+  }
+  for (; i < e; ++i) f(ind[i], val[i]);
+}
+
+/// One partition of Listing 3, the body of every fp32 single-RHS buffered
+/// kernel: stages each of partition `part`'s footprints from `x` into
+/// `input` (buffsize entries), accumulates its rows into `output` (partsize
+/// entries), then stores the rows inside the window [row_first, row_last)
+/// to y[r - row_first]. Full applies pass [0, num_rows); subset views pass
+/// their range, so their rows are bitwise equal to a full apply's.
+inline void buffered_partition(const BufferedMatrix& a, idx_t part,
+                               const real* x, real* input, real* output,
+                               real* y, idx_t row_first, idx_t row_last) {
+  const idx_t partsize = a.config.partsize;
+  const idx_t* const partdispl = a.partdispl.data();
+  const nnz_t* const stagedispl = a.stagedispl.data();
+  const idx_t* const stagenz = a.stagenz.data();
+  const idx_t* const map = a.map.data();
+  const nnz_t* const displ = a.displ.data();
+  const buf_idx_t* const ind = a.ind.data();
+  const real* const val = a.val.data();
+  const nnz_t nnz = a.nnz();
+
+  std::fill(output, output + partsize, real{0});
+  for (idx_t stage = partdispl[part]; stage < partdispl[part + 1]; ++stage) {
+    // Staging: gather this stage's footprint into the L1 buffer.
+    const idx_t* const mp = map + stagedispl[stage];
+    const idx_t nz = stagenz[stage];
+#pragma omp simd
+    for (idx_t i = 0; i < nz; ++i) input[i] = x[mp[i]];
+    // Compute: each partition row consumes its run for this stage. Strict
+    // scalar order (no simd reduction): the multi-RHS kernels
+    // (sparse/spmm.hpp) promise per-slice results bitwise equal to this
+    // sum, which only holds if it is not reassociated. SIMD throughput is
+    // recovered across slices on the block path instead.
+    const nnz_t* const run = displ + static_cast<nnz_t>(stage) * partsize;
+    for (idx_t j = 0; j < partsize; ++j) {
+      real acc = 0;
+      for_each_in_run(ind, val, nnz, run[j], run[j + 1],
+                      [&](buf_idx_t slot, real v) { acc += input[slot] * v; });
+      output[j] += acc;
+    }
+  }
+  // Tail guard hoisted out of the store loop: full partitions take the
+  // branchless full-width path, only the window's last partition truncates.
+  const idx_t rstart = part * partsize;
+  const idx_t rows_here = std::min<idx_t>(partsize, row_last - rstart);
+  real* const yp = y + (rstart - row_first);
+#pragma omp simd
+  for (idx_t i = 0; i < rows_here; ++i) yp[i] = output[i];
+}
 
 /// Builds the staged structure from CSR. Requires buffsize <= 65536 (16-bit
 /// buffer addressing) and partsize >= 1. OpenMP-parallel over partitions.

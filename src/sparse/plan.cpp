@@ -201,15 +201,6 @@ void spmv_buffered_planned(const BufferedMatrix& a, const ApplyPlan& plan,
   MEMXCT_CHECK(static_cast<idx_t>(y.size()) == a.num_rows);
   MEMXCT_CHECK(plan.num_partitions() == a.num_partitions());
   MEMXCT_CHECK(ws.num_slots() >= plan.num_slots());
-  const idx_t partsize = a.config.partsize;
-  const idx_t num_rows = a.num_rows;
-  const idx_t* const partdispl = a.partdispl.data();
-  const nnz_t* const stagedispl = a.stagedispl.data();
-  const idx_t* const stagenz = a.stagenz.data();
-  const idx_t* const map = a.map.data();
-  const nnz_t* const displ = a.displ.data();
-  const buf_idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
   const real* const xp = x.data();
   real* const yp = y.data();
   const int num_slots = plan.num_slots();
@@ -218,37 +209,13 @@ void spmv_buffered_planned(const BufferedMatrix& a, const ApplyPlan& plan,
   {
     const int nthreads = omp_get_num_threads();
     for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      const std::span<real> input_span = ws.input(s);
-      const std::span<real> output_span = ws.output(s);
-      MEMXCT_CHECK(static_cast<idx_t>(input_span.size()) >= a.config.buffsize);
-      MEMXCT_CHECK(static_cast<idx_t>(output_span.size()) >= partsize);
-      real* const input = input_span.data();
-      real* const output = output_span.data();
-      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part) {
-        std::fill(output, output + partsize, real{0});
-        for (idx_t stage = partdispl[part]; stage < partdispl[part + 1];
-             ++stage) {
-          const nnz_t mstart = stagedispl[stage];
-          const idx_t nz = stagenz[stage];
-#pragma omp simd
-          for (idx_t i = 0; i < nz; ++i) input[i] = xp[map[mstart + i]];
-          const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
-          for (idx_t j = 0; j < partsize; ++j) {
-            // Strict scalar order — the bitwise-parity contract with the
-            // multi-RHS kernels forbids reassociating this sum.
-            real acc = 0;
-            for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i)
-              acc += input[ind[i]] * val[i];
-            output[j] += acc;
-          }
-        }
-        // Tail guard hoisted out of the store loop: full partitions take the
-        // branchless full-width path, only the last partition truncates.
-        const idx_t rstart = part * partsize;
-        const idx_t rows_here = std::min<idx_t>(partsize, num_rows - rstart);
-#pragma omp simd
-        for (idx_t i = 0; i < rows_here; ++i) yp[rstart + i] = output[i];
-      }
+      const std::span<real> input = ws.input(s);
+      const std::span<real> output = ws.output(s);
+      MEMXCT_CHECK(static_cast<idx_t>(input.size()) >= a.config.buffsize);
+      MEMXCT_CHECK(static_cast<idx_t>(output.size()) >= a.config.partsize);
+      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part)
+        buffered_partition(a, part, xp, input.data(), output.data(), yp, 0,
+                           a.num_rows);
     }
   }
 }

@@ -141,6 +141,7 @@ inline void buffered_partition_block(
   const nnz_t* const displ = a.displ.data();
   const buf_idx_t* const ind = a.ind.data();
   const real* const val = a.val.data();
+  const nnz_t nnz = a.nnz();
   const auto kk = static_cast<std::size_t>(k);
 
   std::fill(output, output + static_cast<std::size_t>(partsize) * kk,
@@ -158,17 +159,17 @@ inline void buffered_partition_block(
 #pragma omp simd
       for (idx_t s = 0; s < k; ++s) dst[s] = src[s];
     }
-    const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
+    const nnz_t* const run = displ + static_cast<nnz_t>(stage) * partsize;
     for (idx_t j = 0; j < partsize; ++j) {
       real acc[kMaxBlockWidth];
       for (idx_t s = 0; s < k; ++s) acc[s] = 0;
-      for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i) {
-        const real v = val[i];
-        const real* const xr =
-            input + static_cast<std::size_t>(ind[i]) * kk;
+      for_each_in_run(ind, val, nnz, run[j], run[j + 1],
+                      [&](buf_idx_t slot, real v) {
+                        const real* const xr =
+                            input + static_cast<std::size_t>(slot) * kk;
 #pragma omp simd
-        for (idx_t s = 0; s < k; ++s) acc[s] += xr[s] * v;
-      }
+                        for (idx_t s = 0; s < k; ++s) acc[s] += xr[s] * v;
+                      });
       real* const out = output + static_cast<std::size_t>(j) * kk;
 #pragma omp simd
       for (idx_t s = 0; s < k; ++s) out[s] += acc[s];

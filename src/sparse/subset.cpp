@@ -111,49 +111,6 @@ void spmv_csr_range_planned(const CsrMatrix& a, idx_t partsize,
   }
 }
 
-namespace {
-
-/// Shared body of the buffered row-range kernels: runs partition `part`
-/// (global index) into `output`, then stores its rows into y_sub.
-inline void buffered_partition_into(const BufferedMatrix& a, idx_t part,
-                                    const RowRange& range,
-                                    std::span<const real> x, real* input,
-                                    real* output, real* yp) {
-  const idx_t partsize = a.config.partsize;
-  const idx_t* const partdispl = a.partdispl.data();
-  const nnz_t* const stagedispl = a.stagedispl.data();
-  const idx_t* const stagenz = a.stagenz.data();
-  const idx_t* const map = a.map.data();
-  const nnz_t* const displ = a.displ.data();
-  const buf_idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const real* const xp = x.data();
-
-  std::fill(output, output + partsize, real{0});
-  for (idx_t stage = partdispl[part]; stage < partdispl[part + 1]; ++stage) {
-    const nnz_t mstart = stagedispl[stage];
-    const idx_t nz = stagenz[stage];
-#pragma omp simd
-    for (idx_t i = 0; i < nz; ++i) input[i] = xp[map[mstart + i]];
-    const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
-    for (idx_t j = 0; j < partsize; ++j) {
-      // Strict scalar order, identical to spmv_buffered: subset rows are
-      // bitwise equal to the same rows of a full apply.
-      real acc = 0;
-      for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i)
-        acc += input[ind[i]] * val[i];
-      output[j] += acc;
-    }
-  }
-  const idx_t rstart = part * partsize;
-  const idx_t rows_here = std::min<idx_t>(partsize, range.last() - rstart);
-#pragma omp simd
-  for (idx_t i = 0; i < rows_here; ++i)
-    yp[rstart - range.first + i] = output[i];
-}
-
-}  // namespace
-
 void spmv_buffered_range(const BufferedMatrix& a, const RowRange& range,
                          std::span<const real> x, std::span<real> y_sub) {
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
@@ -162,6 +119,7 @@ void spmv_buffered_range(const BufferedMatrix& a, const RowRange& range,
   const idx_t partsize = a.config.partsize;
   const idx_t p0 = range.first / partsize;
   const idx_t p1 = p0 + ceil_div(range.count, partsize);
+  const real* const xp = x.data();
   real* const yp = y_sub.data();
 
 #pragma omp parallel
@@ -170,8 +128,8 @@ void spmv_buffered_range(const BufferedMatrix& a, const RowRange& range,
     AlignedVector<real> output(static_cast<std::size_t>(partsize));
 #pragma omp for schedule(dynamic)
     for (idx_t part = p0; part < p1; ++part)
-      buffered_partition_into(a, part, range, x, input.data(), output.data(),
-                              yp);
+      buffered_partition(a, part, xp, input.data(), output.data(), yp,
+                         range.first, range.last());
   }
 }
 
@@ -186,6 +144,7 @@ void spmv_buffered_range_planned(const BufferedMatrix& a,
   MEMXCT_CHECK(plan.num_partitions() == ceil_div(range.count, partsize));
   MEMXCT_CHECK(ws.num_slots() >= plan.num_slots());
   const idx_t p0 = range.first / partsize;
+  const real* const xp = x.data();
   real* const yp = y_sub.data();
   const int num_slots = plan.num_slots();
 
@@ -198,8 +157,8 @@ void spmv_buffered_range_planned(const BufferedMatrix& a,
       MEMXCT_CHECK(static_cast<idx_t>(input_span.size()) >= a.config.buffsize);
       MEMXCT_CHECK(static_cast<idx_t>(output_span.size()) >= partsize);
       for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part)
-        buffered_partition_into(a, p0 + part, range, x, input_span.data(),
-                                output_span.data(), yp);
+        buffered_partition(a, p0 + part, xp, input_span.data(),
+                           output_span.data(), yp, range.first, range.last());
     }
   }
 }
@@ -405,6 +364,7 @@ inline void buffered_colrange_partition(const BufferedMatrix& at,
   const nnz_t* const displ = at.displ.data();
   const buf_idx_t* const ind = at.ind.data();
   const real* const val = at.val.data();
+  const nnz_t nnz = at.nnz();
   const idx_t first = ix.range.first;
   const idx_t last = ix.range.last();
 
@@ -423,27 +383,21 @@ inline void buffered_colrange_partition(const BufferedMatrix& at,
     // left stale and the clipped inner runs below never address them.
 #pragma omp simd
     for (idx_t i = blo; i < bhi; ++i) input[i] = yp[mp[i] - first];
-    const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
-    if (blo == 0 && bhi == nz) {
-      // Interior stage: the unmodified full-kernel inner loop.
-      for (idx_t j = 0; j < partsize; ++j) {
-        real acc = 0;
-        for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i)
-          acc += input[ind[i]] * val[i];
-        output[j] += acc;
-      }
-      continue;
-    }
-    // Boundary stage: clip each row's ascending-`ind` run to [blo, bhi).
+    const nnz_t* const run = displ + static_cast<nnz_t>(stage) * partsize;
+    const bool interior = blo == 0 && bhi == nz;
     for (idx_t j = 0; j < partsize; ++j) {
-      const buf_idx_t* const ib = ind + displ[dstart + j];
-      const buf_idx_t* const ie = ind + displ[dstart + j + 1];
-      const auto* jlo = std::lower_bound(ib, ie, static_cast<buf_idx_t>(blo));
-      const auto* jhi =
-          std::lower_bound(jlo, ie, static_cast<buf_idx_t>(bhi));
+      nnz_t b = run[j];
+      nnz_t e = run[j + 1];
+      if (!interior) {
+        // Boundary stage: clip the row's ascending-`ind` run to [blo, bhi).
+        const buf_idx_t* const lo =
+            std::lower_bound(ind + b, ind + e, static_cast<buf_idx_t>(blo));
+        e = std::lower_bound(lo, ind + e, static_cast<buf_idx_t>(bhi)) - ind;
+        b = lo - ind;
+      }
       real acc = 0;
-      for (const buf_idx_t* i = jlo; i < jhi; ++i)
-        acc += input[*i] * val[(i - ind)];
+      for_each_in_run(ind, val, nnz, b, e,
+                      [&](buf_idx_t slot, real v) { acc += input[slot] * v; });
       output[j] += acc;
     }
   }

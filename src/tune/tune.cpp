@@ -15,9 +15,11 @@ namespace memxct::tune {
 
 namespace {
 
-/// Bumped whenever the Candidate serialization below changes layout; an
-/// unknown version is treated exactly like corruption (re-measure).
-constexpr std::uint32_t kTuneRecordVersion = 1;
+/// Bumped whenever the Candidate serialization below changes layout, or the
+/// kernels change enough that recorded rankings no longer hold (version 2:
+/// the buffered kernels prefetch their matrix stream); an unknown version
+/// is treated exactly like corruption (re-measure).
+constexpr std::uint32_t kTuneRecordVersion = 2;
 
 /// Same FNV-1a as core/opkey.cpp: stable across platforms and runs.
 std::uint64_t fnv1a(const std::string& s) noexcept {

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 
+#include <cstring>
 #include <functional>
 #include <set>
 #include <string>
@@ -154,6 +155,67 @@ TEST(Buffered, HilbertLikeBandedMatrixFewStages) {
   const BufferedMatrix bm = build_buffered(a, {64, 256});
   // Each 64-row partition touches ≲ 64+2*16 distinct columns < 256.
   EXPECT_EQ(bm.num_stages(), bm.num_partitions());
+}
+
+// ---------------------------------------------------------------------------
+// The prefetching run walker (for_each_in_run) must visit exactly the plain
+// loop's entries in the same order, so every sum it feeds is bitwise equal.
+// ---------------------------------------------------------------------------
+
+/// Walks the run [b, e) of `bm`'s stream, k lanes per entry, and checks
+/// that it visits the plain loop's entries in order and that its k sums are
+/// memcmp-equal to the plain strict-order loop's.
+void expect_walker_matches_plain_loop(const BufferedMatrix& bm, nnz_t b,
+                                      nnz_t e, idx_t k) {
+  const auto kk = static_cast<std::size_t>(k);
+  const auto input = testutil::random_vector(bm.config.buffsize * k, 71);
+  std::vector<real> walked(kk, 0), plain(kk, 0);
+  std::vector<buf_idx_t> slots;
+  std::vector<real> vals;
+  for_each_in_run(bm.ind.data(), bm.val.data(), bm.nnz(), b, e,
+                  [&](buf_idx_t slot, real v) {
+                    slots.push_back(slot);
+                    vals.push_back(v);
+                    for (std::size_t s = 0; s < kk; ++s)
+                      walked[s] += input[slot * kk + s] * v;
+                  });
+  for (nnz_t i = b; i < e; ++i)
+    for (std::size_t s = 0; s < kk; ++s)
+      plain[s] += input[bm.ind[i] * kk + s] * bm.val[i];
+  EXPECT_EQ(std::memcmp(walked.data(), plain.data(), kk * sizeof(real)), 0)
+      << "run [" << b << ", " << e << ") at k = " << k;
+  const auto n = static_cast<std::size_t>(e - b);
+  ASSERT_EQ(slots.size(), n) << "run [" << b << ", " << e << ")";
+  if (n == 0) return;  // memcmp may not take the empty vectors' null data
+  EXPECT_EQ(std::memcmp(slots.data(), bm.ind.data() + b,
+                        n * sizeof(buf_idx_t)), 0);
+  EXPECT_EQ(std::memcmp(vals.data(), bm.val.data() + b, n * sizeof(real)), 0);
+}
+
+TEST(RunWalker, BitwiseEqualToPlainLoopAtEveryLength) {
+  // Values spanning many magnitudes make any reordering of a sum visible.
+  CsrMatrix a = testutil::random_csr(64, 512, 0.5, 67);
+  for (nnz_t i = 0; i < a.nnz(); ++i)
+    a.val[i] *= static_cast<real>(1 << (i % 23));
+  const BufferedMatrix bm = build_buffered(a, {16, 256});
+  const nnz_t nnz = bm.nnz();
+  ASSERT_GT(nnz, kStreamPrefetchAhead + 4 * kStreamChunk);
+  for (const idx_t k : {1, 3, 8}) {
+    for (nnz_t len = 0; len <= 2 * kStreamChunk + 3; ++len) {
+      expect_walker_matches_plain_loop(bm, 0, len, k);  // chunk-aligned start
+      expect_walker_matches_plain_loop(bm, 5, 5 + len, k);  // unaligned
+      // Ending at the last nonzero: the prefetch index clamps to nnz - 1.
+      expect_walker_matches_plain_loop(bm, nnz - len, nnz, k);
+    }
+    // Chunk-aligned runs, whole chunks only, with and without a clamp.
+    for (const nnz_t chunks : {1, 2, 5, 40}) {
+      const nnz_t len = chunks * kStreamChunk;
+      for (const nnz_t b : {nnz_t{0}, kStreamChunk, nnz - len})
+        expect_walker_matches_plain_loop(bm, b, b + len, k);
+    }
+    // The whole stream in one run.
+    expect_walker_matches_plain_loop(bm, 0, nnz, k);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -197,6 +197,21 @@ TEST(Chaos, DegradedRungsStayWithinErrorBudgets) {
   EXPECT_EQ(m.degraded_by_rung[1], 1);
 }
 
+/// Deadline clock that advances one fixed step per reading: a deadline
+/// expires after a set number of checks, not after wall time, so a loaded
+/// machine cannot spend it before the first solver iteration.
+class SteppingClock final : public solve::Clock {
+ public:
+  explicit SteppingClock(std::chrono::nanoseconds step) : step_(step) {}
+  [[nodiscard]] std::int64_t now_ns() const noexcept override {
+    return readings_.fetch_add(1, std::memory_order_relaxed) * step_.count();
+  }
+
+ private:
+  std::chrono::nanoseconds step_;
+  mutable std::atomic<std::int64_t> readings_{0};
+};
+
 TEST(Chaos, SalvagedPartialIsDegradedWithBestSoFarIterate) {
   auto f = make_fixture();
   serve::ServerOptions options;
@@ -204,7 +219,10 @@ TEST(Chaos, SalvagedPartialIsDegradedWithBestSoFarIterate) {
   options.queue_capacity = 4;
   options.degrade.enabled = true;
   options.degrade.rungs = serve::default_ladder();
-  serve::Server server(options);
+  // One millisecond per reading: the 50 ms deadline lapses after about 50
+  // deadline checks, i.e. a few dozen SIRT iterations into the solve.
+  const SteppingClock clock(std::chrono::milliseconds(1));
+  serve::Server server(options, clock);
 
   // A fixed-iteration solve the deadline cannot cover; the estimate is cold
   // so admission lets it through at rung 0, and the deadline interrupts the

@@ -288,6 +288,43 @@ TEST(TuneEndToEnd, CorruptCacheFallsBackToMeasurement) {
   EXPECT_FALSE(r3.cache_corrupt);
 }
 
+TEST(TuneEndToEnd, StaleVersionRecordIsRemeasuredAndOverwritten) {
+  const TempDir tmp("memxct_tune_stale_version");
+  const auto g = small_geometry();
+  core::Config base;
+  base.cache_dir = tmp.path.string();
+  base.autotune = core::AutotuneMode::Cached;
+  const auto a = small_matrix(base);
+
+  core::Config first = base;
+  const auto r1 = tune::autotune_operator(g, first, a, quick_options());
+  ASSERT_TRUE(resil::file_exists(r1.tune_path));
+
+  // Rewrite the record as version 1, the layout measured on the kernels
+  // before the buffered stream prefetch: valid CRC, stale decision.
+  auto payload = resil::read_checked(r1.tune_path,
+                                     resil::BlobKind::TunedChoice, 1u << 20);
+  const std::uint32_t stale = 1;
+  ASSERT_GE(payload.size(), sizeof(stale));
+  std::memcpy(payload.data(), &stale, sizeof(stale));
+  resil::write_checked(r1.tune_path, resil::BlobKind::TunedChoice, payload);
+  EXPECT_THROW((void)tune::load_tuned_choice(r1.tune_path), IoError);
+
+  core::Config second = base;
+  const auto r2 = tune::autotune_operator(g, second, a, quick_options());
+  EXPECT_TRUE(r2.tuned);
+  EXPECT_FALSE(r2.cache_hit);
+  EXPECT_TRUE(r2.cache_corrupt);
+  EXPECT_GT(r2.measure_seconds, 0.0);
+
+  // The fresh measurement overwrote the record at the current version.
+  EXPECT_NO_THROW((void)tune::load_tuned_choice(r1.tune_path));
+  core::Config third = base;
+  const auto r3 = tune::autotune_operator(g, third, a, quick_options());
+  EXPECT_TRUE(r3.cache_hit);
+  EXPECT_FALSE(r3.cache_corrupt);
+}
+
 TEST(TuneEndToEnd, ForceRemeasuresDespiteCache) {
   const TempDir tmp("memxct_tune_force");
   const auto g = small_geometry();
