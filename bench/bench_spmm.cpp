@@ -1,5 +1,6 @@
-// Multi-RHS (SpMM) amortization sweep: block width K ∈ {1,2,4,8,16} for
-// every kernel family, measuring how streaming the memoized matrix once
+// Multi-RHS (SpMM) amortization sweep: block width K ∈ {1,2,3,4,7,8,16}
+// for every kernel family (3 and 7 run the buffered kernels' zero-padded
+// lanes, sparse/spmm.hpp), measuring how streaming the memoized matrix once
 // per K slices converts bandwidth into throughput.
 //
 // For each family the K=1 row times the actual single-RHS kernel (the
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
       std::max<idx_t>(32, (quick ? 64 : 256) / bench::env_scale());
   const idx_t angles = size * 3 / 2;
   const int reps = quick ? 2 : 5;
-  const std::vector<int> widths = {1, 2, 4, 8, 16};
+  const std::vector<int> widths = {1, 2, 3, 4, 7, 8, 16};
   const idx_t max_width = 16;
 
   // Hilbert-ordered matrix — the production layout all kernels consume.
@@ -101,19 +102,21 @@ int main(int argc, char** argv) {
   const int slots = omp_get_max_threads();
 
   std::printf("geometry %d x %d (%lld nnz), %d threads, %d reps, "
-              "K sweep {1,2,4,8,16}\n\n",
+              "K sweep {1,2,3,4,7,8,16}\n\n",
               angles, size, static_cast<long long>(a.nnz()), slots, reps);
 
   // Plans and workspaces are shared with the single-RHS path; block
-  // workspaces are sized once at the widest K.
+  // workspaces are sized once at the widest K (the buffered kernels stage
+  // at sparse::block_lanes(K) lanes).
   const auto csr_plan = sparse::ApplyPlan::build(
       sparse::partition_nnz(a, sparse::kCsrPartsize), slots);
   const auto buf_plan =
       sparse::ApplyPlan::build(sparse::partition_nnz(buffered), slots);
   const auto ell_plan =
       sparse::ApplyPlan::build(sparse::partition_nnz(ell), slots);
-  sparse::Workspace buf_ws(slots, buffered.config.buffsize * max_width,
-                           buffered.config.partsize * max_width);
+  const idx_t max_lanes = sparse::block_lanes(max_width);
+  sparse::Workspace buf_ws(slots, buffered.config.buffsize * max_lanes,
+                           buffered.config.partsize * max_lanes);
   sparse::Workspace ell_ws(slots, 0, ell.block_rows * max_width);
 
   // Deterministic inputs; lanes differ so a broken lane mapping would show.

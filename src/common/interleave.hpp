@@ -3,10 +3,9 @@
 //
 // The block apply path stores K right-hand-sides interleaved element-wise:
 // slice s's element i lives at dst[i*K + s]. With that layout one streamed
-// nonzero (ind, val) feeds all K slices, and `#pragma omp simd` vectorizes
-// across the K dimension while each slice keeps the scalar accumulation
-// order of the single-RHS kernels — the bitwise-parity contract of
-// sparse/spmm.hpp.
+// nonzero (ind, val) feeds all K slices as one vector expression across the
+// K dimension, while each slice keeps the scalar accumulation order of the
+// single-RHS kernels — the bitwise-parity contract of sparse/spmm.hpp.
 //
 // These routines are the ONE implementation of that pack/unpack, shared by
 // the core BlockWorkspace, the block solver, and the batch engine. They are

@@ -450,7 +450,8 @@ BlockWorkspace MemXCTOperator::make_block_workspace(idx_t k) const {
   common::aligned_resize_for_simd(ws.y_interleaved_,
                                   static_cast<std::size_t>(s.num_rows), k);
   if (s.schedule == ScheduleKind::StaticPlan) {
-    // Same slot structure as the single-RHS workspaces, k× wider buffers.
+    // Same slot structure as the single-RHS workspaces, with buffers k
+    // (ELL) or block_lanes(k) (Buffered) times wider.
     switch (s.kind) {
       case KernelKind::Baseline:
       case KernelKind::Library:
@@ -462,16 +463,17 @@ BlockWorkspace MemXCTOperator::make_block_workspace(idx_t k) const {
                                        s.ell_bwd->block_rows * k);
         break;
       case KernelKind::Buffered: {
+        const idx_t lanes = sparse::block_lanes(k);
         const auto& cfg_fwd =
             s.cbuf_fwd ? s.cbuf_fwd->config : s.buf_fwd->config;
         const auto& cfg_bwd =
             s.cbuf_bwd ? s.cbuf_bwd->config : s.buf_bwd->config;
         ws.ws_fwd_ = sparse::Workspace(s.plan_fwd.num_slots(),
-                                       cfg_fwd.buffsize * k,
-                                       cfg_fwd.partsize * k);
+                                       cfg_fwd.buffsize * lanes,
+                                       cfg_fwd.partsize * lanes);
         ws.ws_bwd_ = sparse::Workspace(s.plan_bwd.num_slots(),
-                                       cfg_bwd.buffsize * k,
-                                       cfg_bwd.partsize * k);
+                                       cfg_bwd.buffsize * lanes,
+                                       cfg_bwd.partsize * lanes);
         break;
       }
     }

@@ -16,8 +16,9 @@ class MemXCTOperator;
 class SubsetOperatorView;
 
 /// Scratch for one block-apply width: the interleaved (slice-major) vector
-/// images of the per-slice slabs, plus k-wide staging/output buffers for
-/// the planned kernels. Created by MemXCTOperator::make_block_workspace(k)
+/// images of the per-slice slabs, plus staging/output buffers for the
+/// planned kernels (k wide for ELL, sparse::block_lanes(k) wide for
+/// Buffered). Created by MemXCTOperator::make_block_workspace(k)
 /// and reusable across applies of the same width; pack/unpack between the
 /// caller's per-slice slabs and the interleaved layout happens inside
 /// apply_block via common/interleave.hpp.
@@ -28,13 +29,22 @@ class BlockWorkspace {
   /// Block width this workspace was sized for (0 = default-constructed).
   [[nodiscard]] idx_t width() const noexcept { return k_; }
 
+  /// Per-slot planned-kernel buffers of each direction (slot-less unless
+  /// the operator runs a StaticPlan ELL or Buffered kernel).
+  [[nodiscard]] const sparse::Workspace& forward_buffers() const noexcept {
+    return ws_fwd_;
+  }
+  [[nodiscard]] const sparse::Workspace& transpose_buffers() const noexcept {
+    return ws_bwd_;
+  }
+
  private:
   friend class MemXCTOperator;
 
   idx_t k_ = 0;
   AlignedVector<real> x_interleaved_;  ///< num_cols · k, padded.
   AlignedVector<real> y_interleaved_;  ///< num_rows · k, padded.
-  sparse::Workspace ws_fwd_, ws_bwd_;  ///< k-wide per-slot kernel buffers.
+  sparse::Workspace ws_fwd_, ws_bwd_;  ///< Per-slot kernel buffers.
 };
 
 /// Owns the forward matrix A (and its transpose) in whichever storage the

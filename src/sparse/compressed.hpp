@@ -208,8 +208,8 @@ void spmv_cbuffered_planned(const CompressedBuffered& a, const ApplyPlan& plan,
 void spmm_cbuffered(const CompressedBuffered& a, idx_t k,
                     std::span<const real> x, std::span<real> y);
 
-/// `ws` needs per-slot input capacity >= buffsize * k, output >=
-/// partsize * k.
+/// `ws` needs per-slot input capacity >= buffsize * block_lanes(k), output
+/// >= partsize * block_lanes(k) (sparse/spmm.hpp).
 void spmm_cbuffered_planned(const CompressedBuffered& a, const ApplyPlan& plan,
                             Workspace& ws, idx_t k, std::span<const real> x,
                             std::span<real> y);

@@ -164,6 +164,9 @@ inline void cbuffered_partition(const CompressedBuffered& a, idx_t part,
   for (idx_t i = 0; i < rows_here; ++i) yp[rstart + i] = output[i];
 }
 
+/// Block form of cbuffered_partition: the shared block body (spmm.hpp) at
+/// L = block_lanes(k), with the varint map/index decoders as its walkers.
+/// `input`/`output` hold buffsize·L and partsize·L entries.
 template <class Val>
 inline void cbuffered_partition_block(const CompressedBuffered& a, idx_t part,
                                       idx_t k, Val val, const real* xp,
@@ -172,50 +175,30 @@ inline void cbuffered_partition_block(const CompressedBuffered& a, idx_t part,
   const nnz_t* const displ = a.displ.data();
   const std::uint8_t* mp = a.map_bytes.data() + a.part_map_bytes[part];
   const std::uint8_t* ip = a.ind_bytes.data() + a.part_ind_bytes[part];
-  const auto kk = static_cast<std::size_t>(k);
-
-  std::fill(output, output + static_cast<std::size_t>(partsize) * kk,
-            real{0});
-  idx_t mcol = -1;
-  for (idx_t stage = a.partdispl[part]; stage < a.partdispl[part + 1];
-       ++stage) {
+  idx_t mcol = -1;  // footprint run spans all of the partition's stages
+  const auto gather = [&](idx_t stage, auto&& put) {
     const idx_t nz = a.stagenz[static_cast<std::size_t>(stage)];
     for (idx_t i = 0; i < nz; ++i) {
       std::uint32_t gap;
       mp = varint::get(mp, gap);
       mcol += static_cast<idx_t>(gap);
-      const real* const src = xp + static_cast<std::size_t>(mcol) * kk;
-      real* const dst = input + static_cast<std::size_t>(i) * kk;
-#pragma omp simd
-      for (idx_t s = 0; s < k; ++s) dst[s] = src[s];
+      put(i, mcol);
     }
+  };
+  const auto walk = [&](idx_t stage, idx_t j, auto&& add) {
     const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
-    for (idx_t j = 0; j < partsize; ++j) {
-      real acc[kMaxBlockWidth];
-      for (idx_t s = 0; s < k; ++s) acc[s] = 0;
-      idx_t slot = -1;
-      for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i) {
-        std::uint32_t gap;
-        ip = varint::get(ip, gap);
-        slot += static_cast<idx_t>(gap);
-        const real v = val(i);
-        const real* const xr = input + static_cast<std::size_t>(slot) * kk;
-#pragma omp simd
-        for (idx_t s = 0; s < k; ++s) acc[s] += xr[s] * v;
-      }
-      real* const out = output + static_cast<std::size_t>(j) * kk;
-#pragma omp simd
-      for (idx_t s = 0; s < k; ++s) out[s] += acc[s];
+    idx_t slot = -1;
+    for (nnz_t i = displ[dstart + j]; i < displ[dstart + j + 1]; ++i) {
+      std::uint32_t gap;
+      ip = varint::get(ip, gap);
+      slot += static_cast<idx_t>(gap);
+      add(slot, val(i));
     }
-  }
-  const idx_t rstart = part * partsize;
-  const idx_t rows_here = std::min<idx_t>(partsize, a.num_rows - rstart);
-  for (idx_t i = 0; i < rows_here; ++i) {
-    real* const yr = yp + static_cast<std::size_t>(rstart + i) * kk;
-    const real* const out = output + static_cast<std::size_t>(i) * kk;
-#pragma omp simd
-    for (idx_t s = 0; s < k; ++s) yr[s] = out[s];
-  }
+  };
+  with_block_lanes(k, [&](auto lanes) {
+    staged_partition_block<decltype(lanes)::value>(a, part, k, xp, yp, input,
+                                                   output, gather, walk);
+  });
 }
 
 }  // namespace
@@ -347,14 +330,14 @@ void spmm_cbuffered(const CompressedBuffered& a, idx_t k,
   const idx_t numparts = a.num_partitions();
   const real* const xp = x.data();
   real* const yp = y.data();
-  const auto kk = static_cast<std::size_t>(k);
+  const auto lanes = static_cast<std::size_t>(block_lanes(k));
   with_values(a, [&](auto val) {
 #pragma omp parallel
     {
       AlignedVector<real> input(
-          static_cast<std::size_t>(a.config.buffsize) * kk);
+          static_cast<std::size_t>(a.config.buffsize) * lanes);
       AlignedVector<real> output(
-          static_cast<std::size_t>(a.config.partsize) * kk);
+          static_cast<std::size_t>(a.config.partsize) * lanes);
 #pragma omp for schedule(dynamic)
       for (idx_t part = 0; part < numparts; ++part)
         cbuffered_partition_block(a, part, k, val, xp, yp, input.data(),
@@ -372,7 +355,7 @@ void spmm_cbuffered_planned(const CompressedBuffered& a, const ApplyPlan& plan,
   const real* const xp = x.data();
   real* const yp = y.data();
   const int num_slots = plan.num_slots();
-  const auto kk = static_cast<std::size_t>(k);
+  const auto lanes = static_cast<std::size_t>(block_lanes(k));
   with_values(a, [&](auto val) {
 #pragma omp parallel
     {
@@ -381,9 +364,9 @@ void spmm_cbuffered_planned(const CompressedBuffered& a, const ApplyPlan& plan,
         const std::span<real> input = ws.input(s);
         const std::span<real> output = ws.output(s);
         MEMXCT_CHECK(input.size() >=
-                     static_cast<std::size_t>(a.config.buffsize) * kk);
+                     static_cast<std::size_t>(a.config.buffsize) * lanes);
         MEMXCT_CHECK(output.size() >=
-                     static_cast<std::size_t>(a.config.partsize) * kk);
+                     static_cast<std::size_t>(a.config.partsize) * lanes);
         for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s);
              ++part)
           cbuffered_partition_block(a, part, k, val, xp, yp, input.data(),

@@ -104,6 +104,12 @@ class Workspace {
   [[nodiscard]] std::span<real> output(int s) noexcept {
     return slots_[static_cast<std::size_t>(s)].output;
   }
+  [[nodiscard]] std::span<const real> input(int s) const noexcept {
+    return slots_[static_cast<std::size_t>(s)].input;
+  }
+  [[nodiscard]] std::span<const real> output(int s) const noexcept {
+    return slots_[static_cast<std::size_t>(s)].output;
+  }
 
  private:
   struct SlotBuffers {

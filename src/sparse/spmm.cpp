@@ -127,14 +127,14 @@ void spmm_ell(const EllBlockMatrix& a, idx_t k, std::span<const real> x,
 
 namespace {
 
-/// Shared buffered block body: one partition, all its stages, k lanes.
-/// `input` holds the staged footprint interleaved (buffsize * k), `output`
-/// the partition's accumulating rows interleaved (partsize * k).
-inline void buffered_partition_block(
-    const BufferedMatrix& a, idx_t part, idx_t k, const real* xp, real* yp,
-    real* input, real* output) {
+/// One partition of the fp32 buffered matrix at block width k: the shared
+/// block body (spmm.hpp) at L = block_lanes(k), walking each run with the
+/// prefetching for_each_in_run. `input`/`output` hold buffsize·L and
+/// partsize·L entries.
+inline void buffered_partition_block(const BufferedMatrix& a, idx_t part,
+                                     idx_t k, const real* xp, real* yp,
+                                     real* input, real* output) {
   const idx_t partsize = a.config.partsize;
-  const idx_t* const partdispl = a.partdispl.data();
   const nnz_t* const stagedispl = a.stagedispl.data();
   const idx_t* const stagenz = a.stagenz.data();
   const idx_t* const map = a.map.data();
@@ -142,47 +142,18 @@ inline void buffered_partition_block(
   const buf_idx_t* const ind = a.ind.data();
   const real* const val = a.val.data();
   const nnz_t nnz = a.nnz();
-  const auto kk = static_cast<std::size_t>(k);
-
-  std::fill(output, output + static_cast<std::size_t>(partsize) * kk,
-            real{0});
-  for (idx_t stage = partdispl[part]; stage < partdispl[part + 1]; ++stage) {
-    // Staging: one 4 B map read serves all k lanes; the gathered x values
-    // themselves stay per-lane (they do not amortize — see the traffic
-    // model in perf/counters.hpp).
-    const nnz_t mstart = stagedispl[stage];
-    const idx_t nz = stagenz[stage];
-    for (idx_t i = 0; i < nz; ++i) {
-      const real* const src =
-          xp + static_cast<std::size_t>(map[mstart + i]) * kk;
-      real* const dst = input + static_cast<std::size_t>(i) * kk;
-#pragma omp simd
-      for (idx_t s = 0; s < k; ++s) dst[s] = src[s];
-    }
+  const auto gather = [&](idx_t stage, auto&& put) {
+    const idx_t* const mp = map + stagedispl[stage];
+    for (idx_t i = 0; i < stagenz[stage]; ++i) put(i, mp[i]);
+  };
+  const auto walk = [&](idx_t stage, idx_t j, auto&& add) {
     const nnz_t* const run = displ + static_cast<nnz_t>(stage) * partsize;
-    for (idx_t j = 0; j < partsize; ++j) {
-      real acc[kMaxBlockWidth];
-      for (idx_t s = 0; s < k; ++s) acc[s] = 0;
-      for_each_in_run(ind, val, nnz, run[j], run[j + 1],
-                      [&](buf_idx_t slot, real v) {
-                        const real* const xr =
-                            input + static_cast<std::size_t>(slot) * kk;
-#pragma omp simd
-                        for (idx_t s = 0; s < k; ++s) acc[s] += xr[s] * v;
-                      });
-      real* const out = output + static_cast<std::size_t>(j) * kk;
-#pragma omp simd
-      for (idx_t s = 0; s < k; ++s) out[s] += acc[s];
-    }
-  }
-  const idx_t rstart = part * partsize;
-  const idx_t rows_here = std::min<idx_t>(partsize, a.num_rows - rstart);
-  for (idx_t i = 0; i < rows_here; ++i) {
-    real* const yr = yp + static_cast<std::size_t>(rstart + i) * kk;
-    const real* const out = output + static_cast<std::size_t>(i) * kk;
-#pragma omp simd
-    for (idx_t s = 0; s < k; ++s) yr[s] = out[s];
-  }
+    for_each_in_run(ind, val, nnz, run[j], run[j + 1], add);
+  };
+  with_block_lanes(k, [&](auto lanes) {
+    staged_partition_block<decltype(lanes)::value>(a, part, k, xp, yp, input,
+                                                   output, gather, walk);
+  });
 }
 
 }  // namespace
@@ -193,13 +164,13 @@ void spmm_buffered(const BufferedMatrix& a, idx_t k, std::span<const real> x,
   const idx_t numparts = a.num_partitions();
   const real* const xp = x.data();
   real* const yp = y.data();
-  const auto kk = static_cast<std::size_t>(k);
+  const auto lanes = static_cast<std::size_t>(block_lanes(k));
 #pragma omp parallel
   {
     AlignedVector<real> input(static_cast<std::size_t>(a.config.buffsize) *
-                              kk);
+                              lanes);
     AlignedVector<real> output(static_cast<std::size_t>(a.config.partsize) *
-                               kk);
+                               lanes);
 #pragma omp for schedule(dynamic)
     for (idx_t part = 0; part < numparts; ++part)
       buffered_partition_block(a, part, k, xp, yp, input.data(),
@@ -311,7 +282,7 @@ void spmm_buffered_planned(const BufferedMatrix& a, const ApplyPlan& plan,
   const real* const xp = x.data();
   real* const yp = y.data();
   const int num_slots = plan.num_slots();
-  const auto kk = static_cast<std::size_t>(k);
+  const auto lanes = static_cast<std::size_t>(block_lanes(k));
 
 #pragma omp parallel
   {
@@ -320,9 +291,9 @@ void spmm_buffered_planned(const BufferedMatrix& a, const ApplyPlan& plan,
       const std::span<real> input_span = ws.input(s);
       const std::span<real> output_span = ws.output(s);
       MEMXCT_CHECK(input_span.size() >=
-                   static_cast<std::size_t>(a.config.buffsize) * kk);
+                   static_cast<std::size_t>(a.config.buffsize) * lanes);
       MEMXCT_CHECK(output_span.size() >=
-                   static_cast<std::size_t>(a.config.partsize) * kk);
+                   static_cast<std::size_t>(a.config.partsize) * lanes);
       for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part)
         buffered_partition_block(a, part, k, xp, yp, input_span.data(),
                                  output_span.data());

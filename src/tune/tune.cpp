@@ -17,9 +17,10 @@ namespace {
 
 /// Bumped whenever the Candidate serialization below changes layout, or the
 /// kernels change enough that recorded rankings no longer hold (version 2:
-/// the buffered kernels prefetch their matrix stream); an unknown version
-/// is treated exactly like corruption (re-measure).
-constexpr std::uint32_t kTuneRecordVersion = 2;
+/// the buffered kernels prefetch their matrix stream; version 3: block
+/// widths > 1 are timed on the block kernels, not the SpMV); an unknown
+/// version is treated exactly like corruption (re-measure).
+constexpr std::uint32_t kTuneRecordVersion = 3;
 
 /// Same FNV-1a as core/opkey.cpp: stable across platforms and runs.
 std::uint64_t fnv1a(const std::string& s) noexcept {
@@ -230,10 +231,15 @@ TunedChoice measure_candidates(const sparse::CsrMatrix& a,
   TunedChoice choice;
   choice.candidates = enumerate_candidates(base, options);
   const int reps = std::max(1, options.reps);
+  // Time the apply the solver will run: the block kernels at the held-fixed
+  // width when it is > 1 (their staging is that many times wider, so
+  // buffsize trade-offs differ from the SpMV's), the SpMV otherwise.
+  const idx_t k = std::max(1, base.block_width);
+  const auto width = static_cast<std::size_t>(k);
 
-  std::vector<real> x(static_cast<std::size_t>(a.num_cols), real(1));
-  std::vector<real> y(static_cast<std::size_t>(a.num_rows));
-  std::vector<real> xt(static_cast<std::size_t>(a.num_cols));
+  std::vector<real> x(static_cast<std::size_t>(a.num_cols) * width, real(1));
+  std::vector<real> y(static_cast<std::size_t>(a.num_rows) * width);
+  std::vector<real> xt(static_cast<std::size_t>(a.num_cols) * width);
 
   for (Candidate& c : choice.candidates) {
     // Each candidate builds from a COPY of the staging CSR: the trace is
@@ -241,15 +247,23 @@ TunedChoice measure_candidates(const sparse::CsrMatrix& a,
     const core::MemXCTOperator op(sparse::CsrMatrix(a), c.kernel, c.buffer,
                                   base.ell_block_rows, c.schedule,
                                   c.precision);
-    op.apply(x, y);            // warm-up (page-in, plan workspaces)
-    op.apply_transpose(y, xt);
+    const auto forward = [&] {
+      if (k > 1) op.apply_block(x, y, k);
+      else op.apply(x, y);
+    };
+    const auto transpose = [&] {
+      if (k > 1) op.apply_transpose_block(y, xt, k);
+      else op.apply_transpose(y, xt);
+    };
+    forward();  // warm-up (page-in, plan and block workspaces)
+    transpose();
     double apply_best = 1e300, transpose_best = 1e300;
     for (int rep = 0; rep < reps; ++rep) {
       perf::WallTimer ta;
-      op.apply(x, y);
+      forward();
       apply_best = std::min(apply_best, ta.seconds());
       perf::WallTimer tt;
-      op.apply_transpose(y, xt);
+      transpose();
       transpose_best = std::min(transpose_best, tt.seconds());
     }
     c.apply_seconds = apply_best;
@@ -258,10 +272,12 @@ TunedChoice measure_candidates(const sparse::CsrMatrix& a,
     const auto fwd = op.forward_work();
     const auto bwd = op.transpose_work();
     if (pass > 0.0) {
-      c.gbs = static_cast<double>(fwd.regular_bytes() + bwd.regular_bytes()) /
-              pass * 1e-9;
-      c.gflops =
-          static_cast<double>(fwd.flops() + bwd.flops()) / pass * 1e-9;
+      // Bytes of one k-wide pass: the matrix stream once, the staged x
+      // gathers per slice.
+      c.gbs = (fwd.regular_bytes_at_width(k) + bwd.regular_bytes_at_width(k)) *
+              static_cast<double>(k) / pass * 1e-9;
+      c.gflops = static_cast<double>(fwd.flops() + bwd.flops()) *
+                 static_cast<double>(k) / pass * 1e-9;
     }
   }
 

@@ -8,12 +8,13 @@
 // partsize/buffsize grid seeded from the Fig 10 space) on the ACTUAL traced
 // geometry: each candidate constructs a MemXCTOperator from a copy of the
 // already-built staging CSR — no candidate pays a re-trace — and runs short
-// timed apply/apply_transpose repetitions. The winner (argmax regular-stream
-// GB/s over one forward+backprojection pass) is recorded as a TunedChoice in
-// a versioned, CRC-checksummed `.tune` file in the resil disk-cache tier,
-// keyed by a geometry/opkey fingerprint, so later builds — and other serve
-// tenants via the OperatorRegistry — replay the decision instantly and
-// deterministically instead of re-measuring.
+// timed apply/apply_transpose repetitions (apply_block/apply_transpose_block
+// at the configured block width when it is > 1). The winner (argmax
+// regular-stream GB/s over one forward+backprojection pass) is recorded as a
+// TunedChoice in a versioned, CRC-checksummed `.tune` file in the resil
+// disk-cache tier, keyed by a geometry/opkey fingerprint, so later builds —
+// and other serve tenants via the OperatorRegistry — replay the decision
+// instantly and deterministically instead of re-measuring.
 //
 // Determinism contract: measurement picks the CONFIG, never the arithmetic.
 // The tuner only resolves kernel / schedule / buffer; precision, block

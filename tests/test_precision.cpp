@@ -280,7 +280,7 @@ TEST(CompressedKernels, SpmmLanesBitwiseMatchSpmv) {
   const BufferedMatrix bm = build_buffered(a, {16, 64});
   const CompressedBuffered cbuf = compress_buffered(bm, ValueStorage::Bf16);
 
-  for (const idx_t k : {idx_t{4}, idx_t{8}}) {
+  for (const idx_t k : {idx_t{3}, idx_t{4}, idx_t{7}, idx_t{8}}) {
     AlignedVector<real> xk(n * static_cast<std::size_t>(k));
     for (std::size_t i = 0; i < n; ++i)
       for (idx_t s = 0; s < k; ++s)
@@ -415,7 +415,7 @@ TEST(CompressedOperator, BlockApplyMatchesSingleApply) {
                           ScheduleKind::StaticPlan, sparse::ValueStorage::Bf16);
   const auto m = static_cast<std::size_t>(op.num_rows());
   const auto n = static_cast<std::size_t>(op.num_cols());
-  for (const idx_t k : {idx_t{4}, idx_t{8}}) {
+  for (const idx_t k : {idx_t{3}, idx_t{4}, idx_t{7}, idx_t{8}}) {
     AlignedVector<real> x(n * static_cast<std::size_t>(k));
     for (idx_t s = 0; s < k; ++s) {
       const auto xs = testutil::random_vector(op.num_cols(),

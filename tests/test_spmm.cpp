@@ -75,8 +75,6 @@ struct KernelSet {
   BlockFn block;
 };
 
-constexpr idx_t kTestMaxWidth = 8;
-
 std::vector<KernelSet> make_kernels(const sparse::CsrMatrix& a,
                                     const sparse::BufferedMatrix& buf,
                                     const sparse::EllBlockMatrix& ell,
@@ -132,14 +130,19 @@ void run_kernel_parity(const sparse::CsrMatrix& a, std::uint64_t seed) {
       sparse::ApplyPlan::build(sparse::partition_nnz(buf), slots);
   const auto ell_plan =
       sparse::ApplyPlan::build(sparse::partition_nnz(ell), slots);
-  sparse::Workspace buf_ws(slots, buf.config.buffsize * kTestMaxWidth,
-                           buf.config.partsize * kTestMaxWidth);
-  sparse::Workspace ell_ws(slots, 0, ell.block_rows * kTestMaxWidth);
+  // Sized for the widest block: the buffered kernels stage at the padded
+  // lane count block_lanes(k), the ELL kernel at k itself.
+  const idx_t max_lanes = sparse::block_lanes(sparse::kMaxBlockWidth);
+  sparse::Workspace buf_ws(slots, buf.config.buffsize * max_lanes,
+                           buf.config.partsize * max_lanes);
+  sparse::Workspace ell_ws(slots, 0, ell.block_rows * max_lanes);
 
   const auto kernels = make_kernels(a, buf, ell, csr_plan, buf_plan,
                                     ell_plan, buf_ws, ell_ws);
   for (const auto& kernel : kernels)
-    for (const idx_t k : {1, 3, 4, 8})
+    // One width per lane-padding class plus its edges: exact powers of two
+    // (no padding), k = L - 1 and k = L/2 + 1 (most padding), and 64.
+    for (const idx_t k : {1, 2, 3, 5, 7, 8, 9, 16, 17, 33, 64})
       for (const int threads : {1, 2, 3})
         with_threads(threads, [&] {
           SCOPED_TRACE(kernel.name + " k=" + std::to_string(k) +
@@ -253,6 +256,44 @@ INSTANTIATE_TEST_SUITE_P(
                                          core::KernelKind::Library),
                        ::testing::Values(core::ScheduleKind::Dynamic,
                                          core::ScheduleKind::StaticPlan)));
+
+TEST(SpmmOperator, BlockWorkspaceSizedAtPaddedLanes) {
+  // The planned buffered block kernels stage and accumulate at
+  // block_lanes(k) lanes, so the workspace holds exactly that many per slot.
+  core::Config config;
+  config.kernel = core::KernelKind::Buffered;
+  config.schedule = core::ScheduleKind::StaticPlan;
+  config.buffer = {64, 512};
+  const core::Reconstructor recon(geometry::make_geometry(36, 24), config);
+  const core::MemXCTOperator& op = *recon.serial_op();
+  for (const idx_t k : {1, 3, 8, 9, 64}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    const idx_t lanes = sparse::block_lanes(k);
+    const auto ws = op.make_block_workspace(k);
+    for (const sparse::Workspace* dir :
+         {&ws.forward_buffers(), &ws.transpose_buffers()}) {
+      ASSERT_GE(dir->num_slots(), 1);
+      for (int s = 0; s < dir->num_slots(); ++s) {
+        EXPECT_EQ(dir->input(s).size(),
+                  static_cast<std::size_t>(config.buffer.buffsize * lanes));
+        EXPECT_EQ(dir->output(s).size(),
+                  static_cast<std::size_t>(config.buffer.partsize * lanes));
+      }
+    }
+  }
+}
+
+TEST(Spmm, BlockLanesIsSmallestCoveringPowerOfTwo) {
+  EXPECT_EQ(sparse::block_lanes(1), 1);
+  EXPECT_EQ(sparse::block_lanes(2), 2);
+  EXPECT_EQ(sparse::block_lanes(3), 4);
+  EXPECT_EQ(sparse::block_lanes(7), 8);
+  EXPECT_EQ(sparse::block_lanes(8), 8);
+  EXPECT_EQ(sparse::block_lanes(9), 16);
+  EXPECT_EQ(sparse::block_lanes(33), 64);
+  EXPECT_EQ(sparse::block_lanes(sparse::kMaxBlockWidth),
+            sparse::kMaxBlockWidth);
+}
 
 // ---------------------------------------------------------------------------
 // Solver level: lockstep block CGLS vs independent per-slice solves.

@@ -378,6 +378,54 @@ TEST(TuneDeterminism, TunedEqualsExplicitResolvedConfig) {
       << "measurement must pick the config, never the arithmetic";
 }
 
+TEST(TuneDeterminism, BlockWidthTunedEqualsExplicitResolvedConfig) {
+  // At block width 4 the tuner times the block kernels at that width; it
+  // still picks only the config, so the tuned block solve is bitwise the
+  // explicitly configured one.
+  const TempDir tmp("memxct_tune_block_bitwise");
+  const auto g = small_geometry();
+  const auto clean = phantom::forward_project(g, phantom::shepp_logan(24));
+  const idx_t k = 4;
+  std::vector<AlignedVector<real>> sinos;
+  for (idx_t s = 0; s < k; ++s) {
+    AlignedVector<real> sino = clean;
+    for (real& v : sino) v *= 0.5f + 0.25f * static_cast<real>(s);
+    sinos.push_back(std::move(sino));
+  }
+  std::vector<std::span<const real>> views(sinos.begin(), sinos.end());
+
+  core::Config tuned_config;
+  tuned_config.iterations = 8;
+  tuned_config.block_width = k;
+  tuned_config.cache_dir = tmp.path.string();
+  tuned_config.autotune = core::AutotuneMode::Cached;
+  const core::Reconstructor tuned(g, tuned_config);
+  EXPECT_TRUE(tuned.tune_report().tuned);
+
+  core::Config explicit_config = tuned.config();
+  EXPECT_EQ(explicit_config.autotune, core::AutotuneMode::Off);
+  EXPECT_EQ(explicit_config.block_width, k);
+  explicit_config.cache_dir.clear();
+  const core::Reconstructor untuned(g, explicit_config);
+  EXPECT_FALSE(untuned.tune_report().tuned);
+
+  const auto r1 = core::reconstruct_block(
+      tuned.op(), g, tuned.config(), tuned.sinogram_ordering(),
+      tuned.tomogram_ordering(), views);
+  const auto r2 = core::reconstruct_block(
+      untuned.op(), g, untuned.config(), untuned.sinogram_ordering(),
+      untuned.tomogram_ordering(), views);
+  ASSERT_EQ(r1.size(), static_cast<std::size_t>(k));
+  ASSERT_EQ(r2.size(), static_cast<std::size_t>(k));
+  for (idx_t s = 0; s < k; ++s) {
+    const auto& a = r1[static_cast<std::size_t>(s)].image;
+    const auto& b = r2[static_cast<std::size_t>(s)].image;
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(real)), 0)
+        << "slice " << s;
+  }
+}
+
 TEST(TuneDeterminism, PinnedTuneFileIsDeterministicEndToEnd) {
   const TempDir tmp("memxct_tune_pinned");
   const auto g = small_geometry();
