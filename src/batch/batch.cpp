@@ -74,14 +74,25 @@ SliceResult run_isolated_slice(const solve::LinearOperator& op,
   return res;
 }
 
+namespace {
+
+/// BatchOptions::queue_capacity counts slices; the queue holds whole waves.
+int queue_waves(const BatchOptions& options) {
+  const int slices = options.queue_capacity > 0
+                         ? options.queue_capacity
+                         : 2 * std::max(1, options.workers);
+  const int width = std::max(1, options.block_width);  // validated below
+  return slices / width + (slices % width != 0 ? 1 : 0);
+}
+
+}  // namespace
+
 BatchReconstructor::BatchReconstructor(const core::Reconstructor& recon,
                                        BatchOptions options)
     : recon_(recon),
       config_(recon.config()),
       options_(options),
-      queue_(options.queue_capacity > 0
-                 ? options.queue_capacity
-                 : 2 * std::max(1, options.workers)) {
+      queue_(queue_waves(options)) {
   if (options_.workers < 1)
     throw InvalidArgument("batch: workers must be >= 1");
   const core::MemXCTOperator* serial = recon_.serial_op();
@@ -124,7 +135,8 @@ BatchReconstructor::BatchReconstructor(const core::Reconstructor& recon,
 }
 
 BatchReconstructor::~BatchReconstructor() {
-  queue_.close();  // pending jobs drain, then workers exit
+  flush_wave();    // a round left without wait_all() still runs
+  queue_.close();  // queued waves drain, then workers exit
   for (auto& t : threads_) t.join();
 }
 
@@ -142,13 +154,22 @@ int BatchReconstructor::submit(std::span<const real> sinogram) {
     job.slice = submitted_++;
   }
   const int ticket = job.slice;
-  // Backpressure: push blocks while the bounded queue is full. Tickets stay
-  // in queue order because submit() is single-producer (class contract).
-  queue_.push(std::move(job));
+  // Tickets stay in wave order because submit() is single-producer (class
+  // contract).
+  forming_.push_back(std::move(job));
+  if (static_cast<int>(forming_.size()) == options_.block_width) flush_wave();
   return ticket;
 }
 
+void BatchReconstructor::flush_wave() {
+  if (forming_.empty()) return;
+  // Backpressure: push blocks while the bounded queue is full.
+  queue_.push(std::move(forming_));
+  forming_.clear();  // moved-from: valid, now reused for the next wave
+}
+
 std::vector<SliceResult> BatchReconstructor::wait_all() {
+  flush_wave();
   std::unique_lock<std::mutex> lk(mu_);
   cv_done_.wait(lk, [this] { return completed_ == submitted_; });
 
@@ -158,7 +179,7 @@ std::vector<SliceResult> BatchReconstructor::wait_all() {
   rep.wall_seconds = submitted_ > 0 ? round_timer_.seconds() : 0.0;
   rep.slices_per_second =
       rep.wall_seconds > 0.0 ? rep.slices / rep.wall_seconds : 0.0;
-  rep.queue_high_water = queue_.high_water();
+  rep.queue_high_water = queue_.high_water() * options_.block_width;
   rep.preprocess_seconds = recon_.preprocess_report().total_seconds;
   rep.block_width = options_.block_width;
   rep.waves = waves_;
@@ -212,103 +233,26 @@ void BatchReconstructor::worker_main(int worker_id) {
   // the same total subscription as one full-width solve.
   omp_set_num_threads(threads_per_worker_);
   const solve::LinearOperator& op = *ops_[static_cast<std::size_t>(worker_id)];
-  if (options_.block_width > 1)
-    worker_block_loop(op);
-  else
-    worker_slice_loop(op);
-}
-
-void BatchReconstructor::worker_slice_loop(const solve::LinearOperator& op) {
   core::SliceWorkspace slice_ws;  // persistent: no steady-state allocation
+  AlignedVector<real> y_slab;     // sized by the first multi-slice wave
 
-  while (auto job = queue_.pop()) {
-    SliceResult res = run_isolated_slice(
-        op, recon_.geometry(), config_, recon_.sinogram_ordering(),
-        recon_.tomogram_ordering(), job->data, &slice_ws,
-        /*cancel=*/nullptr, options_.keep_images);
-    res.slice = job->slice;
-
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      results_.push_back(std::move(res));
-      ++completed_;
-    }
-    cv_done_.notify_all();
-  }
-}
-
-void BatchReconstructor::worker_block_loop(const solve::LinearOperator& op) {
-  core::SliceWorkspace slice_ws;  // persistent: no steady-state allocation
-  const auto m =
-      static_cast<std::size_t>(recon_.geometry().sinogram_extent().size());
-  const auto n =
-      static_cast<std::size_t>(recon_.geometry().tomogram_extent().size());
-  AlignedVector<real> y_slab(m * static_cast<std::size_t>(options_.block_width));
-
-  // Waves are greedy (pop_up_to never waits to fill): a trickle of
-  // submissions degrades toward width-1 behaviour instead of stalling.
-  while (true) {
-    std::vector<Job> jobs = queue_.pop_up_to(options_.block_width);
-    if (jobs.empty()) break;  // closed and drained
+  // submit() formed the waves: block_width slices each, the round's last
+  // one possibly shorter. A lone slice takes the single-slice path, which
+  // is also what runs the non-CGLS solvers at width 1.
+  while (auto jobs = queue_.pop()) {
     perf::WallTimer wave_timer;
-
-    // Per-slice ingest with per-slice fault isolation, mirroring
-    // run_isolated_slice's classification: a bad slice becomes a status on
-    // that slice; the survivors still solve together.
-    std::vector<SliceResult> wave(jobs.size());
-    std::vector<std::size_t> lanes;  // job indices that reached the solver
-    lanes.reserve(jobs.size());
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      wave[j].slice = jobs[j].slice;
-      try {
-        wave[j].ingest = core::ingest_and_order(
-            recon_.geometry(), config_, recon_.sinogram_ordering(),
-            jobs[j].data, slice_ws);
-        std::copy(slice_ws.ordered.begin(), slice_ws.ordered.end(),
-                  y_slab.begin() + static_cast<std::ptrdiff_t>(lanes.size() * m));
-        lanes.push_back(j);
-      } catch (const InvalidArgument& e) {
-        wave[j].status = SliceStatus::IngestRejected;
-        wave[j].error = e.what();
-      } catch (const std::exception& e) {
-        wave[j].status = SliceStatus::Failed;
-        wave[j].error = e.what();
-      }
+    std::vector<SliceResult> wave;
+    if (jobs->size() == 1) {
+      wave.push_back(run_isolated_slice(
+          op, recon_.geometry(), config_, recon_.sinogram_ordering(),
+          recon_.tomogram_ordering(), jobs->front().data, &slice_ws,
+          /*cancel=*/nullptr, options_.keep_images));
+      wave.front().slice = jobs->front().slice;
+    } else {
+      wave = solve_wave(op, *jobs, slice_ws, y_slab);
     }
-
-    if (!lanes.empty()) {
-      solve::BlockCglsOptions opt;
-      opt.max_iterations = config_.iterations;
-      opt.early_stop = config_.early_stop;
-      opt.tikhonov_lambda = config_.tikhonov_lambda;
-      try {
-        solve::BlockSolveResult solved = solve::cgls_block(
-            op, std::span<const real>(y_slab).first(lanes.size() * m),
-            static_cast<idx_t>(lanes.size()), opt);
-        for (std::size_t l = 0; l < lanes.size(); ++l) {
-          SliceResult& res = wave[lanes[l]];
-          if (options_.keep_images) {
-            res.image.resize(n);
-            core::depermute_image(recon_.tomogram_ordering(),
-                                  solved.slices[l].x, res.image);
-          }
-          res.solve = std::move(solved.slices[l]);
-          // The lanes solved together; report each slice's amortized share
-          // so batch-level time sums stay meaningful.
-          res.solve.seconds = solved.seconds / static_cast<double>(lanes.size());
-          res.status = res.solve.diverged ? SliceStatus::Diverged
-                                          : SliceStatus::Ok;
-        }
-      } catch (const std::exception& e) {
-        for (const std::size_t l : lanes) {
-          wave[l].status = SliceStatus::Failed;
-          wave[l].error = e.what();
-        }
-      }
-    }
-
     const double share =
-        wave_timer.seconds() / static_cast<double>(jobs.size());
+        wave_timer.seconds() / static_cast<double>(wave.size());
     for (SliceResult& res : wave) res.seconds = share;
 
     {
@@ -319,6 +263,72 @@ void BatchReconstructor::worker_block_loop(const solve::LinearOperator& op) {
     }
     cv_done_.notify_all();
   }
+}
+
+std::vector<SliceResult> BatchReconstructor::solve_wave(
+    const solve::LinearOperator& op, const Wave& jobs, core::SliceWorkspace& ws,
+    AlignedVector<real>& y_slab) const {
+  const auto m =
+      static_cast<std::size_t>(recon_.geometry().sinogram_extent().size());
+  const auto n =
+      static_cast<std::size_t>(recon_.geometry().tomogram_extent().size());
+  y_slab.resize(m * static_cast<std::size_t>(options_.block_width));
+
+  // Per-slice ingest with per-slice fault isolation, mirroring
+  // run_isolated_slice's classification: a bad slice becomes a status on
+  // that slice; the survivors still solve together.
+  std::vector<SliceResult> wave(jobs.size());
+  std::vector<std::size_t> lanes;  // job indices that reached the solver
+  lanes.reserve(jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    wave[j].slice = jobs[j].slice;
+    try {
+      wave[j].ingest = core::ingest_and_order(
+          recon_.geometry(), config_, recon_.sinogram_ordering(),
+          jobs[j].data, ws);
+      std::copy(ws.ordered.begin(), ws.ordered.end(),
+                y_slab.begin() + static_cast<std::ptrdiff_t>(lanes.size() * m));
+      lanes.push_back(j);
+    } catch (const InvalidArgument& e) {
+      wave[j].status = SliceStatus::IngestRejected;
+      wave[j].error = e.what();
+    } catch (const std::exception& e) {
+      wave[j].status = SliceStatus::Failed;
+      wave[j].error = e.what();
+    }
+  }
+  if (lanes.empty()) return wave;
+
+  solve::BlockCglsOptions opt;
+  opt.max_iterations = config_.iterations;
+  opt.early_stop = config_.early_stop;
+  opt.early_stop_tol = config_.early_stop_tol;
+  opt.tikhonov_lambda = config_.tikhonov_lambda;
+  try {
+    solve::BlockSolveResult solved = solve::cgls_block(
+        op, std::span<const real>(y_slab).first(lanes.size() * m),
+        static_cast<idx_t>(lanes.size()), opt);
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      SliceResult& res = wave[lanes[l]];
+      if (options_.keep_images) {
+        res.image.resize(n);
+        core::depermute_image(recon_.tomogram_ordering(), solved.slices[l].x,
+                              res.image);
+      }
+      res.solve = std::move(solved.slices[l]);
+      // The lanes solved together; report each slice's amortized share so
+      // batch-level time sums stay meaningful.
+      res.solve.seconds = solved.seconds / static_cast<double>(lanes.size());
+      res.status =
+          res.solve.diverged ? SliceStatus::Diverged : SliceStatus::Ok;
+    }
+  } catch (const std::exception& e) {
+    for (const std::size_t l : lanes) {
+      wave[l].status = SliceStatus::Failed;
+      wave[l].error = e.what();
+    }
+  }
+  return wave;
 }
 
 }  // namespace memxct::batch

@@ -18,9 +18,10 @@
 //     apply workspaces) and a persistent SliceWorkspace, so the per-slice
 //     hot path performs no matrix duplication and no steady-state
 //     slice-sized allocation.
-//   * Submission goes through a bounded queue: submit() blocks while the
-//     queue is full (backpressure toward the producer instead of unbounded
-//     memory growth), and the high-water mark is reported.
+//   * Submission goes through a bounded queue of waves: submit() groups
+//     slices into waves of block_width in submission order and blocks while
+//     the queue is full (backpressure toward the producer instead of
+//     unbounded memory growth); the high-water mark is reported.
 //   * Faults are isolated per slice: one slice's ingest rejection, solver
 //     divergence, or unexpected error yields a SliceStatus on that slice's
 //     result and never poisons the batch or kills a worker.
@@ -47,8 +48,9 @@ namespace memxct::batch {
 struct BatchOptions {
   /// Fixed worker pool size (threads solving slices concurrently).
   int workers = 1;
-  /// Bounded submission-queue capacity; submit() blocks while the queue is
-  /// full. 0 = twice the worker count.
+  /// Bounded submission-queue capacity in slices, rounded up to whole waves
+  /// of block_width; submit() blocks while the queue is full. 0 = twice the
+  /// worker count.
   int queue_capacity = 0;
   /// OpenMP threads each worker uses inside apply/vector-op parallel
   /// regions; 0 = omp_get_max_threads() / workers, at least 1 (keeps total
@@ -59,13 +61,14 @@ struct BatchOptions {
   /// per-slice status are still produced (throughput / QA-only runs that
   /// must not hold S full images in memory).
   bool keep_images = true;
-  /// Multi-RHS lockstep width: each worker drains the queue in waves of up
-  /// to this many slices and solves a wave with one block CGLS run — the
-  /// memoized matrix streams once per iteration for the whole wave
-  /// (sparse/spmm.hpp). 1 = classic one-slice-at-a-time workers. Values
-  /// > 1 require the CGLS solver and at most sparse::kMaxBlockWidth.
-  /// Per-slice results stay bitwise identical to width 1 (the block
-  /// solver's parity contract); only throughput changes.
+  /// Multi-RHS lockstep width: submit() groups slices into waves of this
+  /// many in submission order (slices 0..K-1, K..2K-1, ...), and wait_all()
+  /// queues the last, shorter wave. A worker solves a wave with one block
+  /// CGLS run — the memoized matrix streams once per iteration for the
+  /// whole wave (sparse/spmm.hpp). 1 = classic one-slice-at-a-time
+  /// workers. Values > 1 require the CGLS solver and at most
+  /// sparse::kMaxBlockWidth. Per-slice results stay bitwise identical to
+  /// width 1 (the block solver's parity contract); only throughput changes.
   int block_width = 1;
 };
 
@@ -124,12 +127,12 @@ struct BatchReport {
   double slices_per_second = 0.0;   ///< slices / wall_seconds.
   double slice_seconds_sum = 0.0;   ///< Σ per-slice worker wall time.
   double solve_seconds_sum = 0.0;   ///< Σ per-slice solver time.
-  int queue_high_water = 0;         ///< Deepest the bounded queue got.
+  int queue_high_water = 0;         ///< Deepest queue, in whole-wave slices.
   double preprocess_seconds = 0.0;  ///< Paid once, amortized over slices.
   int block_width = 1;              ///< Configured lockstep width.
-  int waves = 0;  ///< Lockstep waves executed (0 on the width-1 path).
-  /// Mean slices per wave; trails block_width when the queue ran dry
-  /// between submissions (greedy wave formation never waits).
+  int waves = 0;  ///< Waves executed (one per slice at width 1).
+  /// Mean slices per wave: block_width, less only by the round's last wave
+  /// when the slice count is not a multiple of block_width.
   double avg_wave_width = 0.0;
   /// Amortized regular matrix traffic per slice per solver iteration (one
   /// forward + one transpose apply) at the configured width, in bytes —
@@ -174,15 +177,16 @@ class BatchReconstructor {
   BatchReconstructor(const BatchReconstructor&) = delete;
   BatchReconstructor& operator=(const BatchReconstructor&) = delete;
 
-  /// Enqueues one natural-layout sinogram (copied) and returns its slice
-  /// ticket. Blocks while the bounded queue is full (backpressure). Throws
-  /// InvalidArgument on a wrong-size sinogram — a caller bug, not a slice
-  /// fault, so it is rejected before entering the pipeline.
+  /// Adds one natural-layout sinogram (copied) to the forming wave and
+  /// returns its slice ticket. A full wave is queued, blocking while the
+  /// bounded queue is full (backpressure). Throws InvalidArgument on a
+  /// wrong-size sinogram — a caller bug, not a slice fault, so it is
+  /// rejected before entering the pipeline.
   int submit(std::span<const real> sinogram);
 
-  /// Blocks until every submitted slice has completed, then returns the
-  /// results sorted by slice ticket and finalizes report(). Resets the
-  /// engine for a next round of submissions.
+  /// Queues the forming (short) wave, blocks until every submitted slice
+  /// has completed, then returns the results sorted by slice ticket and
+  /// finalizes report(). Resets the engine for a next round of submissions.
   [[nodiscard]] std::vector<SliceResult> wait_all();
 
   /// Statistics of the last completed round (valid after wait_all()).
@@ -191,8 +195,9 @@ class BatchReconstructor {
   [[nodiscard]] int workers() const noexcept {
     return static_cast<int>(threads_.size());
   }
+  /// Queue bound in slices (whole waves of block_width).
   [[nodiscard]] int queue_capacity() const noexcept {
-    return queue_.capacity();
+    return queue_.capacity() * options_.block_width;
   }
   [[nodiscard]] int omp_threads_per_worker() const noexcept {
     return threads_per_worker_;
@@ -204,11 +209,17 @@ class BatchReconstructor {
     AlignedVector<real> data;
   };
 
+  using Wave = std::vector<Job>;
+
+  /// Queues the forming wave, if any (producer side).
+  void flush_wave();
+  /// Pops waves until the queue is closed and drained.
   void worker_main(int worker_id);
-  /// Width-1 job loop (run_isolated_slice per job).
-  void worker_slice_loop(const solve::LinearOperator& op);
-  /// Lockstep loop: waves of up to block_width slices per block solve.
-  void worker_block_loop(const solve::LinearOperator& op);
+  /// Ingests and solves a wave of several slices with one block CGLS run.
+  std::vector<SliceResult> solve_wave(const solve::LinearOperator& op,
+                                      const Wave& jobs,
+                                      core::SliceWorkspace& ws,
+                                      AlignedVector<real>& y_slab) const;
 
   const core::Reconstructor& recon_;
   core::Config config_;  ///< Reconstructor config with checkpointing off.
@@ -218,16 +229,19 @@ class BatchReconstructor {
   /// shared immutable storage, private apply workspaces and exchange
   /// buffers (the refactor that makes concurrent applies safe).
   std::vector<std::unique_ptr<solve::LinearOperator>> ops_;
-  /// Bounded submission queue (src/common primitive, shared with serve):
-  /// blocking push gives the producer backpressure, close() drains workers.
-  common::BoundedQueue<Job> queue_;
+  /// The wave submit() is filling; owned by the producer thread.
+  Wave forming_;
+  /// Bounded queue of whole waves (src/common primitive, shared with
+  /// serve): blocking push gives the producer backpressure, close() drains
+  /// workers.
+  common::BoundedQueue<Wave> queue_;
   std::vector<std::thread> threads_;
 
   std::mutex mu_;  ///< Guards the round state below (not the queue).
   std::condition_variable cv_done_;  ///< wait_all() waits for drain.
   int submitted_ = 0;
   int completed_ = 0;
-  int waves_ = 0;  ///< Lockstep waves this round (block path only).
+  int waves_ = 0;  ///< Waves solved this round.
   perf::WallTimer round_timer_;  ///< Reset at the first submit of a round.
   std::vector<SliceResult> results_;
   BatchReport report_;

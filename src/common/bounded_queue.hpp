@@ -2,8 +2,9 @@
 // the batch engine and the reconstruction service.
 //
 // A single template covers both consumers' needs:
-//   * batch::BatchReconstructor uses one lane with blocking push():
-//     backpressure toward the producer instead of unbounded memory growth;
+//   * batch::BatchReconstructor uses one lane of whole waves with blocking
+//     push(): backpressure toward the producer instead of unbounded memory
+//     growth;
 //   * serve::Server uses one lane per priority class with try_push():
 //     overload is rejected at admission (typed error at the caller) rather
 //     than absorbed, and pop() drains lanes in priority order.
@@ -79,31 +80,6 @@ class BoundedQueue {
       return item;
     }
     return std::nullopt;  // unreachable: size_ > 0 implies a non-empty lane
-  }
-
-  /// Blocking batch pop: waits for the FIRST item only, then greedily takes
-  /// up to `max_items` already-queued items in lane-priority order without
-  /// waiting for more to arrive. Returns an empty vector once the queue is
-  /// closed and drained. The greedy policy is what makes fixed-width wave
-  /// consumers (the batch engine's block mode) deadlock-free: a consumer
-  /// never stalls waiting to fill a wave from a producer that is done.
-  std::vector<T> pop_up_to(int max_items) {
-    MEMXCT_CHECK_MSG(max_items >= 1, "pop_up_to needs max_items >= 1");
-    std::vector<T> out;
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_nonempty_.wait(lk, [this] { return closed_ || size_ > 0; });
-    if (size_ == 0) return out;  // closed and drained
-    for (auto& lane : lanes_) {
-      while (!lane.empty() && static_cast<int>(out.size()) < max_items) {
-        out.push_back(std::move(lane.front()));
-        lane.pop_front();
-        --size_;
-      }
-      if (static_cast<int>(out.size()) >= max_items) break;
-    }
-    lk.unlock();
-    cv_nonfull_.notify_all();
-    return out;
   }
 
   /// Closes the queue: pushes fail from now on, pops drain what remains.

@@ -1,6 +1,6 @@
 // BatchReconstructor: bitwise parity with the single-slice path, worker
-// invariance, bounded-queue backpressure, per-slice fault isolation, and
-// report accounting.
+// invariance, wave formation at submit, bounded-queue backpressure,
+// per-slice fault isolation, and report accounting.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -169,6 +169,95 @@ TEST(Batch, EngineIsReusableAcrossRounds) {
   EXPECT_EQ(engine.report().slices, 2);
   EXPECT_EQ(0, std::memcmp(first[0].image.data(), second[0].image.data(),
                            first[0].image.size() * sizeof(real)));
+}
+
+bool same_images(const std::vector<batch::SliceResult>& a,
+                 const std::vector<batch::SliceResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t s = 0; s < a.size(); ++s)
+    if (a[s].image.size() != b[s].image.size() ||
+        std::memcmp(a[s].image.data(), b[s].image.data(),
+                    a[s].image.size() * sizeof(real)) != 0)
+      return false;
+  return true;
+}
+
+// submit() forms the waves, so a 32-slice round at width 8 is exactly four
+// full waves whatever the workers are doing, and each lane's image is the
+// width-1 image.
+TEST(Batch, SubmitFormsFullWaves) {
+  const auto f = make_fixture(32);
+  const core::Reconstructor recon(f.g, f.config);
+  const auto ref = run_batch(recon, f, {.workers = 4});
+  batch::BatchReconstructor engine(recon, {.workers = 4, .block_width = 8});
+  for (const auto& sino : f.slices) engine.submit(sino);
+  const auto got = engine.wait_all();
+  EXPECT_EQ(engine.report().waves, 4);
+  EXPECT_EQ(engine.report().avg_wave_width, 8.0);
+  for (const auto& r : got) EXPECT_EQ(r.status, batch::SliceStatus::Ok);
+  EXPECT_TRUE(same_images(ref, got));
+}
+
+TEST(Batch, WaitAllQueuesTheShortLastWave) {
+  const auto f = make_fixture(3);
+  const core::Reconstructor recon(f.g, f.config);
+  batch::BatchReconstructor engine(recon, {.workers = 2, .block_width = 8});
+  for (const auto& sino : f.slices) engine.submit(sino);
+  const auto got = engine.wait_all();  // must not wait for 5 more slices
+  ASSERT_EQ(got.size(), 3u);
+  for (const auto& r : got) EXPECT_EQ(r.status, batch::SliceStatus::Ok);
+  EXPECT_EQ(engine.report().waves, 1);
+  EXPECT_EQ(engine.report().avg_wave_width, 3.0);
+  EXPECT_TRUE(same_images(run_batch(recon, f, {.workers = 1}), got));
+}
+
+// The destructor queues the forming wave and drains the queue: no hang,
+// and (under the sanitizer build) no leaked slice.
+TEST(Batch, DestroyWithoutWaitAllDrains) {
+  const auto f = make_fixture(11);  // one full wave plus three slices
+  const core::Reconstructor recon(f.g, f.config);
+  for (const int width : {1, 8}) {
+    batch::BatchReconstructor engine(recon,
+                                     {.workers = 2, .block_width = width});
+    for (const auto& sino : f.slices) engine.submit(sino);
+  }
+}
+
+// queue_capacity counts slices and rounds up to whole waves: 3 slices at
+// width 2 is a two-wave queue, which never holds more than 4 slices.
+TEST(Batch, QueueCapacityRoundsUpToWholeWaves) {
+  const auto f = make_fixture(10);
+  const core::Reconstructor recon(f.g, f.config);
+  batch::BatchReconstructor engine(
+      recon, {.workers = 1, .queue_capacity = 3, .block_width = 2});
+  EXPECT_EQ(engine.queue_capacity(), 4);
+  for (const auto& sino : f.slices) engine.submit(sino);
+  const auto got = engine.wait_all();
+  ASSERT_EQ(got.size(), 10u);
+  for (const auto& r : got) EXPECT_EQ(r.status, batch::SliceStatus::Ok);
+  EXPECT_EQ(engine.report().waves, 5);
+  EXPECT_GT(engine.report().queue_high_water, 0);
+  EXPECT_LE(engine.report().queue_high_water, 4);
+}
+
+// A wave's block solve stops each lane on the configured early-stop
+// tolerance, exactly as the single-slice solve does.
+TEST(Batch, WaveHonoursEarlyStopTolerance) {
+  core::Config config;
+  config.early_stop = true;
+  config.early_stop_tol = 0.3;
+  auto f = make_fixture(4, config);
+  f.config.iterations = 40;
+  const core::Reconstructor recon(f.g, f.config);
+  const auto ref = run_batch(recon, f, {.workers = 1});
+  const auto got = run_batch(recon, f, {.workers = 1, .block_width = 4});
+  ASSERT_EQ(ref.size(), got.size());
+  for (std::size_t s = 0; s < ref.size(); ++s) {
+    EXPECT_LT(ref[s].solve.iterations, 40) << "slice " << s;
+    EXPECT_EQ(ref[s].solve.iterations, got[s].solve.iterations)
+        << "slice " << s;
+  }
+  EXPECT_TRUE(same_images(ref, got));
 }
 
 TEST(Batch, RejectsWrongSizeSinogramAtSubmit) {

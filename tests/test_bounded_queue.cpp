@@ -125,60 +125,6 @@ TEST(BoundedQueue, ConservesItemsUnderConcurrency) {
   EXPECT_LE(q.high_water(), 8) << "capacity bound violated under load";
 }
 
-TEST(BoundedQueue, PopUpToDrainsGreedilyInLaneOrder) {
-  BoundedQueue<int> q(8, 3);
-  // Lane 1 first chronologically — drain order must still be lane 0 first.
-  EXPECT_TRUE(q.try_push(10, 1));
-  EXPECT_TRUE(q.try_push(0, 0));
-  EXPECT_TRUE(q.try_push(1, 0));
-  EXPECT_TRUE(q.try_push(20, 2));
-  const auto wave = q.pop_up_to(8);
-  ASSERT_EQ(wave.size(), 4u);
-  EXPECT_EQ(wave[0], 0);
-  EXPECT_EQ(wave[1], 1);
-  EXPECT_EQ(wave[2], 10);
-  EXPECT_EQ(wave[3], 20);
-  EXPECT_EQ(q.size(), 0);
-}
-
-TEST(BoundedQueue, PopUpToRespectsMaxItems) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(q.try_push(i));
-  const auto first = q.pop_up_to(4);
-  ASSERT_EQ(first.size(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(first[static_cast<std::size_t>(i)], i);
-  const auto rest = q.pop_up_to(4);  // short final wave
-  ASSERT_EQ(rest.size(), 2u);
-  EXPECT_EQ(rest[0], 4);
-  EXPECT_EQ(rest[1], 5);
-}
-
-TEST(BoundedQueue, PopUpToReturnsEmptyWhenClosedAndDrained) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.try_push(7));
-  q.close();
-  const auto wave = q.pop_up_to(4);
-  ASSERT_EQ(wave.size(), 1u);  // close() still drains what remains
-  EXPECT_EQ(wave[0], 7);
-  EXPECT_TRUE(q.pop_up_to(4).empty()) << "closed + drained terminates waves";
-  EXPECT_THROW((void)q.pop_up_to(0), InvariantError);
-}
-
-TEST(BoundedQueue, PopUpToBlocksUntilFirstItem) {
-  BoundedQueue<int> q(4);
-  std::atomic<bool> popped{false};
-  std::thread consumer([&] {
-    const auto wave = q.pop_up_to(4);
-    EXPECT_EQ(wave.size(), 1u);  // woke on the FIRST item; no wait for more
-    popped.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(popped.load()) << "pop_up_to must block on an empty queue";
-  EXPECT_TRUE(q.try_push(42));
-  consumer.join();
-  EXPECT_TRUE(popped.load());
-}
-
 TEST(BoundedQueue, RejectsInvalidConstruction) {
   EXPECT_THROW(BoundedQueue<int>(0), InvariantError);
   EXPECT_THROW(BoundedQueue<int>(1, 0), InvariantError);
