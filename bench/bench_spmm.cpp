@@ -3,9 +3,10 @@
 // lanes, sparse/spmm.hpp), measuring how streaming the memoized matrix once
 // per K slices converts bandwidth into throughput.
 //
-// For each family the K=1 row times the actual single-RHS kernel (the
-// production baseline — strict scalar inner loop), and K>1 rows time the
-// interleaved block kernel from sparse/spmm.hpp. Reported per row:
+// For each family the K=1 row times the single-RHS spelling (spmv_*) and
+// K>1 rows the block spelling (spmm_*). Except for the library stand-in,
+// both are sparse::apply: the K=1 row is the width-1 instance of the same
+// kernel, not a separate single-RHS code path. Reported per row:
 //
 //   * seconds per apply (the whole K-wide pass),
 //   * slices/s = K / seconds — the throughput the batch engine buys,

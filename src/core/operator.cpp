@@ -2,8 +2,9 @@
 
 #include <omp.h>
 
-#include <optional>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/grid.hpp"
@@ -71,6 +72,42 @@ const char* to_string(SolverKind kind) noexcept {
   return "?";
 }
 
+namespace {
+
+/// A matrix in whichever storage the kernel kind and precision select.
+using StoredMatrix =
+    std::variant<sparse::CsrMatrix, sparse::EllBlockMatrix,
+                 sparse::BufferedMatrix, sparse::CompressedCsr,
+                 sparse::CompressedBuffered>;
+
+std::int64_t matrix_bytes(const sparse::EllBlockMatrix& m) {
+  return m.padded_nnz() *
+         static_cast<std::int64_t>(sizeof(idx_t) + sizeof(real));
+}
+std::int64_t matrix_bytes(const sparse::BufferedMatrix& m) {
+  return m.nnz() * static_cast<std::int64_t>(sizeof(buf_idx_t) + sizeof(real)) +
+         m.total_staged() * static_cast<std::int64_t>(sizeof(idx_t));
+}
+std::int64_t matrix_bytes(const auto& m) { return m.regular_bytes(); }
+
+perf::KernelWork work(const sparse::CsrMatrix& m) {
+  return sparse::csr_work(m);
+}
+perf::KernelWork work(const sparse::EllBlockMatrix& m) {
+  return sparse::ell_work(m);
+}
+perf::KernelWork work(const sparse::BufferedMatrix& m) {
+  return sparse::buffered_work(m);
+}
+perf::KernelWork work(const sparse::CompressedCsr& m) {
+  return sparse::ccsr_work(m);
+}
+perf::KernelWork work(const sparse::CompressedBuffered& m) {
+  return sparse::cbuffered_work(m);
+}
+
+}  // namespace
+
 struct MemXCTOperator::Storage {
   KernelKind kind;
   ScheduleKind schedule;
@@ -78,14 +115,17 @@ struct MemXCTOperator::Storage {
   idx_t num_rows = 0, num_cols = 0;
   nnz_t nnz = 0;
   std::int64_t regular_bytes = 0;
-  // Exactly one pair below is populated, matching kind and precision.
-  std::optional<sparse::CsrMatrix> csr_fwd, csr_bwd;
-  std::optional<sparse::EllBlockMatrix> ell_fwd, ell_bwd;
-  std::optional<sparse::BufferedMatrix> buf_fwd, buf_bwd;
-  std::optional<sparse::CompressedCsr> ccsr_fwd, ccsr_bwd;
-  std::optional<sparse::CompressedBuffered> cbuf_fwd, cbuf_bwd;
-  // Static-plan partition → slot assignments (built once at construction).
-  sparse::ApplyPlan plan_fwd, plan_bwd;
+  /// One direction: its matrix and static-plan partition → slot assignment
+  /// (built once at construction; empty under Dynamic and for Library).
+  struct Direction {
+    StoredMatrix matrix;
+    sparse::ApplyPlan plan;
+  };
+  Direction fwd, bwd;  ///< A and its stored transpose.
+
+  [[nodiscard]] const Direction& dir(bool transpose) const noexcept {
+    return transpose ? bwd : fwd;
+  }
 };
 
 MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
@@ -107,112 +147,57 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
   s->num_rows = a.num_rows;
   s->num_cols = a.num_cols;
   s->nnz = a.nnz();
-  // Each CSR is released as soon as its derived form exists, so at most
-  // one CSR is alive while the backward form is built.
+  // Each CSR is consumed by its conversion and released as soon as its
+  // derived form exists, so at most one CSR is alive while the backward
+  // form is built.
+  const auto convert = [&](sparse::CsrMatrix m) -> StoredMatrix {
+    switch (kind) {
+      case KernelKind::Baseline:
+        if (compressed)
+          return sparse::compress_csr(m, sparse::kCsrPartsize, precision);
+        return m;
+      case KernelKind::Library:
+        return m;
+      case KernelKind::EllBlock:
+        return sparse::to_ell_block(m, ell_block_rows);
+      case KernelKind::Buffered: {
+        sparse::BufferedMatrix b = sparse::build_buffered(m, buffer);
+        m = {};
+        if (compressed) return sparse::compress_buffered(b, precision);
+        return b;
+      }
+    }
+    return m;
+  };
   sparse::CsrMatrix at = sparse::transpose(a);
-  switch (kind) {
-    case KernelKind::Baseline:
-      if (compressed) {
-        s->ccsr_fwd = sparse::compress_csr(a, sparse::kCsrPartsize, precision);
-        a = {};
-        s->ccsr_bwd =
-            sparse::compress_csr(at, sparse::kCsrPartsize, precision);
-        at = {};
-        s->regular_bytes =
-            s->ccsr_fwd->regular_bytes() + s->ccsr_bwd->regular_bytes();
-        break;
-      }
-      [[fallthrough]];
-    case KernelKind::Library:
-      s->regular_bytes = a.regular_bytes() + at.regular_bytes();
-      s->csr_fwd = std::move(a);
-      s->csr_bwd = std::move(at);
-      break;
-    case KernelKind::EllBlock:
-      s->ell_fwd = sparse::to_ell_block(a, ell_block_rows);
-      a = {};
-      s->ell_bwd = sparse::to_ell_block(at, ell_block_rows);
-      at = {};
-      s->regular_bytes =
-          (s->ell_fwd->padded_nnz() + s->ell_bwd->padded_nnz()) *
-          static_cast<std::int64_t>(sizeof(idx_t) + sizeof(real));
-      break;
-    case KernelKind::Buffered:
-      if (compressed) {
-        s->cbuf_fwd = sparse::compress_buffered(
-            sparse::build_buffered(a, buffer), precision);
-        a = {};
-        s->cbuf_bwd = sparse::compress_buffered(
-            sparse::build_buffered(at, buffer), precision);
-        at = {};
-        s->regular_bytes =
-            s->cbuf_fwd->regular_bytes() + s->cbuf_bwd->regular_bytes();
-        break;
-      }
-      s->buf_fwd = sparse::build_buffered(a, buffer);
-      a = {};
-      s->buf_bwd = sparse::build_buffered(at, buffer);
-      at = {};
-      s->regular_bytes =
-          (s->buf_fwd->nnz() + s->buf_bwd->nnz()) *
-              static_cast<std::int64_t>(sizeof(buf_idx_t) + sizeof(real)) +
-          (s->buf_fwd->total_staged() + s->buf_bwd->total_staged()) *
-              static_cast<std::int64_t>(sizeof(idx_t));
-      break;
-  }
+  s->fwd.matrix = convert(std::move(a));
+  s->bwd.matrix = convert(std::move(at));
+  for (const Storage::Direction* d : {&s->fwd, &s->bwd})
+    s->regular_bytes += std::visit(
+        [](const auto& m) { return matrix_bytes(m); }, d->matrix);
 
-  if (schedule == ScheduleKind::StaticPlan) {
+  // The general-library stand-in keeps its untuned schedule by design.
+  if (schedule == ScheduleKind::StaticPlan && kind != KernelKind::Library) {
     // nnz-balanced partition → thread assignments for both directions. The
     // slot count is fixed here once; applies (from any view, under any
     // thread count) execute the same slots in the same order, which is what
     // makes output bitwise-deterministic.
     const int slots = omp_get_max_threads();
-    switch (kind) {
-      case KernelKind::Baseline:
-        if (compressed) {
-          s->plan_fwd = sparse::ApplyPlan::build(
-              sparse::partition_nnz(*s->ccsr_fwd), slots);
-          s->plan_bwd = sparse::ApplyPlan::build(
-              sparse::partition_nnz(*s->ccsr_bwd), slots);
-          break;
-        }
-        s->plan_fwd = sparse::ApplyPlan::build(
-            sparse::partition_nnz(*s->csr_fwd, sparse::kCsrPartsize), slots);
-        s->plan_bwd = sparse::ApplyPlan::build(
-            sparse::partition_nnz(*s->csr_bwd, sparse::kCsrPartsize), slots);
-        break;
-      case KernelKind::Library:
-        // The general-library stand-in keeps its untuned schedule by design.
-        break;
-      case KernelKind::EllBlock:
-        s->plan_fwd =
-            sparse::ApplyPlan::build(sparse::partition_nnz(*s->ell_fwd), slots);
-        s->plan_bwd =
-            sparse::ApplyPlan::build(sparse::partition_nnz(*s->ell_bwd), slots);
-        break;
-      case KernelKind::Buffered:
-        if (compressed) {
-          s->plan_fwd = sparse::ApplyPlan::build(
-              sparse::partition_nnz(*s->cbuf_fwd), slots);
-          s->plan_bwd = sparse::ApplyPlan::build(
-              sparse::partition_nnz(*s->cbuf_bwd), slots);
-          break;
-        }
-        s->plan_fwd =
-            sparse::ApplyPlan::build(sparse::partition_nnz(*s->buf_fwd), slots);
-        s->plan_bwd =
-            sparse::ApplyPlan::build(sparse::partition_nnz(*s->buf_bwd), slots);
-        break;
-    }
+    for (Storage::Direction* d : {&s->fwd, &s->bwd})
+      d->plan = sparse::ApplyPlan::build(
+          std::visit([](const auto& m) { return sparse::partition_nnz(m); },
+                     d->matrix),
+          slots);
   }
   store_ = std::move(s);
-  build_workspaces();
+  ws_fwd_ = make_workspace(false, 1);
+  ws_bwd_ = make_workspace(true, 1);
 }
 
 MemXCTOperator::MemXCTOperator(std::shared_ptr<const Storage> storage)
-    : store_(std::move(storage)) {
-  build_workspaces();
-}
+    : store_(std::move(storage)),
+      ws_fwd_(make_workspace(false, 1)),
+      ws_bwd_(make_workspace(true, 1)) {}
 
 MemXCTOperator::~MemXCTOperator() = default;
 
@@ -229,7 +214,7 @@ idx_t MemXCTOperator::row_partition_size() const {
     case KernelKind::Baseline:
       return sparse::kCsrPartsize;
     case KernelKind::Buffered:
-      return s.buf_fwd->config.partsize;
+      return std::get<sparse::BufferedMatrix>(s.fwd.matrix).config.partsize;
     case KernelKind::EllBlock:
     case KernelKind::Library:
       break;
@@ -250,83 +235,60 @@ std::unique_ptr<SubsetOperatorView> MemXCTOperator::subset_view(
   v->range_ = range;
   v->num_cols_ = s.num_cols;
   v->planned_ = s.schedule == ScheduleKind::StaticPlan;
-  v->partsize_ = partsize;
-  const idx_t nparts_sub = ceil_div(range.count, partsize);
 
+  std::vector<nnz_t> fwd_weights, bwd_weights;
   if (s.kind == KernelKind::Baseline) {
-    v->csr_fwd_ = &*s.csr_fwd;
-    v->csr_bwd_ = &*s.csr_bwd;
-    v->colrange_ = sparse::ColRangeIndex::build(*s.csr_bwd, range);
+    v->csr_fwd_ = &std::get<sparse::CsrMatrix>(s.fwd.matrix);
+    v->csr_bwd_ = &std::get<sparse::CsrMatrix>(s.bwd.matrix);
+    v->colrange_ = sparse::ColRangeIndex::build(*v->csr_bwd_, range);
     v->nnz_sub_ = v->colrange_.nnz_sub;
-    if (v->planned_) {
-      // Same slot counts as the parent plans: the view executes the same
-      // round-robin slot → thread map, so its output is deterministic under
-      // any thread count, like every other planned apply.
-      const auto fwd_weights = sparse::partition_nnz(*s.csr_fwd, partsize);
-      v->plan_fwd_ = sparse::ApplyPlan::build(
-          std::span(fwd_weights)
-              .subspan(static_cast<std::size_t>(first_row / partsize),
-                       static_cast<std::size_t>(nparts_sub)),
-          s.plan_fwd.num_slots());
-      v->plan_bwd_ = sparse::ApplyPlan::build(
-          sparse::colrange_partition_nnz(v->colrange_, s.num_cols, partsize),
-          s.plan_bwd.num_slots());
-    }
+    fwd_weights = sparse::partition_nnz(*v->csr_fwd_);
+    bwd_weights =
+        sparse::colrange_partition_nnz(v->colrange_, s.num_cols, partsize);
   } else {
-    v->buf_fwd_ = &*s.buf_fwd;
-    v->buf_bwd_ = &*s.buf_bwd;
-    v->buf_colrange_ = sparse::BufferedColRange::build(*s.buf_bwd, range);
+    v->buf_fwd_ = &std::get<sparse::BufferedMatrix>(s.fwd.matrix);
+    v->buf_bwd_ = &std::get<sparse::BufferedMatrix>(s.bwd.matrix);
+    v->buf_colrange_ = sparse::BufferedColRange::build(*v->buf_bwd_, range);
     v->nnz_sub_ = v->buf_colrange_.nnz_sub;
-    if (v->planned_) {
-      const auto fwd_weights = sparse::partition_nnz(*s.buf_fwd);
-      v->plan_fwd_ = sparse::ApplyPlan::build(
-          std::span(fwd_weights)
-              .subspan(static_cast<std::size_t>(first_row / partsize),
-                       static_cast<std::size_t>(nparts_sub)),
-          s.plan_fwd.num_slots());
-      v->plan_bwd_ = sparse::ApplyPlan::build(v->buf_colrange_.part_nnz,
-                                              s.plan_bwd.num_slots());
+    fwd_weights = sparse::partition_nnz(*v->buf_fwd_);
+    bwd_weights = v->buf_colrange_.part_nnz;
+  }
+  if (v->planned_) {
+    // Same slot counts as the parent plans: the view executes the same
+    // round-robin slot → thread map, so its output is deterministic under
+    // any thread count, like every other planned apply. The forward plan
+    // covers the in-range partitions, the transpose plan all of them.
+    v->plan_fwd_ = sparse::ApplyPlan::build(
+        std::span(fwd_weights)
+            .subspan(static_cast<std::size_t>(first_row / partsize),
+                     static_cast<std::size_t>(ceil_div(num_rows, partsize))),
+        s.fwd.plan.num_slots());
+    v->plan_bwd_ =
+        sparse::ApplyPlan::build(bwd_weights, s.bwd.plan.num_slots());
+    if (v->buf_fwd_ != nullptr) {
+      const auto fwd = sparse::apply_scratch(*v->buf_fwd_, 1);
+      const auto bwd = sparse::apply_scratch(*v->buf_bwd_, 1);
       v->ws_fwd_ =
-          sparse::Workspace(v->plan_fwd_.num_slots(),
-                            s.buf_fwd->config.buffsize,
-                            s.buf_fwd->config.partsize);
+          sparse::Workspace(v->plan_fwd_.num_slots(), fwd.input, fwd.output);
       v->ws_bwd_ =
-          sparse::Workspace(v->plan_bwd_.num_slots(),
-                            s.buf_bwd->config.buffsize,
-                            s.buf_bwd->config.partsize);
+          sparse::Workspace(v->plan_bwd_.num_slots(), bwd.input, bwd.output);
     }
   }
   return v;
 }
 
-void MemXCTOperator::build_workspaces() {
+sparse::Workspace MemXCTOperator::make_workspace(bool transpose,
+                                                 idx_t k) const {
   const Storage& s = *store_;
-  if (s.schedule != ScheduleKind::StaticPlan) return;
-  // Persistent per-slot staging/output buffers sized for the kernel's needs;
-  // after this point apply()/apply_transpose() never allocate. Sized by the
-  // plan's slot count so views match the storage they share.
-  switch (s.kind) {
-    case KernelKind::Baseline:
-    case KernelKind::Library:
-      break;  // CSR kernels need no staging.
-    case KernelKind::EllBlock:
-      ws_fwd_ = sparse::Workspace(s.plan_fwd.num_slots(), 0,
-                                  s.ell_fwd->block_rows);
-      ws_bwd_ = sparse::Workspace(s.plan_bwd.num_slots(), 0,
-                                  s.ell_bwd->block_rows);
-      break;
-    case KernelKind::Buffered: {
-      const auto& cfg_fwd =
-          s.cbuf_fwd ? s.cbuf_fwd->config : s.buf_fwd->config;
-      const auto& cfg_bwd =
-          s.cbuf_bwd ? s.cbuf_bwd->config : s.buf_bwd->config;
-      ws_fwd_ = sparse::Workspace(s.plan_fwd.num_slots(), cfg_fwd.buffsize,
-                                  cfg_fwd.partsize);
-      ws_bwd_ = sparse::Workspace(s.plan_bwd.num_slots(), cfg_bwd.buffsize,
-                                  cfg_bwd.partsize);
-      break;
-    }
-  }
+  if (s.schedule != ScheduleKind::StaticPlan) return {};
+  // Persistent per-slot buffers sized for the kernel's needs, so applies
+  // never allocate. Sized by the plan's slot count so views match the
+  // storage they share.
+  const Storage::Direction& d = s.dir(transpose);
+  const sparse::Scratch need = std::visit(
+      [&](const auto& m) { return sparse::apply_scratch(m, k); }, d.matrix);
+  if (need.input == 0 && need.output == 0) return {};  // CSR: none needed
+  return sparse::Workspace(d.plan.num_slots(), need.input, need.output);
 }
 
 idx_t MemXCTOperator::num_rows() const { return store_->num_rows; }
@@ -343,100 +305,43 @@ std::int64_t MemXCTOperator::regular_bytes() const noexcept {
   return store_->regular_bytes;
 }
 std::int64_t MemXCTOperator::bytes() const noexcept {
-  return store_->regular_bytes + store_->plan_fwd.bytes() +
-         store_->plan_bwd.bytes();
+  return store_->regular_bytes + store_->fwd.plan.bytes() +
+         store_->bwd.plan.bytes();
 }
 
 sparse::PlanStats MemXCTOperator::forward_plan_stats() const noexcept {
-  return store_->plan_fwd.stats();
+  return store_->fwd.plan.stats();
 }
 sparse::PlanStats MemXCTOperator::transpose_plan_stats() const noexcept {
-  return store_->plan_bwd.stats();
+  return store_->bwd.plan.stats();
+}
+
+void MemXCTOperator::run(bool transpose, sparse::Workspace& ws, idx_t k,
+                         std::span<const real> in,
+                         std::span<real> out) const {
+  const Storage& s = *store_;
+  const Storage::Direction& d = s.dir(transpose);
+  if (s.kind == KernelKind::Library) {
+    const auto& a = std::get<sparse::CsrMatrix>(d.matrix);
+    if (k == 1)
+      sparse::spmv_library(a, in, out);
+    else
+      sparse::spmm_library(a, k, in, out);
+    return;
+  }
+  sparse::Schedule sched;
+  if (s.schedule == ScheduleKind::StaticPlan) sched = {&d.plan, &ws};
+  std::visit([&](const auto& m) { sparse::apply(m, sched, k, in, out); },
+             d.matrix);
 }
 
 void MemXCTOperator::apply(std::span<const real> x, std::span<real> y) const {
-  const Storage& s = *store_;
-  const bool planned = s.schedule == ScheduleKind::StaticPlan;
-  switch (s.kind) {
-    case KernelKind::Baseline:
-      if (s.ccsr_fwd) {
-        if (planned)
-          sparse::spmv_ccsr_planned(*s.ccsr_fwd, s.plan_fwd, x, y);
-        else
-          sparse::spmv_ccsr(*s.ccsr_fwd, x, y);
-      } else if (planned) {
-        sparse::spmv_csr_planned(*s.csr_fwd, sparse::kCsrPartsize, s.plan_fwd,
-                                 x, y);
-      } else {
-        sparse::spmv_csr(*s.csr_fwd, x, y);
-      }
-      break;
-    case KernelKind::Library:
-      sparse::spmv_library(*s.csr_fwd, x, y);
-      break;
-    case KernelKind::EllBlock:
-      if (planned)
-        sparse::spmv_ell_planned(*s.ell_fwd, s.plan_fwd, ws_fwd_, x, y);
-      else
-        sparse::spmv_ell(*s.ell_fwd, x, y);
-      break;
-    case KernelKind::Buffered:
-      if (s.cbuf_fwd) {
-        if (planned)
-          sparse::spmv_cbuffered_planned(*s.cbuf_fwd, s.plan_fwd, ws_fwd_, x,
-                                         y);
-        else
-          sparse::spmv_cbuffered(*s.cbuf_fwd, x, y);
-      } else if (planned) {
-        sparse::spmv_buffered_planned(*s.buf_fwd, s.plan_fwd, ws_fwd_, x, y);
-      } else {
-        sparse::spmv_buffered(*s.buf_fwd, x, y);
-      }
-      break;
-  }
+  run(false, ws_fwd_, 1, x, y);
 }
 
 void MemXCTOperator::apply_transpose(std::span<const real> y,
                                      std::span<real> x) const {
-  const Storage& s = *store_;
-  const bool planned = s.schedule == ScheduleKind::StaticPlan;
-  switch (s.kind) {
-    case KernelKind::Baseline:
-      if (s.ccsr_bwd) {
-        if (planned)
-          sparse::spmv_ccsr_planned(*s.ccsr_bwd, s.plan_bwd, y, x);
-        else
-          sparse::spmv_ccsr(*s.ccsr_bwd, y, x);
-      } else if (planned) {
-        sparse::spmv_csr_planned(*s.csr_bwd, sparse::kCsrPartsize, s.plan_bwd,
-                                 y, x);
-      } else {
-        sparse::spmv_csr(*s.csr_bwd, y, x);
-      }
-      break;
-    case KernelKind::Library:
-      sparse::spmv_library(*s.csr_bwd, y, x);
-      break;
-    case KernelKind::EllBlock:
-      if (planned)
-        sparse::spmv_ell_planned(*s.ell_bwd, s.plan_bwd, ws_bwd_, y, x);
-      else
-        sparse::spmv_ell(*s.ell_bwd, y, x);
-      break;
-    case KernelKind::Buffered:
-      if (s.cbuf_bwd) {
-        if (planned)
-          sparse::spmv_cbuffered_planned(*s.cbuf_bwd, s.plan_bwd, ws_bwd_, y,
-                                         x);
-        else
-          sparse::spmv_cbuffered(*s.cbuf_bwd, y, x);
-      } else if (planned) {
-        sparse::spmv_buffered_planned(*s.buf_bwd, s.plan_bwd, ws_bwd_, y, x);
-      } else {
-        sparse::spmv_buffered(*s.buf_bwd, y, x);
-      }
-      break;
-  }
+  run(true, ws_bwd_, 1, y, x);
 }
 
 BlockWorkspace MemXCTOperator::make_block_workspace(idx_t k) const {
@@ -449,147 +354,39 @@ BlockWorkspace MemXCTOperator::make_block_workspace(idx_t k) const {
                                   static_cast<std::size_t>(s.num_cols), k);
   common::aligned_resize_for_simd(ws.y_interleaved_,
                                   static_cast<std::size_t>(s.num_rows), k);
-  if (s.schedule == ScheduleKind::StaticPlan) {
-    // Same slot structure as the single-RHS workspaces, with buffers k
-    // (ELL) or block_lanes(k) (Buffered) times wider.
-    switch (s.kind) {
-      case KernelKind::Baseline:
-      case KernelKind::Library:
-        break;
-      case KernelKind::EllBlock:
-        ws.ws_fwd_ = sparse::Workspace(s.plan_fwd.num_slots(), 0,
-                                       s.ell_fwd->block_rows * k);
-        ws.ws_bwd_ = sparse::Workspace(s.plan_bwd.num_slots(), 0,
-                                       s.ell_bwd->block_rows * k);
-        break;
-      case KernelKind::Buffered: {
-        const idx_t lanes = sparse::block_lanes(k);
-        const auto& cfg_fwd =
-            s.cbuf_fwd ? s.cbuf_fwd->config : s.buf_fwd->config;
-        const auto& cfg_bwd =
-            s.cbuf_bwd ? s.cbuf_bwd->config : s.buf_bwd->config;
-        ws.ws_fwd_ = sparse::Workspace(s.plan_fwd.num_slots(),
-                                       cfg_fwd.buffsize * lanes,
-                                       cfg_fwd.partsize * lanes);
-        ws.ws_bwd_ = sparse::Workspace(s.plan_bwd.num_slots(),
-                                       cfg_bwd.buffsize * lanes,
-                                       cfg_bwd.partsize * lanes);
-        break;
-      }
-    }
-  }
+  ws.ws_fwd_ = make_workspace(false, k);
+  ws.ws_bwd_ = make_workspace(true, k);
   return ws;
+}
+
+void MemXCTOperator::run_block(bool transpose, std::span<const real> in,
+                               std::span<real> out, BlockWorkspace& ws) const {
+  const idx_t k = ws.k_;
+  MEMXCT_CHECK_MSG(k >= 1, "block workspace is default-constructed");
+  const auto cols = static_cast<std::size_t>(store_->num_cols);
+  const auto rows = static_cast<std::size_t>(store_->num_rows);
+  const std::size_t n_in = (transpose ? rows : cols) * k;
+  const std::size_t n_out = (transpose ? cols : rows) * k;
+  MEMXCT_CHECK(in.size() >= n_in);
+  MEMXCT_CHECK(out.size() >= n_out);
+  auto& in_i = transpose ? ws.y_interleaved_ : ws.x_interleaved_;
+  auto& out_i = transpose ? ws.x_interleaved_ : ws.y_interleaved_;
+  common::interleave(in, n_in / k, k, in_i);
+  run(transpose, transpose ? ws.ws_bwd_ : ws.ws_fwd_, k,
+      std::span<const real>(in_i).first(n_in),
+      std::span<real>(out_i).first(n_out));
+  common::deinterleave(out_i, n_out / k, k, out);
 }
 
 void MemXCTOperator::apply_block(std::span<const real> x, std::span<real> y,
                                  BlockWorkspace& ws) const {
-  const Storage& s = *store_;
-  const idx_t k = ws.k_;
-  MEMXCT_CHECK_MSG(k >= 1, "block workspace is default-constructed");
-  const auto n = static_cast<std::size_t>(s.num_cols);
-  const auto m = static_cast<std::size_t>(s.num_rows);
-  MEMXCT_CHECK(x.size() >= n * static_cast<std::size_t>(k));
-  MEMXCT_CHECK(y.size() >= m * static_cast<std::size_t>(k));
-  common::interleave(x, n, k, ws.x_interleaved_);
-  const std::span<const real> xi = ws.x_interleaved_;
-  const std::span<real> yi = ws.y_interleaved_;
-  const bool planned = s.schedule == ScheduleKind::StaticPlan;
-  switch (s.kind) {
-    case KernelKind::Baseline:
-      if (s.ccsr_fwd) {
-        if (planned)
-          sparse::spmm_ccsr_planned(*s.ccsr_fwd, s.plan_fwd, k, xi, yi);
-        else
-          sparse::spmm_ccsr(*s.ccsr_fwd, k, xi, yi);
-      } else if (planned) {
-        sparse::spmm_csr_planned(*s.csr_fwd, sparse::kCsrPartsize, s.plan_fwd,
-                                 k, xi, yi);
-      } else {
-        sparse::spmm_csr(*s.csr_fwd, k, xi, yi);
-      }
-      break;
-    case KernelKind::Library:
-      sparse::spmm_library(*s.csr_fwd, k, xi, yi);
-      break;
-    case KernelKind::EllBlock:
-      if (planned)
-        sparse::spmm_ell_planned(*s.ell_fwd, s.plan_fwd, ws.ws_fwd_, k, xi,
-                                 yi);
-      else
-        sparse::spmm_ell(*s.ell_fwd, k, xi, yi);
-      break;
-    case KernelKind::Buffered:
-      if (s.cbuf_fwd) {
-        if (planned)
-          sparse::spmm_cbuffered_planned(*s.cbuf_fwd, s.plan_fwd, ws.ws_fwd_,
-                                         k, xi, yi);
-        else
-          sparse::spmm_cbuffered(*s.cbuf_fwd, k, xi, yi);
-      } else if (planned) {
-        sparse::spmm_buffered_planned(*s.buf_fwd, s.plan_fwd, ws.ws_fwd_, k,
-                                      xi, yi);
-      } else {
-        sparse::spmm_buffered(*s.buf_fwd, k, xi, yi);
-      }
-      break;
-  }
-  common::deinterleave(yi, m, k, y);
+  run_block(false, x, y, ws);
 }
 
 void MemXCTOperator::apply_transpose_block(std::span<const real> y,
                                            std::span<real> x,
                                            BlockWorkspace& ws) const {
-  const Storage& s = *store_;
-  const idx_t k = ws.k_;
-  MEMXCT_CHECK_MSG(k >= 1, "block workspace is default-constructed");
-  const auto n = static_cast<std::size_t>(s.num_cols);
-  const auto m = static_cast<std::size_t>(s.num_rows);
-  MEMXCT_CHECK(y.size() >= m * static_cast<std::size_t>(k));
-  MEMXCT_CHECK(x.size() >= n * static_cast<std::size_t>(k));
-  common::interleave(y, m, k, ws.y_interleaved_);
-  const std::span<const real> yi = ws.y_interleaved_;
-  const std::span<real> xi = ws.x_interleaved_;
-  const bool planned = s.schedule == ScheduleKind::StaticPlan;
-  switch (s.kind) {
-    case KernelKind::Baseline:
-      if (s.ccsr_bwd) {
-        if (planned)
-          sparse::spmm_ccsr_planned(*s.ccsr_bwd, s.plan_bwd, k, yi, xi);
-        else
-          sparse::spmm_ccsr(*s.ccsr_bwd, k, yi, xi);
-      } else if (planned) {
-        sparse::spmm_csr_planned(*s.csr_bwd, sparse::kCsrPartsize, s.plan_bwd,
-                                 k, yi, xi);
-      } else {
-        sparse::spmm_csr(*s.csr_bwd, k, yi, xi);
-      }
-      break;
-    case KernelKind::Library:
-      sparse::spmm_library(*s.csr_bwd, k, yi, xi);
-      break;
-    case KernelKind::EllBlock:
-      if (planned)
-        sparse::spmm_ell_planned(*s.ell_bwd, s.plan_bwd, ws.ws_bwd_, k, yi,
-                                 xi);
-      else
-        sparse::spmm_ell(*s.ell_bwd, k, yi, xi);
-      break;
-    case KernelKind::Buffered:
-      if (s.cbuf_bwd) {
-        if (planned)
-          sparse::spmm_cbuffered_planned(*s.cbuf_bwd, s.plan_bwd, ws.ws_bwd_,
-                                         k, yi, xi);
-        else
-          sparse::spmm_cbuffered(*s.cbuf_bwd, k, yi, xi);
-      } else if (planned) {
-        sparse::spmm_buffered_planned(*s.buf_bwd, s.plan_bwd, ws.ws_bwd_, k,
-                                      yi, xi);
-      } else {
-        sparse::spmm_buffered(*s.buf_bwd, k, yi, xi);
-      }
-      break;
-  }
-  common::deinterleave(xi, n, k, x);
+  run_block(true, y, x, ws);
 }
 
 void MemXCTOperator::apply_block(std::span<const real> x, std::span<real> y,
@@ -607,37 +404,11 @@ void MemXCTOperator::apply_transpose_block(std::span<const real> y,
 }
 
 perf::KernelWork MemXCTOperator::forward_work() const {
-  const Storage& s = *store_;
-  switch (s.kind) {
-    case KernelKind::Baseline:
-      if (s.ccsr_fwd) return sparse::ccsr_work(*s.ccsr_fwd);
-      [[fallthrough]];
-    case KernelKind::Library:
-      return sparse::csr_work(*s.csr_fwd);
-    case KernelKind::EllBlock:
-      return sparse::ell_work(*s.ell_fwd);
-    case KernelKind::Buffered:
-      if (s.cbuf_fwd) return sparse::cbuffered_work(*s.cbuf_fwd);
-      return sparse::buffered_work(*s.buf_fwd);
-  }
-  return {};
+  return std::visit([](const auto& m) { return work(m); }, store_->fwd.matrix);
 }
 
 perf::KernelWork MemXCTOperator::transpose_work() const {
-  const Storage& s = *store_;
-  switch (s.kind) {
-    case KernelKind::Baseline:
-      if (s.ccsr_bwd) return sparse::ccsr_work(*s.ccsr_bwd);
-      [[fallthrough]];
-    case KernelKind::Library:
-      return sparse::csr_work(*s.csr_bwd);
-    case KernelKind::EllBlock:
-      return sparse::ell_work(*s.ell_bwd);
-    case KernelKind::Buffered:
-      if (s.cbuf_bwd) return sparse::cbuffered_work(*s.cbuf_bwd);
-      return sparse::buffered_work(*s.buf_bwd);
-  }
-  return {};
+  return std::visit([](const auto& m) { return work(m); }, store_->bwd.matrix);
 }
 
 }  // namespace memxct::core

@@ -17,11 +17,11 @@ class SubsetOperatorView;
 
 /// Scratch for one block-apply width: the interleaved (slice-major) vector
 /// images of the per-slice slabs, plus staging/output buffers for the
-/// planned kernels (k wide for ELL, sparse::block_lanes(k) wide for
-/// Buffered). Created by MemXCTOperator::make_block_workspace(k)
-/// and reusable across applies of the same width; pack/unpack between the
-/// caller's per-slice slabs and the interleaved layout happens inside
-/// apply_block via common/interleave.hpp.
+/// planned kernels (sparse::apply_scratch at width k: k wide for ELL,
+/// sparse::block_lanes(k) wide for Buffered). Created by
+/// MemXCTOperator::make_block_workspace(k) and reusable across applies of
+/// the same width; pack/unpack between the caller's per-slice slabs and the
+/// interleaved layout happens inside apply_block via common/interleave.hpp.
 class BlockWorkspace {
  public:
   BlockWorkspace() = default;
@@ -164,7 +164,17 @@ class MemXCTOperator final : public solve::LinearOperator {
   struct Storage;
 
   explicit MemXCTOperator(std::shared_ptr<const Storage> storage);
-  void build_workspaces();
+  /// The planned-kernel buffers of one direction at width k (empty unless
+  /// the schedule is StaticPlan and the kernel stages or accumulates).
+  [[nodiscard]] sparse::Workspace make_workspace(bool transpose,
+                                                 idx_t k) const;
+  /// The one kernel dispatch: the width-k apply of the forward matrix, or of
+  /// the stored transpose, with `ws` as the planned slots' buffers.
+  void run(bool transpose, sparse::Workspace& ws, idx_t k,
+           std::span<const real> in, std::span<real> out) const;
+  /// run() on per-slice slabs, interleaved through `ws`.
+  void run_block(bool transpose, std::span<const real> in,
+                 std::span<real> out, BlockWorkspace& ws) const;
 
   std::shared_ptr<const Storage> store_;
   // Apply-time scratch, persistent so apply() never allocates; mutable

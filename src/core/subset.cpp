@@ -6,36 +6,22 @@ namespace memxct::core {
 
 void SubsetOperatorView::apply(std::span<const real> x,
                                std::span<real> y_sub) const {
-  if (csr_fwd_ != nullptr) {
-    if (planned_)
-      sparse::spmv_csr_range_planned(*csr_fwd_, partsize_, range_, plan_fwd_,
-                                     x, y_sub);
-    else
-      sparse::spmv_csr_range(*csr_fwd_, partsize_, range_, x, y_sub);
-    return;
-  }
-  if (planned_)
-    sparse::spmv_buffered_range_planned(*buf_fwd_, range_, plan_fwd_, ws_fwd_,
-                                        x, y_sub);
+  const sparse::Schedule sched =
+      planned_ ? sparse::Schedule{&plan_fwd_, &ws_fwd_} : sparse::Schedule{};
+  if (csr_fwd_ != nullptr)
+    sparse::apply(*csr_fwd_, range_, sched, x, y_sub);
   else
-    sparse::spmv_buffered_range(*buf_fwd_, range_, x, y_sub);
+    sparse::apply(*buf_fwd_, range_, sched, x, y_sub);
 }
 
 void SubsetOperatorView::apply_transpose(std::span<const real> y_sub,
                                          std::span<real> x) const {
-  if (csr_bwd_ != nullptr) {
-    if (planned_)
-      sparse::spmv_csr_colrange_planned(*csr_bwd_, partsize_, colrange_,
-                                        plan_bwd_, y_sub, x);
-    else
-      sparse::spmv_csr_colrange(*csr_bwd_, colrange_, y_sub, x);
-    return;
-  }
-  if (planned_)
-    sparse::spmv_buffered_colrange_planned(*buf_bwd_, buf_colrange_,
-                                           plan_bwd_, ws_bwd_, y_sub, x);
+  const sparse::Schedule sched =
+      planned_ ? sparse::Schedule{&plan_bwd_, &ws_bwd_} : sparse::Schedule{};
+  if (csr_bwd_ != nullptr)
+    sparse::apply(*csr_bwd_, colrange_, sched, y_sub, x);
   else
-    sparse::spmv_buffered_colrange(*buf_bwd_, buf_colrange_, y_sub, x);
+    sparse::apply(*buf_bwd_, buf_colrange_, sched, y_sub, x);
 }
 
 std::vector<std::unique_ptr<SubsetOperatorView>> make_subset_views(

@@ -2,11 +2,12 @@
 //
 // A SubsetOperatorView is a LinearOperator over the rows [first_row,
 // first_row + num_rows) of a MemXCTOperator, sharing the parent's immutable
-// Storage (no matrix duplication, no re-trace). The forward apply slices the
-// stored forward matrix by row range and is bitwise equal to the same rows
-// of a full apply; the transpose apply filters the stored transpose matrix
-// by column range through indices precomputed at view-build time, costing
-// O(nnz_subset) rather than O(nnz) (sparse/subset.hpp).
+// Storage (no matrix duplication, no re-trace). Both directions run the
+// parent's width-1 apply through a window (sparse/subset.hpp): the forward
+// apply over the range's partitions, bitwise equal to the same rows of a
+// full apply; the transpose apply over the stored transpose with runs
+// clipped to the column range by indices precomputed at view-build time,
+// costing O(nnz_subset) rather than O(nnz).
 //
 // Supported for the Baseline (CSR) and Buffered fp32 kernel families — the
 // families the ordered-subsets solvers target. EllBlock, Library, and the
@@ -55,7 +56,6 @@ class SubsetOperatorView final : public solve::LinearOperator {
   idx_t num_cols_ = 0;
   nnz_t nnz_sub_ = 0;
   bool planned_ = false;
-  idx_t partsize_ = 0;  ///< Row-partition granularity (fwd and bwd alike).
 
   // Exactly one family pair below is set, matching the parent's kind.
   const sparse::CsrMatrix* csr_fwd_ = nullptr;

@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "common/grid.hpp"
 #include "sparse/footprint.hpp"
+#include "sparse/spmm.hpp"
 
 namespace memxct::sparse {
 
@@ -189,23 +190,7 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
 
 void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,
                    std::span<real> y) {
-  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
-  MEMXCT_CHECK(static_cast<idx_t>(y.size()) == a.num_rows);
-  const idx_t numparts = a.num_partitions();
-  const real* const xp = x.data();
-  real* const yp = y.data();
-
-#pragma omp parallel
-  {
-    // Listing 3's stack arrays, hoisted to per-thread scratch because sizes
-    // are runtime tuning parameters.
-    AlignedVector<real> input(static_cast<std::size_t>(a.config.buffsize));
-    AlignedVector<real> output(static_cast<std::size_t>(a.config.partsize));
-#pragma omp for schedule(dynamic)
-    for (idx_t part = 0; part < numparts; ++part)
-      buffered_partition(a, part, xp, input.data(), output.data(), yp, 0,
-                         a.num_rows);
-  }
+  apply(a, {}, 1, x, y);
 }
 
 perf::KernelWork buffered_work(const BufferedMatrix& a) {

@@ -89,60 +89,13 @@ inline void for_each_in_run(const buf_idx_t* ind, const real* val, nnz_t nnz,
   for (; i < e; ++i) f(ind[i], val[i]);
 }
 
-/// One partition of Listing 3, the body of every fp32 single-RHS buffered
-/// kernel: stages each of partition `part`'s footprints from `x` into
-/// `input` (buffsize entries), accumulates its rows into `output` (partsize
-/// entries), then stores the rows inside the window [row_first, row_last)
-/// to y[r - row_first]. Full applies pass [0, num_rows); subset views pass
-/// their range, so their rows are bitwise equal to a full apply's.
-inline void buffered_partition(const BufferedMatrix& a, idx_t part,
-                               const real* x, real* input, real* output,
-                               real* y, idx_t row_first, idx_t row_last) {
-  const idx_t partsize = a.config.partsize;
-  const idx_t* const partdispl = a.partdispl.data();
-  const nnz_t* const stagedispl = a.stagedispl.data();
-  const idx_t* const stagenz = a.stagenz.data();
-  const idx_t* const map = a.map.data();
-  const nnz_t* const displ = a.displ.data();
-  const buf_idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const nnz_t nnz = a.nnz();
-
-  std::fill(output, output + partsize, real{0});
-  for (idx_t stage = partdispl[part]; stage < partdispl[part + 1]; ++stage) {
-    // Staging: gather this stage's footprint into the L1 buffer.
-    const idx_t* const mp = map + stagedispl[stage];
-    const idx_t nz = stagenz[stage];
-#pragma omp simd
-    for (idx_t i = 0; i < nz; ++i) input[i] = x[mp[i]];
-    // Compute: each partition row consumes its run for this stage. Strict
-    // scalar order (no simd reduction): the multi-RHS kernels
-    // (sparse/spmm.hpp) promise per-slice results bitwise equal to this
-    // sum, which only holds if it is not reassociated. SIMD throughput is
-    // recovered across slices on the block path instead.
-    const nnz_t* const run = displ + static_cast<nnz_t>(stage) * partsize;
-    for (idx_t j = 0; j < partsize; ++j) {
-      real acc = 0;
-      for_each_in_run(ind, val, nnz, run[j], run[j + 1],
-                      [&](buf_idx_t slot, real v) { acc += input[slot] * v; });
-      output[j] += acc;
-    }
-  }
-  // Tail guard hoisted out of the store loop: full partitions take the
-  // branchless full-width path, only the window's last partition truncates.
-  const idx_t rstart = part * partsize;
-  const idx_t rows_here = std::min<idx_t>(partsize, row_last - rstart);
-  real* const yp = y + (rstart - row_first);
-#pragma omp simd
-  for (idx_t i = 0; i < rows_here; ++i) yp[i] = output[i];
-}
-
 /// Builds the staged structure from CSR. Requires buffsize <= 65536 (16-bit
 /// buffer addressing) and partsize >= 1. OpenMP-parallel over partitions.
 [[nodiscard]] BufferedMatrix build_buffered(const CsrMatrix& a,
                                             const BufferConfig& config = {});
 
-/// y = A·x with the multi-stage buffered kernel (Listing 3).
+/// y = A·x with the multi-stage buffered kernel (Listing 3), dynamic
+/// schedule: the width-1 instance of the staged apply in sparse/spmm.hpp.
 void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,
                    std::span<real> y);
 

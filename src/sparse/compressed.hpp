@@ -15,10 +15,11 @@
 //     drops to ~1 B.
 //
 // Decoding a varint is inherently sequential, so random access is provided
-// at PARTITION granularity: per-partition byte offsets let the dynamic and
-// planned schedules jump to any partition, then decode its rows/stages in
-// the exact order the kernels already traverse them. The partition size is
-// therefore pinned into the structure at build time.
+// at PARTITION granularity: per-partition byte offsets let the partition
+// driver (sparse/plan.hpp), dynamic or planned, jump to any partition. The
+// decoders are then walkers over the shared apply bodies, visiting rows and
+// stages in the exact order the fp32 kernels traverse them. The partition
+// size is therefore pinned into the structure at build time.
 //
 // Compression is idempotent with respect to quantization: compressing a
 // matrix whose values are already bf16/fp16-representable reproduces the
@@ -172,44 +173,38 @@ struct CompressedBuffered {
 [[nodiscard]] std::vector<nnz_t> partition_nnz(const CompressedCsr& a);
 [[nodiscard]] std::vector<nnz_t> partition_nnz(const CompressedBuffered& a);
 
-// ---- kernels (compressed_kernels.cpp) ------------------------------------
+// ---- apply (compressed_kernels.cpp) --------------------------------------
 //
-// Accumulation contract: identical expression shape and order to the fp32
-// kernels (sparse/spmv.cpp, sparse/spmm.cpp) with the stored value decoded
-// to fp32 first. The multi-RHS variants keep the lane-parity promise: lane
-// s of the block result equals the corresponding compressed single-RHS
-// kernel bit for bit, for every schedule and K.
+// The compressed families are walkers over the shared apply bodies
+// (sparse/kernels.hpp): a varint index decoder and a bf16/fp16 value
+// decoder, with the fp32 kernels' traversal and strict per-lane j-order.
+// Accumulation is always fp32, so lane s of a width-k apply equals the
+// width-1 apply of slice s bit for bit, for every schedule and k. Shapes,
+// plans and workspaces follow apply() in sparse/spmm.hpp: plan partitions
+// must match partition_nnz(a), and a buffered workspace needs
+// apply_scratch(a, k) per slot.
 
-/// y = A·x, compressed CSR, dynamic partition schedule.
+void apply(const CompressedCsr& a, const Schedule& sched, idx_t k,
+           std::span<const real> x, std::span<real> y);
+void apply(const CompressedBuffered& a, const Schedule& sched, idx_t k,
+           std::span<const real> x, std::span<real> y);
+
+/// Width-1 and width-k spellings of apply(), dynamic and planned.
 void spmv_ccsr(const CompressedCsr& a, std::span<const real> x,
                std::span<real> y);
-
-/// y = A·x, compressed CSR over a static plan (plan partitions must match
-/// partition_nnz(a)). Allocation-free.
 void spmv_ccsr_planned(const CompressedCsr& a, const ApplyPlan& plan,
                        std::span<const real> x, std::span<real> y);
-
-/// y[r*k+s] = sum_j A[r,j]·x[j*k+s], compressed CSR, dynamic schedule.
 void spmm_ccsr(const CompressedCsr& a, idx_t k, std::span<const real> x,
                std::span<real> y);
-
 void spmm_ccsr_planned(const CompressedCsr& a, const ApplyPlan& plan, idx_t k,
                        std::span<const real> x, std::span<real> y);
-
-/// y = A·x, compressed multi-stage buffered kernel, dynamic schedule.
 void spmv_cbuffered(const CompressedBuffered& a, std::span<const real> x,
                     std::span<real> y);
-
-/// `ws` needs per-slot input capacity >= buffsize, output >= partsize.
 void spmv_cbuffered_planned(const CompressedBuffered& a, const ApplyPlan& plan,
                             Workspace& ws, std::span<const real> x,
                             std::span<real> y);
-
 void spmm_cbuffered(const CompressedBuffered& a, idx_t k,
                     std::span<const real> x, std::span<real> y);
-
-/// `ws` needs per-slot input capacity >= buffsize * block_lanes(k), output
-/// >= partsize * block_lanes(k) (sparse/spmm.hpp).
 void spmm_cbuffered_planned(const CompressedBuffered& a, const ApplyPlan& plan,
                             Workspace& ws, idx_t k, std::span<const real> x,
                             std::span<real> y);

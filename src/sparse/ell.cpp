@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/grid.hpp"
+#include "sparse/spmm.hpp"
 
 namespace memxct::sparse {
 
@@ -70,35 +71,7 @@ EllBlockMatrix to_ell_matrix(const CsrMatrix& a) {
 
 void spmv_ell(const EllBlockMatrix& a, std::span<const real> x,
               std::span<real> y) {
-  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
-  MEMXCT_CHECK(static_cast<idx_t>(y.size()) == a.num_rows);
-  const idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const real* const xp = x.data();
-  real* const yp = y.data();
-  const idx_t block_rows = a.block_rows;
-  const idx_t num_blocks = a.num_blocks();
-#pragma omp parallel
-  {
-    AlignedVector<real> acc(static_cast<std::size_t>(block_rows));
-#pragma omp for schedule(dynamic, 4)
-    for (idx_t b = 0; b < num_blocks; ++b) {
-      const idx_t r0 = b * block_rows;
-      const idx_t lanes = std::min<idx_t>(block_rows, a.num_rows - r0);
-      const nnz_t base = a.block_displ[static_cast<std::size_t>(b)];
-      const idx_t width = a.block_width[static_cast<std::size_t>(b)];
-      std::fill(acc.begin(), acc.begin() + lanes, real{0});
-      for (idx_t w = 0; w < width; ++w) {
-        const idx_t* const indw = ind + base + static_cast<nnz_t>(w) * block_rows;
-        const real* const valw = val + base + static_cast<nnz_t>(w) * block_rows;
-        // Pad entries multiply x[0] by 0: no branch, matching the paper's
-        // thread-divergence-free GPU kernel.
-#pragma omp simd
-        for (idx_t l = 0; l < lanes; ++l) acc[l] += xp[indw[l]] * valw[l];
-      }
-      for (idx_t l = 0; l < lanes; ++l) yp[r0 + l] = acc[l];
-    }
-  }
+  apply(a, {}, 1, x, y);
 }
 
 perf::KernelWork ell_work(const EllBlockMatrix& a) {

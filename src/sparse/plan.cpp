@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/grid.hpp"
+#include "sparse/spmm.hpp"
 
 namespace memxct::sparse {
 
@@ -117,107 +118,36 @@ std::vector<nnz_t> partition_nnz(const BufferedMatrix& a) {
   return weights;
 }
 
+void check_planned(const ApplyPlan& plan, idx_t numparts, const Workspace* ws,
+                   const Scratch& need) {
+  MEMXCT_CHECK_MSG(plan.num_partitions() == numparts,
+                   "plan does not cover the kernel's partitions");
+  if (need.input == 0 && need.output == 0) return;
+  MEMXCT_CHECK_MSG(ws != nullptr && ws->num_slots() >= plan.num_slots(),
+                   "workspace has fewer slots than the plan");
+  for (int s = 0; s < plan.num_slots(); ++s)
+    MEMXCT_CHECK_MSG(
+        static_cast<idx_t>(ws->input(s).size()) >= need.input &&
+            static_cast<idx_t>(ws->output(s).size()) >= need.output,
+        "workspace slot is smaller than the kernel's scratch");
+}
+
 void spmv_csr_planned(const CsrMatrix& a, idx_t partsize,
                       const ApplyPlan& plan, std::span<const real> x,
                       std::span<real> y) {
-  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
-  MEMXCT_CHECK(static_cast<idx_t>(y.size()) == a.num_rows);
-  MEMXCT_CHECK(partsize > 0);
-  MEMXCT_CHECK(plan.num_partitions() ==
-               std::max<idx_t>(1, ceil_div(a.num_rows, partsize)));
-  const idx_t num_rows = a.num_rows;
-  const nnz_t* const displ = a.displ.data();
-  const idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const real* const xp = x.data();
-  real* const yp = y.data();
-  const int num_slots = plan.num_slots();
-
-#pragma omp parallel
-  {
-    const int nthreads = omp_get_num_threads();
-    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part) {
-        const idx_t r0 = std::min<idx_t>(part * partsize, num_rows);
-        const idx_t r1 = std::min<idx_t>(r0 + partsize, num_rows);
-        for (idx_t r = r0; r < r1; ++r) {
-          // Strict scalar order — the bitwise-parity contract with the
-          // multi-RHS kernels forbids reassociating this sum.
-          real acc = 0;
-          for (nnz_t j = displ[r]; j < displ[r + 1]; ++j)
-            acc += xp[ind[j]] * val[j];
-          yp[r] = acc;
-        }
-      }
-    }
-  }
+  apply(a, {&plan}, 1, x, y, partsize);
 }
 
 void spmv_ell_planned(const EllBlockMatrix& a, const ApplyPlan& plan,
                       Workspace& ws, std::span<const real> x,
                       std::span<real> y) {
-  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
-  MEMXCT_CHECK(static_cast<idx_t>(y.size()) == a.num_rows);
-  MEMXCT_CHECK(plan.num_partitions() == a.num_blocks());
-  MEMXCT_CHECK(ws.num_slots() >= plan.num_slots());
-  const idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const real* const xp = x.data();
-  real* const yp = y.data();
-  const idx_t block_rows = a.block_rows;
-  const int num_slots = plan.num_slots();
-
-#pragma omp parallel
-  {
-    const int nthreads = omp_get_num_threads();
-    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      const std::span<real> acc_span = ws.output(s);
-      MEMXCT_CHECK(static_cast<idx_t>(acc_span.size()) >= block_rows);
-      real* const acc = acc_span.data();
-      for (idx_t b = plan.slot_begin(s); b < plan.slot_end(s); ++b) {
-        const idx_t r0 = b * block_rows;
-        const idx_t lanes = std::min<idx_t>(block_rows, a.num_rows - r0);
-        const nnz_t base = a.block_displ[static_cast<std::size_t>(b)];
-        const idx_t width = a.block_width[static_cast<std::size_t>(b)];
-        std::fill(acc, acc + lanes, real{0});
-        for (idx_t w = 0; w < width; ++w) {
-          const idx_t* const indw =
-              ind + base + static_cast<nnz_t>(w) * block_rows;
-          const real* const valw =
-              val + base + static_cast<nnz_t>(w) * block_rows;
-#pragma omp simd
-          for (idx_t l = 0; l < lanes; ++l) acc[l] += xp[indw[l]] * valw[l];
-        }
-        for (idx_t l = 0; l < lanes; ++l) yp[r0 + l] = acc[l];
-      }
-    }
-  }
+  apply(a, {&plan, &ws}, 1, x, y);
 }
 
 void spmv_buffered_planned(const BufferedMatrix& a, const ApplyPlan& plan,
                            Workspace& ws, std::span<const real> x,
                            std::span<real> y) {
-  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
-  MEMXCT_CHECK(static_cast<idx_t>(y.size()) == a.num_rows);
-  MEMXCT_CHECK(plan.num_partitions() == a.num_partitions());
-  MEMXCT_CHECK(ws.num_slots() >= plan.num_slots());
-  const real* const xp = x.data();
-  real* const yp = y.data();
-  const int num_slots = plan.num_slots();
-
-#pragma omp parallel
-  {
-    const int nthreads = omp_get_num_threads();
-    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      const std::span<real> input = ws.input(s);
-      const std::span<real> output = ws.output(s);
-      MEMXCT_CHECK(static_cast<idx_t>(input.size()) >= a.config.buffsize);
-      MEMXCT_CHECK(static_cast<idx_t>(output.size()) >= a.config.partsize);
-      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part)
-        buffered_partition(a, part, xp, input.data(), output.data(), yp, 0,
-                           a.num_rows);
-    }
-  }
+  apply(a, {&plan, &ws}, 1, x, y);
 }
 
 }  // namespace memxct::sparse

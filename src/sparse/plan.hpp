@@ -1,30 +1,41 @@
-// Static nnz-balanced apply plans and persistent per-thread workspaces.
+// Static nnz-balanced apply plans, persistent per-thread workspaces, and the
+// one partition driver every partitioned apply kernel runs under.
 //
-// Every kernel flavour iterates over row partitions (CSR chunks, ELL blocks,
-// buffered partitions). The dynamic `schedule(dynamic)` loops rebalance those
-// partitions across threads at every apply, which costs scheduler overhead,
-// destroys cache/NUMA affinity between iterations, and makes the partition →
-// thread assignment timing-dependent. An ApplyPlan fixes the assignment once
-// at operator-construction time: a prefix sum over per-partition nnz is split
-// into contiguous, nnz-balanced slot ranges, so every iteration of a solver
-// runs the same partitions on the same thread and the output is
-// bitwise-deterministic regardless of thread count or timing.
+// Every kernel iterates over row partitions (CSR chunks, ELL blocks,
+// buffered partitions). for_each_partition below is the only place that
+// hands them to threads, in one of two modes:
+//   * dynamic (no plan): `schedule(dynamic)` over the partitions, with
+//     per-thread scratch allocated inside the parallel region;
+//   * planned: an ApplyPlan fixes the assignment once at operator
+//     construction. A prefix sum over per-partition nnz is split into
+//     contiguous, nnz-balanced slot ranges, so every iteration of a solver
+//     runs the same partitions on the same thread and the output is
+//     bitwise-deterministic regardless of thread count or timing.
 //
-// A Workspace pairs with the plan: the per-thread staging/output buffers the
+// A Workspace pairs with the plan: the per-slot staging/output buffers the
 // buffered and ELL kernels need are allocated once (first-touch initialized
 // by the owning thread, which places pages NUMA-locally) so apply() performs
-// zero heap allocations.
+// zero heap allocations. The driver checks the workspace against the
+// kernel's Scratch before it opens the parallel region, so an undersized
+// workspace throws InvariantError to the caller.
 #pragma once
+
+#include <omp.h>
 
 #include <span>
 #include <vector>
 
 #include "common/aligned.hpp"
+#include "common/error.hpp"
 #include "sparse/buffered.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ell.hpp"
 
 namespace memxct::sparse {
+
+/// Default row-partition size of the CSR kernels; plans for them
+/// (partition_nnz below) partition with the same granularity.
+inline constexpr idx_t kCsrPartsize = 128;
 
 /// Per-slot load-balance summary of a plan, for the perf layer.
 struct PlanStats {
@@ -124,9 +135,69 @@ class Workspace {
 /// chunks of `partsize` for CSR, blocks for ELL, staged partitions for the
 /// buffered layout.
 [[nodiscard]] std::vector<nnz_t> partition_nnz(const CsrMatrix& a,
-                                               idx_t partsize);
+                                               idx_t partsize = kCsrPartsize);
 [[nodiscard]] std::vector<nnz_t> partition_nnz(const EllBlockMatrix& a);
 [[nodiscard]] std::vector<nnz_t> partition_nnz(const BufferedMatrix& a);
+
+/// Per-slot scratch, in reals, that one partition of a kernel needs: a
+/// staging buffer (`input`) and a row-sum buffer (`output`).
+struct Scratch {
+  idx_t input = 0;
+  idx_t output = 0;
+};
+
+/// How a partitioned kernel is scheduled: dynamically when `plan` is null,
+/// otherwise over `plan` with each slot's buffers taken from `ws` (unused,
+/// and may be null or slot-less, when the kernel needs no scratch).
+struct Schedule {
+  const ApplyPlan* plan = nullptr;
+  Workspace* ws = nullptr;
+};
+
+/// Throws InvariantError unless `plan` covers `numparts` partitions and, when
+/// `need` is non-empty, `ws` gives each of the plan's slots at least `need`.
+void check_planned(const ApplyPlan& plan, idx_t numparts, const Workspace* ws,
+                   const Scratch& need);
+
+/// The partition driver: calls body(part, input, output) once for every
+/// part in [0, numparts), where input/output point at `need.input` and
+/// `need.output` reals of scratch private to the executing thread. Planned,
+/// slot s runs on thread s mod nthreads with its Workspace buffers; dynamic,
+/// `schedule(dynamic)` hands out partitions one at a time. This holds the
+/// only parallel region of the partitioned apply kernels; the body must not
+/// throw.
+template <class Body>
+void for_each_partition(idx_t numparts, const Schedule& sched,
+                        const Scratch& need, Body&& body) {
+  if (sched.plan == nullptr) {
+#pragma omp parallel
+    {
+      AlignedVector<real> input(static_cast<std::size_t>(need.input));
+      AlignedVector<real> output(static_cast<std::size_t>(need.output));
+#pragma omp for schedule(dynamic)
+      for (idx_t part = 0; part < numparts; ++part)
+        body(part, input.data(), output.data());
+    }
+    return;
+  }
+  const ApplyPlan& plan = *sched.plan;
+  check_planned(plan, numparts, sched.ws, need);
+  // Slot buffers are taken only when the kernel needs scratch: only then
+  // has check_planned vouched for the workspace's slots.
+  Workspace* const ws =
+      need.input > 0 || need.output > 0 ? sched.ws : nullptr;
+  const int num_slots = plan.num_slots();
+#pragma omp parallel
+  {
+    const int nthreads = omp_get_num_threads();
+    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
+      real* const input = ws != nullptr ? ws->input(s).data() : nullptr;
+      real* const output = ws != nullptr ? ws->output(s).data() : nullptr;
+      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part)
+        body(part, input, output);
+    }
+  }
+}
 
 /// y = A·x, baseline CSR kernel over a static plan (partitions of `partsize`
 /// rows, matching partition_nnz(a, partsize)). Allocation-free.

@@ -1,32 +1,13 @@
 #include "sparse/spmv.hpp"
 
 #include "common/error.hpp"
+#include "sparse/spmm.hpp"
 
 namespace memxct::sparse {
 
 void spmv_csr(const CsrMatrix& a, std::span<const real> x, std::span<real> y,
               idx_t partsize) {
-  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
-  MEMXCT_CHECK(static_cast<idx_t>(y.size()) == a.num_rows);
-  MEMXCT_CHECK(partsize > 0);
-  const nnz_t* const displ = a.displ.data();
-  const idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const real* const xp = x.data();
-  real* const yp = y.data();
-#pragma omp parallel for schedule(dynamic, 128)
-  for (idx_t i = 0; i < a.num_rows; i += partsize) {
-    const idx_t end = i + partsize < a.num_rows ? i + partsize : a.num_rows;
-    for (idx_t r = i; r < end; ++r) {
-      // Strict scalar accumulation order (no simd reduction): the multi-RHS
-      // kernels (sparse/spmm.hpp) promise per-slice results bitwise equal
-      // to this kernel, which only holds if this sum is not reassociated.
-      real acc = 0;
-      for (nnz_t j = displ[r]; j < displ[r + 1]; ++j)
-        acc += xp[ind[j]] * val[j];
-      yp[r] = acc;
-    }
-  }
+  apply(a, {}, 1, x, y, partsize);
 }
 
 void spmv_library(const CsrMatrix& a, std::span<const real> x,

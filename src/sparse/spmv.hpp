@@ -6,17 +6,14 @@
 
 #include "perf/counters.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/plan.hpp"
 
 namespace memxct::sparse {
 
-/// Default row-partition size of the baseline kernel; the planned execution
-/// path (sparse/plan.hpp) must partition with the same granularity.
-inline constexpr idx_t kCsrPartsize = 128;
-
 /// Baseline MemXCT kernel (paper Listing 2): dynamically scheduled row
-/// partitions of `partsize` rows, strictly ordered inner gather-FMA loop
-/// (the fixed accumulation order is the bitwise-parity anchor for the
-/// multi-RHS kernels in sparse/spmm.hpp). Overwrites y = A·x.
+/// partitions of `partsize` rows, strictly ordered inner gather-FMA loop.
+/// It is the width-1 instance of the CSR apply in sparse/spmm.hpp.
+/// Overwrites y = A·x.
 void spmv_csr(const CsrMatrix& a, std::span<const real> x, std::span<real> y,
               idx_t partsize = kCsrPartsize);
 

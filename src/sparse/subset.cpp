@@ -1,11 +1,10 @@
 #include "sparse/subset.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 
 #include "common/error.hpp"
 #include "common/grid.hpp"
+#include "sparse/kernels.hpp"
 
 namespace memxct::sparse {
 
@@ -48,119 +47,26 @@ void check_range_aligned(const RowRange& range, idx_t num_rows,
 }
 
 // ---------------------------------------------------------------------------
-// Forward row ranges.
+// Forward row ranges: the width-1 apply over the range's partitions.
 // ---------------------------------------------------------------------------
 
-void spmv_csr_range(const CsrMatrix& a, idx_t partsize, const RowRange& range,
-                    std::span<const real> x, std::span<real> y_sub) {
+void apply(const CsrMatrix& a, const RowRange& rows, const Schedule& sched,
+           std::span<const real> x, std::span<real> y_sub, idx_t partsize) {
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
-  MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == range.count);
-  check_range_aligned(range, a.num_rows, partsize);
-  const idx_t first = range.first;
-  const idx_t last = range.last();
-  const nnz_t* const displ = a.displ.data();
-  const idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const real* const xp = x.data();
-  real* const yp = y_sub.data();
-#pragma omp parallel for schedule(dynamic, 128)
-  for (idx_t i = first; i < last; i += partsize) {
-    const idx_t end = i + partsize < last ? i + partsize : last;
-    for (idx_t r = i; r < end; ++r) {
-      // Strict scalar order, identical to spmv_csr: the subset result is
-      // bitwise equal to rows [first, last) of a full apply.
-      real acc = 0;
-      for (nnz_t j = displ[r]; j < displ[r + 1]; ++j)
-        acc += xp[ind[j]] * val[j];
-      yp[r - first] = acc;
-    }
-  }
+  MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == rows.count);
+  check_range_aligned(rows, a.num_rows, partsize);
+  detail::run_csr_rows<1>(rows, a.num_rows, partsize, sched, 1, x.data(),
+                          y_sub.data(), detail::csr_runs(a));
 }
 
-void spmv_csr_range_planned(const CsrMatrix& a, idx_t partsize,
-                            const RowRange& range, const ApplyPlan& plan,
-                            std::span<const real> x, std::span<real> y_sub) {
+void apply(const BufferedMatrix& a, const RowRange& rows,
+           const Schedule& sched, std::span<const real> x,
+           std::span<real> y_sub) {
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
-  MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == range.count);
-  check_range_aligned(range, a.num_rows, partsize);
-  MEMXCT_CHECK(plan.num_partitions() == ceil_div(range.count, partsize));
-  const idx_t first = range.first;
-  const idx_t last = range.last();
-  const nnz_t* const displ = a.displ.data();
-  const idx_t* const ind = a.ind.data();
-  const real* const val = a.val.data();
-  const real* const xp = x.data();
-  real* const yp = y_sub.data();
-  const int num_slots = plan.num_slots();
-
-#pragma omp parallel
-  {
-    const int nthreads = omp_get_num_threads();
-    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part) {
-        const idx_t r0 = std::min<idx_t>(first + part * partsize, last);
-        const idx_t r1 = std::min<idx_t>(r0 + partsize, last);
-        for (idx_t r = r0; r < r1; ++r) {
-          real acc = 0;
-          for (nnz_t j = displ[r]; j < displ[r + 1]; ++j)
-            acc += xp[ind[j]] * val[j];
-          yp[r - first] = acc;
-        }
-      }
-    }
-  }
-}
-
-void spmv_buffered_range(const BufferedMatrix& a, const RowRange& range,
-                         std::span<const real> x, std::span<real> y_sub) {
-  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
-  MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == range.count);
-  check_range_aligned(range, a.num_rows, a.config.partsize);
-  const idx_t partsize = a.config.partsize;
-  const idx_t p0 = range.first / partsize;
-  const idx_t p1 = p0 + ceil_div(range.count, partsize);
-  const real* const xp = x.data();
-  real* const yp = y_sub.data();
-
-#pragma omp parallel
-  {
-    AlignedVector<real> input(static_cast<std::size_t>(a.config.buffsize));
-    AlignedVector<real> output(static_cast<std::size_t>(partsize));
-#pragma omp for schedule(dynamic)
-    for (idx_t part = p0; part < p1; ++part)
-      buffered_partition(a, part, xp, input.data(), output.data(), yp,
-                         range.first, range.last());
-  }
-}
-
-void spmv_buffered_range_planned(const BufferedMatrix& a,
-                                 const RowRange& range, const ApplyPlan& plan,
-                                 Workspace& ws, std::span<const real> x,
-                                 std::span<real> y_sub) {
-  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
-  MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == range.count);
-  check_range_aligned(range, a.num_rows, a.config.partsize);
-  const idx_t partsize = a.config.partsize;
-  MEMXCT_CHECK(plan.num_partitions() == ceil_div(range.count, partsize));
-  MEMXCT_CHECK(ws.num_slots() >= plan.num_slots());
-  const idx_t p0 = range.first / partsize;
-  const real* const xp = x.data();
-  real* const yp = y_sub.data();
-  const int num_slots = plan.num_slots();
-
-#pragma omp parallel
-  {
-    const int nthreads = omp_get_num_threads();
-    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      const std::span<real> input_span = ws.input(s);
-      const std::span<real> output_span = ws.output(s);
-      MEMXCT_CHECK(static_cast<idx_t>(input_span.size()) >= a.config.buffsize);
-      MEMXCT_CHECK(static_cast<idx_t>(output_span.size()) >= partsize);
-      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part)
-        buffered_partition(a, p0 + part, xp, input_span.data(),
-                           output_span.data(), yp, range.first, range.last());
-    }
-  }
+  MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == rows.count);
+  check_range_aligned(rows, a.num_rows, a.config.partsize);
+  detail::run_staged<1>(rows, a.num_rows, a.config, sched, 1, x.data(),
+                        y_sub.data(), detail::buffered_runs(a));
 }
 
 // ---------------------------------------------------------------------------
@@ -207,68 +113,27 @@ std::vector<nnz_t> colrange_partition_nnz(const ColRangeIndex& index,
   return weights;
 }
 
-namespace {
-
-/// Shared per-row body of the CSR column-range kernels.
-inline void csr_colrange_rows(const CsrMatrix& at, const ColRangeIndex& ix,
-                              idx_t r0, idx_t r1, const real* yp, real* xp) {
-  const idx_t* const ind = at.ind.data();
-  const real* const val = at.val.data();
-  const idx_t first = ix.range.first;
-  for (idx_t r = r0; r < r1; ++r) {
-    // Strict scalar order over the in-range run — the same relative order
-    // those entries have in a full transpose apply.
-    real acc = 0;
-    const nnz_t lo = ix.lo[static_cast<std::size_t>(r)];
-    const nnz_t hi = ix.hi[static_cast<std::size_t>(r)];
-    for (nnz_t j = lo; j < hi; ++j) acc += yp[ind[j] - first] * val[j];
-    xp[r] = acc;
-  }
-}
-
-}  // namespace
-
-void spmv_csr_colrange(const CsrMatrix& at, const ColRangeIndex& index,
-                       std::span<const real> y_sub, std::span<real> x) {
-  MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == index.range.count);
-  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == at.num_rows);
-  MEMXCT_CHECK(static_cast<idx_t>(index.lo.size()) == at.num_rows);
-  const real* const yp = y_sub.data();
-  real* const xp = x.data();
-#pragma omp parallel for schedule(dynamic, 128)
-  for (idx_t i = 0; i < at.num_rows; i += 128) {
-    const idx_t end = std::min<idx_t>(i + 128, at.num_rows);
-    csr_colrange_rows(at, index, i, end, yp, xp);
-  }
-}
-
-void spmv_csr_colrange_planned(const CsrMatrix& at, idx_t partsize,
-                               const ColRangeIndex& index,
-                               const ApplyPlan& plan,
-                               std::span<const real> y_sub,
-                               std::span<real> x) {
+void apply(const CsrMatrix& at, const ColRangeIndex& index,
+           const Schedule& sched, std::span<const real> y_sub,
+           std::span<real> x, idx_t partsize) {
   MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == index.range.count);
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == at.num_rows);
   MEMXCT_CHECK(static_cast<idx_t>(index.lo.size()) == at.num_rows);
   MEMXCT_CHECK(partsize > 0);
-  MEMXCT_CHECK(plan.num_partitions() ==
-               std::max<idx_t>(1, ceil_div(at.num_rows, partsize)));
-  const real* const yp = y_sub.data();
-  real* const xp = x.data();
-  const idx_t num_rows = at.num_rows;
-  const int num_slots = plan.num_slots();
-
-#pragma omp parallel
-  {
-    const int nthreads = omp_get_num_threads();
-    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part) {
-        const idx_t r0 = std::min<idx_t>(part * partsize, num_rows);
-        const idx_t r1 = std::min<idx_t>(r0 + partsize, num_rows);
-        csr_colrange_rows(at, index, r0, r1, yp, xp);
-      }
-    }
-  }
+  const idx_t* const ind = at.ind.data();
+  const real* const val = at.val.data();
+  const idx_t first = index.range.first;
+  // Each row's in-range run, in the relative order those entries have in a
+  // full transpose apply, with columns shifted into y_sub.
+  const auto runs = [&](idx_t) {
+    return [&](idx_t r, auto&& add) {
+      for (nnz_t j = index.lo[static_cast<std::size_t>(r)];
+           j < index.hi[static_cast<std::size_t>(r)]; ++j)
+        add(ind[j] - first, val[j]);
+    };
+  };
+  detail::run_csr_rows<1>(RowRange{0, at.num_rows}, at.num_rows, partsize,
+                          sched, 1, y_sub.data(), x.data(), runs);
 }
 
 // ---------------------------------------------------------------------------
@@ -348,15 +213,13 @@ BufferedColRange BufferedColRange::build(const BufferedMatrix& at,
   return ix;
 }
 
-namespace {
-
-/// Shared per-partition body of the buffered column-range kernels: runs the
-/// in-range stage window of partition `part` into `output`, then stores the
-/// partition's rows (zero when the window is empty).
-inline void buffered_colrange_partition(const BufferedMatrix& at,
-                                        const BufferedColRange& ix,
-                                        idx_t part, const real* yp,
-                                        real* input, real* output, real* xp) {
+void apply(const BufferedMatrix& at, const BufferedColRange& index,
+           const Schedule& sched, std::span<const real> y_sub,
+           std::span<real> x) {
+  MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == index.range.count);
+  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == at.num_rows);
+  MEMXCT_CHECK(static_cast<idx_t>(index.stage_begin.size()) ==
+               at.num_partitions());
   const idx_t partsize = at.config.partsize;
   const nnz_t* const stagedispl = at.stagedispl.data();
   const idx_t* const stagenz = at.stagenz.data();
@@ -365,102 +228,44 @@ inline void buffered_colrange_partition(const BufferedMatrix& at,
   const buf_idx_t* const ind = at.ind.data();
   const real* const val = at.val.data();
   const nnz_t nnz = at.nnz();
-  const idx_t first = ix.range.first;
-  const idx_t last = ix.range.last();
-
-  std::fill(output, output + partsize, real{0});
-  const idx_t sb = ix.stage_begin[static_cast<std::size_t>(part)];
-  const idx_t se = ix.stage_end[static_cast<std::size_t>(part)];
-  for (idx_t stage = sb; stage < se; ++stage) {
-    const nnz_t mstart = stagedispl[stage];
-    const idx_t nz = stagenz[stage];
-    const idx_t* const mp = map + mstart;
-    const auto blo =
-        static_cast<idx_t>(std::lower_bound(mp, mp + nz, first) - mp);
-    const auto bhi =
-        static_cast<idx_t>(std::lower_bound(mp + blo, mp + nz, last) - mp);
-    // Stage only the in-range footprint slots; slots outside [blo, bhi) are
-    // left stale and the clipped inner runs below never address them.
-#pragma omp simd
-    for (idx_t i = blo; i < bhi; ++i) input[i] = yp[mp[i] - first];
-    const nnz_t* const run = displ + static_cast<nnz_t>(stage) * partsize;
-    const bool interior = blo == 0 && bhi == nz;
-    for (idx_t j = 0; j < partsize; ++j) {
-      nnz_t b = run[j];
-      nnz_t e = run[j + 1];
-      if (!interior) {
-        // Boundary stage: clip the row's ascending-`ind` run to [blo, bhi).
-        const buf_idx_t* const lo =
-            std::lower_bound(ind + b, ind + e, static_cast<buf_idx_t>(blo));
-        e = std::lower_bound(lo, ind + e, static_cast<buf_idx_t>(bhi)) - ind;
-        b = lo - ind;
-      }
-      real acc = 0;
-      for_each_in_run(ind, val, nnz, b, e,
-                      [&](buf_idx_t slot, real v) { acc += input[slot] * v; });
-      output[j] += acc;
-    }
-  }
-  const idx_t rstart = part * partsize;
-  const idx_t rows_here = std::min<idx_t>(partsize, at.num_rows - rstart);
-#pragma omp simd
-  for (idx_t i = 0; i < rows_here; ++i) xp[rstart + i] = output[i];
-}
-
-}  // namespace
-
-void spmv_buffered_colrange(const BufferedMatrix& at,
-                            const BufferedColRange& index,
-                            std::span<const real> y_sub, std::span<real> x) {
-  MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == index.range.count);
-  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == at.num_rows);
-  MEMXCT_CHECK(static_cast<idx_t>(index.stage_begin.size()) ==
-               at.num_partitions());
-  const idx_t numparts = at.num_partitions();
-  const real* const yp = y_sub.data();
-  real* const xp = x.data();
-
-#pragma omp parallel
-  {
-    AlignedVector<real> input(static_cast<std::size_t>(at.config.buffsize));
-    AlignedVector<real> output(static_cast<std::size_t>(at.config.partsize));
-#pragma omp for schedule(dynamic)
-    for (idx_t part = 0; part < numparts; ++part)
-      buffered_colrange_partition(at, index, part, yp, input.data(),
-                                  output.data(), xp);
-  }
-}
-
-void spmv_buffered_colrange_planned(const BufferedMatrix& at,
-                                    const BufferedColRange& index,
-                                    const ApplyPlan& plan, Workspace& ws,
-                                    std::span<const real> y_sub,
-                                    std::span<real> x) {
-  MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == index.range.count);
-  MEMXCT_CHECK(static_cast<idx_t>(x.size()) == at.num_rows);
-  MEMXCT_CHECK(static_cast<idx_t>(index.stage_begin.size()) ==
-               at.num_partitions());
-  MEMXCT_CHECK(plan.num_partitions() == at.num_partitions());
-  MEMXCT_CHECK(ws.num_slots() >= plan.num_slots());
-  const real* const yp = y_sub.data();
-  real* const xp = x.data();
-  const int num_slots = plan.num_slots();
-
-#pragma omp parallel
-  {
-    const int nthreads = omp_get_num_threads();
-    for (int s = omp_get_thread_num(); s < num_slots; s += nthreads) {
-      const std::span<real> input_span = ws.input(s);
-      const std::span<real> output_span = ws.output(s);
-      MEMXCT_CHECK(static_cast<idx_t>(input_span.size()) >=
-                   at.config.buffsize);
-      MEMXCT_CHECK(static_cast<idx_t>(output_span.size()) >=
-                   at.config.partsize);
-      for (idx_t part = plan.slot_begin(s); part < plan.slot_end(s); ++part)
-        buffered_colrange_partition(at, index, part, yp, input_span.data(),
-                                    output_span.data(), xp);
-    }
-  }
+  const idx_t first = index.range.first;
+  const idx_t last = index.range.last();
+  // Only the partition's in-range stage window runs (an empty window stores
+  // zero rows). Per stage, footprint slots [blo, bhi) hold the in-range
+  // columns; a boundary stage clips each row's ascending-`ind` run to them.
+  const auto runs = [&](idx_t part, auto&& body) {
+    idx_t blo = 0, bhi = 0;
+    bool interior = true;
+    body(
+        index.stage_begin[static_cast<std::size_t>(part)],
+        index.stage_end[static_cast<std::size_t>(part)],
+        [&](idx_t stage, auto&& put) {
+          const idx_t* const mp = map + stagedispl[stage];
+          const idx_t nz = stagenz[stage];
+          blo = static_cast<idx_t>(std::lower_bound(mp, mp + nz, first) - mp);
+          bhi = static_cast<idx_t>(std::lower_bound(mp + blo, mp + nz, last) -
+                                   mp);
+          interior = blo == 0 && bhi == nz;
+          // Slots outside [blo, bhi) are left stale; the clipped runs never
+          // address them.
+          for (idx_t i = blo; i < bhi; ++i) put(i, mp[i] - first);
+        },
+        [&](idx_t stage, idx_t j, auto&& add) {
+          const nnz_t* const run = displ + static_cast<nnz_t>(stage) * partsize;
+          nnz_t b = run[j];
+          nnz_t e = run[j + 1];
+          if (!interior) {
+            const buf_idx_t* const lo = std::lower_bound(
+                ind + b, ind + e, static_cast<buf_idx_t>(blo));
+            e = std::lower_bound(lo, ind + e, static_cast<buf_idx_t>(bhi)) -
+                ind;
+            b = lo - ind;
+          }
+          for_each_in_run(ind, val, nnz, b, e, add);
+        });
+  };
+  detail::run_staged<1>(RowRange{0, at.num_rows}, at.num_rows, at.config,
+                        sched, 1, y_sub.data(), x.data(), runs);
 }
 
 }  // namespace memxct::sparse

@@ -1,4 +1,4 @@
-// Subset row-range views over the memoized operator's stored matrices.
+// Subset row-range windows over the memoized operator's stored matrices.
 //
 // Ordered-subsets solvers (solve/os.hpp) sweep row subsets of the forward
 // matrix A. Because rows live in pseudo-Hilbert ordered space, a subset is a
@@ -6,14 +6,15 @@
 // boundaries (kCsrPartsize row chunks for CSR, staged partitions for the
 // buffered layout) — consecutive ordered rows are geometrically nearby rays,
 // so sweeping ranges in bit-reversed order approximates the classic
-// interleaved-angle subset schedule. Alignment means every kernel below
-// reuses the matrices, partitions, and accumulation order of the full-apply
-// kernels verbatim: no matrix duplication, no re-trace, and the forward
-// subset result is bitwise equal to the corresponding rows of a full apply.
+// interleaved-angle subset schedule. A subset is not separate kernel code:
+// the forward window runs the width-1 apply of sparse/spmm.hpp over the
+// range's partitions only, so its result is bitwise equal to the
+// corresponding rows of a full apply — no matrix duplication, no re-trace.
 //
 // The transpose direction cannot slice rows (the stored transpose is
 // indexed by columns of A), so it is a *column-range* filter over the
-// stored transpose matrix. Both storage layouts keep columns sorted —
+// stored transpose matrix: the same width-1 apply with index walkers that
+// clip each run to the range. Both storage layouts keep columns sorted —
 // CSR rows are column-sorted, and the buffered footprint `map` is
 // ascending within each partition — so the in-range entries of every row
 // (or stage) form one contiguous run that is located once at view-build
@@ -54,31 +55,17 @@ struct RowRange {
 void check_range_aligned(const RowRange& range, idx_t num_rows,
                          idx_t partsize);
 
-// ---------------------------------------------------------------------------
-// Forward direction: y_sub = A[range, :] · x  (y_sub has range.count rows).
-// Bitwise equal to rows [first, last) of the corresponding full kernel.
-// ---------------------------------------------------------------------------
-
-/// Baseline CSR kernel restricted to `range`; dynamic schedule.
-void spmv_csr_range(const CsrMatrix& a, idx_t partsize, const RowRange& range,
-                    std::span<const real> x, std::span<real> y_sub);
-
-/// Planned variant: `plan` partitions the in-range row chunks only (build it
-/// from partition_nnz(a, partsize) sliced to the range's partitions).
-void spmv_csr_range_planned(const CsrMatrix& a, idx_t partsize,
-                            const RowRange& range, const ApplyPlan& plan,
-                            std::span<const real> x, std::span<real> y_sub);
-
-/// Multi-stage buffered kernel restricted to `range`; dynamic schedule.
-void spmv_buffered_range(const BufferedMatrix& a, const RowRange& range,
-                         std::span<const real> x, std::span<real> y_sub);
-
-/// Planned variant; `plan` covers the in-range partitions only and `ws`
-/// provides per-slot staging/output buffers as in spmv_buffered_planned.
-void spmv_buffered_range_planned(const BufferedMatrix& a,
-                                 const RowRange& range, const ApplyPlan& plan,
-                                 Workspace& ws, std::span<const real> x,
-                                 std::span<real> y_sub);
+/// y_sub = A[rows, :] · x, y_sub holding rows.count entries: the width-1
+/// apply over the partitions of `rows` only, bitwise equal to rows
+/// [first, last) of a full apply. A planned `sched` covers the in-range
+/// partitions only (partition_nnz(a) sliced to them); a buffered plan needs
+/// apply_scratch(a, 1) per workspace slot.
+void apply(const CsrMatrix& a, const RowRange& rows, const Schedule& sched,
+           std::span<const real> x, std::span<real> y_sub,
+           idx_t partsize = kCsrPartsize);
+void apply(const BufferedMatrix& a, const RowRange& rows,
+           const Schedule& sched, std::span<const real> x,
+           std::span<real> y_sub);
 
 // ---------------------------------------------------------------------------
 // Transpose direction: x = A[range, :]^T · y_sub, computed as a column-range
@@ -106,19 +93,13 @@ struct ColRangeIndex {
 [[nodiscard]] std::vector<nnz_t> colrange_partition_nnz(
     const ColRangeIndex& index, idx_t num_rows, idx_t partsize);
 
-/// x = At[:, range] · y_sub over the precomputed runs; dynamic schedule.
-/// y_sub is indexed relative to range.first (length range.count).
-void spmv_csr_colrange(const CsrMatrix& at, const ColRangeIndex& index,
-                       std::span<const real> y_sub, std::span<real> x);
-
-/// Planned variant: `plan` covers ALL At partitions (weights from
-/// colrange_partition_nnz), so out-of-range partitions cost only the zero
-/// store of their rows.
-void spmv_csr_colrange_planned(const CsrMatrix& at, idx_t partsize,
-                               const ColRangeIndex& index,
-                               const ApplyPlan& plan,
-                               std::span<const real> y_sub,
-                               std::span<real> x);
+/// x = At[:, range] · y_sub over the precomputed runs, y_sub indexed
+/// relative to range.first (length range.count). A planned `sched` covers
+/// ALL At partitions (weights from colrange_partition_nnz), so
+/// out-of-range partitions cost only the zero store of their rows.
+void apply(const CsrMatrix& at, const ColRangeIndex& index,
+           const Schedule& sched, std::span<const real> y_sub,
+           std::span<real> x, idx_t partsize = kCsrPartsize);
 
 /// Column-range restriction of a buffered transpose matrix. The staged
 /// footprint `map` is ascending within each partition (sorted distinct
@@ -126,7 +107,7 @@ void spmv_csr_colrange_planned(const CsrMatrix& at, idx_t partsize,
 /// one contiguous window [stage_begin[p], stage_end[p]); only the window's
 /// boundary stages can be partially in range and need per-apply filtering
 /// (binary search on the ascending buffer-local `ind` runs). Interior
-/// stages execute the unmodified full-kernel inner loops.
+/// stages walk their runs unclipped.
 struct BufferedColRange {
   RowRange range;                 ///< Column range (global x indices in map).
   std::vector<idx_t> stage_begin; ///< Per partition: first in-range stage.
@@ -139,18 +120,11 @@ struct BufferedColRange {
                                               const RowRange& range);
 };
 
-/// x = At[:, range] · y_sub with the multi-stage buffered kernel restricted
-/// to the precomputed stage windows; dynamic schedule.
-void spmv_buffered_colrange(const BufferedMatrix& at,
-                            const BufferedColRange& index,
-                            std::span<const real> y_sub, std::span<real> x);
-
-/// Planned variant: `plan` covers ALL At partitions (weights = part_nnz);
-/// `ws` provides per-slot staging/output buffers as the full kernel.
-void spmv_buffered_colrange_planned(const BufferedMatrix& at,
-                                    const BufferedColRange& index,
-                                    const ApplyPlan& plan, Workspace& ws,
-                                    std::span<const real> y_sub,
-                                    std::span<real> x);
+/// x = At[:, range] · y_sub with the staged apply restricted to the
+/// precomputed stage windows. A planned `sched` covers ALL At partitions
+/// (weights = part_nnz) with apply_scratch(at, 1) per workspace slot.
+void apply(const BufferedMatrix& at, const BufferedColRange& index,
+           const Schedule& sched, std::span<const real> y_sub,
+           std::span<real> x);
 
 }  // namespace memxct::sparse

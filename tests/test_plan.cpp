@@ -16,7 +16,9 @@
 #include "core/operator.hpp"
 #include "solve/cgls.hpp"
 #include "solve/vector_ops.hpp"
+#include "sparse/compressed.hpp"
 #include "sparse/plan.hpp"
+#include "sparse/spmm.hpp"
 #include "sparse/spmv.hpp"
 #include "sparse/transpose.hpp"
 #include "test_util.hpp"
@@ -239,6 +241,30 @@ TEST(PlannedKernels, RejectsMismatchedPlan) {
   // Plan built for a different partition granularity.
   const auto plan = sparse::ApplyPlan::build(sparse::partition_nnz(a, 8), 2);
   EXPECT_THROW(sparse::spmv_csr_planned(a, sparse::kCsrPartsize, plan, x, y),
+               InvariantError);
+}
+
+TEST(PlannedKernels, UndersizedWorkspaceThrows) {
+  // The capacity check runs before the parallel region, so an undersized
+  // workspace surfaces as an exception instead of terminating the process.
+  const auto a = testutil::random_csr(600, 500, 0.05, 71);
+  const auto bm = sparse::build_buffered(a, {128, 4096});
+  const auto cbuf = sparse::compress_buffered(bm, sparse::ValueStorage::Bf16);
+  const auto plan = sparse::ApplyPlan::build(sparse::partition_nnz(bm), 2);
+  sparse::Workspace small(2, 16, 16);
+  const idx_t k = 8;
+  const auto x = testutil::random_vector(a.num_cols * k, 72);
+  AlignedVector<real> y(static_cast<std::size_t>(a.num_rows) * k);
+  const auto x1 = std::span<const real>(x).first(
+      static_cast<std::size_t>(a.num_cols));
+  const auto y1 = std::span<real>(y).first(static_cast<std::size_t>(a.num_rows));
+  EXPECT_THROW(sparse::spmv_buffered_planned(bm, plan, small, x1, y1),
+               InvariantError);
+  EXPECT_THROW(sparse::spmm_buffered_planned(bm, plan, small, k, x, y),
+               InvariantError);
+  EXPECT_THROW(sparse::spmv_cbuffered_planned(cbuf, plan, small, x1, y1),
+               InvariantError);
+  EXPECT_THROW(sparse::spmm_cbuffered_planned(cbuf, plan, small, k, x, y),
                InvariantError);
 }
 

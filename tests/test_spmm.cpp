@@ -17,10 +17,12 @@
 #include "phantom/phantom.hpp"
 #include "solve/block.hpp"
 #include "sparse/buffered.hpp"
+#include "sparse/compressed.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/plan.hpp"
 #include "sparse/spmm.hpp"
 #include "sparse/spmv.hpp"
+#include "sparse/transpose.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -159,6 +161,160 @@ TEST(Spmm, LaneParityRandomMatrix) {
 
 TEST(Spmm, LaneParityBandedMatrix) {
   run_kernel_parity(testutil::banded_csr(257, 191, 9, 7), 2002);
+}
+
+// ---------------------------------------------------------------------------
+// Independent arithmetic anchor: the lane-parity tests above compare kernels
+// with each other, which would still pass if every kernel drifted together.
+// Here every family, direction, schedule, thread count, spelling and lane is
+// held against the plain serial reference apply of test_util.hpp instead.
+
+/// One storage family: its width-1 and width-k spellings, dynamic or
+/// planned, and the serial reference of its arithmetic.
+struct AnchoredFamily {
+  std::string name;
+  std::function<void(bool, std::span<const real>, std::span<real>)> single;
+  std::function<void(bool, idx_t, std::span<const real>, std::span<real>)>
+      block;
+  std::function<void(std::span<const real>, std::span<real>)> reference;
+};
+
+void expect_matches_reference(const AnchoredFamily& fam, bool planned,
+                              idx_t n_in, idx_t n_out, std::uint64_t seed) {
+  const auto n = static_cast<std::size_t>(n_out);
+  AlignedVector<real> want(n), got(n, -1.0f);
+  const auto x = testutil::random_vector(n_in, seed);
+  fam.reference(x, want);
+  fam.single(planned, x, got);
+  EXPECT_TRUE(testutil::same_bytes(got, want)) << "width-1 apply";
+  for (const idx_t k : {1, 3, 8}) {
+    const auto kk = static_cast<std::size_t>(k);
+    AlignedVector<real> xi(static_cast<std::size_t>(n_in) * kk);
+    AlignedVector<real> yi(n * kk, -1.0f);
+    std::vector<AlignedVector<real>> xs;
+    for (idx_t lane = 0; lane < k; ++lane) {
+      xs.push_back(testutil::random_vector(
+          n_in, seed + 100 + static_cast<std::uint64_t>(lane)));
+      common::interleave_slice(xs.back(), k, lane, xi);
+    }
+    fam.block(planned, k, xi, yi);
+    for (idx_t lane = 0; lane < k; ++lane) {
+      fam.reference(xs[static_cast<std::size_t>(lane)], want);
+      common::deinterleave_slice(yi, k, lane, got);
+      EXPECT_TRUE(testutil::same_bytes(got, want))
+          << "lane " << lane << " of k=" << k;
+    }
+  }
+}
+
+TEST(Spmm, EveryFamilyMatchesSerialReference) {
+  using sparse::ValueStorage;
+  const int slots = 4;
+  const auto a = testutil::random_csr(173, 131, 0.07, 42);
+  for (const bool transpose : {false, true}) {
+    const sparse::CsrMatrix m = transpose ? sparse::transpose(a) : a;
+    // Small buffers give every partition several stages, so the per-stage
+    // partial sums the staged kernels add up are exercised.
+    const auto buf = sparse::build_buffered(m, {16, 32});
+    const auto csr_plan = sparse::ApplyPlan::build(
+        sparse::partition_nnz(m, sparse::kCsrPartsize), slots);
+    const auto buf_plan =
+        sparse::ApplyPlan::build(sparse::partition_nnz(buf), slots);
+    const idx_t lanes = sparse::block_lanes(8);
+    sparse::Workspace ws(slots, buf.config.buffsize * lanes,
+                         buf.config.partsize * lanes);
+
+    std::vector<AnchoredFamily> families;
+    families.push_back(
+        {"csr",
+         [&](bool planned, auto x, auto y) {
+           if (planned)
+             sparse::spmv_csr_planned(m, sparse::kCsrPartsize, csr_plan, x, y);
+           else
+             sparse::spmv_csr(m, x, y);
+         },
+         [&](bool planned, idx_t k, auto x, auto y) {
+           if (planned)
+             sparse::spmm_csr_planned(m, sparse::kCsrPartsize, csr_plan, k, x,
+                                      y);
+           else
+             sparse::spmm_csr(m, k, x, y);
+         },
+         [&](auto x, auto y) { testutil::reference_apply(m, x, y); }});
+    families.push_back(
+        {"buffered",
+         [&](bool planned, auto x, auto y) {
+           if (planned)
+             sparse::spmv_buffered_planned(buf, buf_plan, ws, x, y);
+           else
+             sparse::spmv_buffered(buf, x, y);
+         },
+         [&](bool planned, idx_t k, auto x, auto y) {
+           if (planned)
+             sparse::spmm_buffered_planned(buf, buf_plan, ws, k, x, y);
+           else
+             sparse::spmm_buffered(buf, k, x, y);
+         },
+         [&](auto x, auto y) { testutil::reference_apply(buf, x, y); }});
+    std::vector<sparse::CompressedCsr> ccsr;
+    std::vector<sparse::CompressedBuffered> cbuf;
+    const std::vector<ValueStorage> storages = {ValueStorage::Bf16,
+                                                ValueStorage::Fp16};
+    for (const ValueStorage storage : storages) {
+      ccsr.push_back(sparse::compress_csr(m, sparse::kCsrPartsize, storage));
+      cbuf.push_back(sparse::compress_buffered(buf, storage));
+    }
+    for (std::size_t i = 0; i < storages.size(); ++i) {
+      const ValueStorage storage = storages[i];
+      const sparse::CompressedCsr& c = ccsr[i];
+      const sparse::CompressedBuffered& cb = cbuf[i];
+      families.push_back(
+          {std::string("ccsr-") + sparse::to_string(storage),
+           [&](bool planned, auto x, auto y) {
+             if (planned)
+               sparse::spmv_ccsr_planned(c, csr_plan, x, y);
+             else
+               sparse::spmv_ccsr(c, x, y);
+           },
+           [&](bool planned, idx_t k, auto x, auto y) {
+             if (planned)
+               sparse::spmm_ccsr_planned(c, csr_plan, k, x, y);
+             else
+               sparse::spmm_ccsr(c, k, x, y);
+           },
+           [&m, storage](auto x, auto y) {
+             testutil::reference_apply(m, x, y, storage);
+           }});
+      families.push_back(
+          {std::string("cbuffered-") + sparse::to_string(storage),
+           [&](bool planned, auto x, auto y) {
+             if (planned)
+               sparse::spmv_cbuffered_planned(cb, buf_plan, ws, x, y);
+             else
+               sparse::spmv_cbuffered(cb, x, y);
+           },
+           [&](bool planned, idx_t k, auto x, auto y) {
+             if (planned)
+               sparse::spmm_cbuffered_planned(cb, buf_plan, ws, k, x, y);
+             else
+               sparse::spmm_cbuffered(cb, k, x, y);
+           },
+           [&buf, storage](auto x, auto y) {
+             testutil::reference_apply(buf, x, y, storage);
+           }});
+    }
+
+    for (const auto& fam : families)
+      for (const bool planned : {false, true})
+        for (const int threads : {1, 4})
+          with_threads(threads, [&] {
+            SCOPED_TRACE(fam.name + (transpose ? " transpose" : " forward") +
+                         (planned ? " planned" : " dynamic") +
+                         " threads=" + std::to_string(threads));
+            expect_matches_reference(fam, planned, m.num_cols, m.num_rows,
+                                     transpose ? 7000 : 9000);
+          });
+  }
 }
 
 TEST(Spmm, RejectsOversizedWidth) {

@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "sparse/buffered.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/precision.hpp"
 
 namespace memxct::testutil {
 
@@ -140,6 +141,52 @@ inline sparse::BufferedMatrix reference_build_buffered(
     }
   }
   return b;
+}
+
+/// Serial reference apply of a CSR matrix: y[r] sums row r's entries from
+/// zero in stored (strict j) order in fp32, each value decoded through
+/// `storage`. No partitions, no OpenMP: the arithmetic every CSR-layout
+/// kernel, plain or compressed, must reproduce bit for bit. Compiled without
+/// FP contraction, like memxct_sparse, so mul and add round separately.
+[[gnu::optimize("fp-contract=off")]] inline void reference_apply(
+    const sparse::CsrMatrix& a, std::span<const real> x, std::span<real> y,
+    sparse::ValueStorage storage = sparse::ValueStorage::Fp32) {
+  for (idx_t r = 0; r < a.num_rows; ++r) {
+    real acc = 0;
+    for (nnz_t j = a.displ[r]; j < a.displ[r + 1]; ++j)
+      acc += x[static_cast<std::size_t>(a.ind[j])] *
+             sparse::quantize(a.val[j], storage);
+    y[static_cast<std::size_t>(r)] = acc;
+  }
+}
+
+/// Serial reference apply of a staged matrix: partitions in order, and for
+/// each row its stages in order, each (stage, row) run summed from zero in
+/// strict j-order through the footprint map (no staging buffer, no
+/// prefetch, no OpenMP), values decoded through `storage`, and added to the
+/// row's running sum. A compressed buffered matrix has the same structure
+/// as the BufferedMatrix it was built from, so this is its reference too.
+[[gnu::optimize("fp-contract=off")]] inline void reference_apply(
+    const sparse::BufferedMatrix& b, std::span<const real> x,
+    std::span<real> y,
+    sparse::ValueStorage storage = sparse::ValueStorage::Fp32) {
+  const idx_t partsize = b.config.partsize;
+  for (idx_t p = 0; p < b.num_partitions(); ++p)
+    for (idx_t j = 0; j < partsize && p * partsize + j < b.num_rows; ++j) {
+      real sum = 0;
+      for (idx_t s = b.partdispl[static_cast<std::size_t>(p)];
+           s < b.partdispl[static_cast<std::size_t>(p) + 1]; ++s) {
+        const idx_t* const map =
+            b.map.data() + b.stagedispl[static_cast<std::size_t>(s)];
+        const auto cell = static_cast<std::size_t>(s) * partsize + j;
+        real acc = 0;
+        for (nnz_t i = b.displ[cell]; i < b.displ[cell + 1]; ++i)
+          acc += x[static_cast<std::size_t>(map[b.ind[i]])] *
+                 sparse::quantize(b.val[i], storage);
+        sum += acc;
+      }
+      y[static_cast<std::size_t>(p * partsize + j)] = sum;
+    }
 }
 
 }  // namespace memxct::testutil
