@@ -43,8 +43,9 @@ struct Fixtures {
   sparse::BufferedMatrix buffered;
   sparse::EllBlockMatrix ell;
   sparse::CompressedCsr ccsr_bf16;
-  sparse::CompressedBuffered cbuf_bf16;
-  sparse::ApplyPlan plan_natural, plan_ordered, plan_buffered, plan_ell;
+  sparse::BufferedMatrix buf_bf16;
+  sparse::ApplyPlan plan_natural, plan_ordered, plan_buffered, plan_ell,
+      plan_ccsr;
   sparse::Workspace ws_buffered, ws_ell;
   AlignedVector<real> x, y;
 
@@ -56,7 +57,7 @@ struct Fixtures {
     ell = sparse::to_ell_block(ordered, 64);
     ccsr_bf16 = sparse::compress_csr(ordered, sparse::kCsrPartsize,
                                      sparse::ValueStorage::Bf16);
-    cbuf_bf16 = sparse::compress_buffered(buffered, sparse::ValueStorage::Bf16);
+    buf_bf16 = sparse::compress_buffered(buffered, sparse::ValueStorage::Bf16);
     const int slots = omp_get_max_threads();
     plan_natural = sparse::ApplyPlan::build(
         sparse::partition_nnz(natural, sparse::kCsrPartsize), slots);
@@ -65,6 +66,8 @@ struct Fixtures {
     plan_buffered =
         sparse::ApplyPlan::build(sparse::partition_nnz(buffered), slots);
     plan_ell = sparse::ApplyPlan::build(sparse::partition_nnz(ell), slots);
+    plan_ccsr =
+        sparse::ApplyPlan::build(sparse::partition_nnz(ccsr_bf16), slots);
     ws_buffered = sparse::Workspace(slots, buffered.config.buffsize,
                                     buffered.config.partsize);
     ws_ell = sparse::Workspace(slots, 0, ell.block_rows);
@@ -155,12 +158,12 @@ void BM_SpmvCompressedCsrBf16(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmvCompressedCsrBf16);
 
-void BM_SpmvCompressedBufferedBf16(benchmark::State& state) {
+void BM_SpmvBufferedBf16(benchmark::State& state) {
   auto& f = fixtures();
-  for (auto _ : state) sparse::spmv_cbuffered(f.cbuf_bf16, f.x, f.y);
-  set_counters(state, sparse::cbuffered_work(f.cbuf_bf16));
+  for (auto _ : state) sparse::spmv_buffered(f.buf_bf16, f.x, f.y);
+  set_counters(state, sparse::buffered_work(f.buf_bf16));
 }
-BENCHMARK(BM_SpmvCompressedBufferedBf16);
+BENCHMARK(BM_SpmvBufferedBf16);
 
 void BM_ScanTranspose(benchmark::State& state) {
   auto& f = fixtures();
@@ -231,20 +234,17 @@ int run_json(const std::string& path, const std::string& schedule_filter) {
        [&] { sparse::spmv_ccsr(f.ccsr_bf16, f.x, f.y); },
        sparse::ccsr_work(f.ccsr_bf16), 0.0},
       {"ccsr-bf16", "static-plan",
+       [&] { sparse::spmv_ccsr_planned(f.ccsr_bf16, f.plan_ccsr, f.x, f.y); },
+       sparse::ccsr_work(f.ccsr_bf16), f.plan_ccsr.stats().imbalance()},
+      {"buffered-bf16", "dynamic",
+       [&] { sparse::spmv_buffered(f.buf_bf16, f.x, f.y); },
+       sparse::buffered_work(f.buf_bf16), 0.0},
+      {"buffered-bf16", "static-plan",
        [&] {
-         sparse::spmv_ccsr_planned(f.ccsr_bf16, f.plan_ordered, f.x, f.y);
+         sparse::spmv_buffered_planned(f.buf_bf16, f.plan_buffered,
+                                       f.ws_buffered, f.x, f.y);
        },
-       sparse::ccsr_work(f.ccsr_bf16), f.plan_ordered.stats().imbalance()},
-      {"cbuffered-bf16", "dynamic",
-       [&] { sparse::spmv_cbuffered(f.cbuf_bf16, f.x, f.y); },
-       sparse::cbuffered_work(f.cbuf_bf16), 0.0},
-      {"cbuffered-bf16", "static-plan",
-       [&] {
-         sparse::spmv_cbuffered_planned(f.cbuf_bf16, f.plan_buffered,
-                                        f.ws_buffered, f.x, f.y);
-       },
-       sparse::cbuffered_work(f.cbuf_bf16),
-       f.plan_buffered.stats().imbalance()},
+       sparse::buffered_work(f.buf_bf16), f.plan_buffered.stats().imbalance()},
   };
 
   std::FILE* out = std::fopen(path.c_str(), "w");

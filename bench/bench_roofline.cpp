@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   const auto ell = sparse::to_ell_block(a, 64);
   const auto ccsr =
       sparse::compress_csr(a, sparse::kCsrPartsize, sparse::ValueStorage::Bf16);
-  const auto cbuf = sparse::compress_buffered(bm, sparse::ValueStorage::Bf16);
+  const auto bm_bf16 = sparse::compress_buffered(bm, sparse::ValueStorage::Bf16);
 
   AlignedVector<real> x(static_cast<std::size_t>(a.num_cols), 1.0f);
   AlignedVector<real> y(static_cast<std::size_t>(a.num_rows));
@@ -63,8 +63,8 @@ int main(int argc, char** argv) {
        bench::time_kernel([&] { sparse::spmv_buffered(bm, x, y); })},
       {"compressed CSR bf16", sparse::ccsr_work(ccsr),
        bench::time_kernel([&] { sparse::spmv_ccsr(ccsr, x, y); })},
-      {"compressed buffered bf16", sparse::cbuffered_work(cbuf),
-       bench::time_kernel([&] { sparse::spmv_cbuffered(cbuf, x, y); })},
+      {"buffered bf16", sparse::buffered_work(bm_bf16),
+       bench::time_kernel([&] { sparse::spmv_buffered(bm_bf16, x, y); })},
   };
 
   io::TablePrinter intensity("Kernel arithmetic intensity (FLOP/byte)");

@@ -87,16 +87,16 @@ int main(int argc, char** argv) {
   const auto a = bench::build_matrix(spec, hilbert::CurveKind::Hilbert);
   const auto buffered = sparse::build_buffered(a, {128, 4096});
   const auto ell = sparse::to_ell_block(a, 64);
-  // Reduced-precision compressed variants: 16-bit values + delta/varint
-  // index streams. Their KernelWork carries the MEASURED per-FMA byte
-  // widths, so the amortized-traffic column reflects the real compression.
+  // Reduced-precision variants: compressed CSR (16-bit values + a varint
+  // column stream, whose KernelWork carries the MEASURED per-FMA index
+  // width) and the fixed-width buffered layout with 16-bit values.
   const auto ccsr_bf16 =
       sparse::compress_csr(a, sparse::kCsrPartsize, sparse::ValueStorage::Bf16);
   const auto ccsr_fp16 =
       sparse::compress_csr(a, sparse::kCsrPartsize, sparse::ValueStorage::Fp16);
-  const auto cbuf_bf16 =
+  const auto buf_bf16 =
       sparse::compress_buffered(buffered, sparse::ValueStorage::Bf16);
-  const auto cbuf_fp16 =
+  const auto buf_fp16 =
       sparse::compress_buffered(buffered, sparse::ValueStorage::Fp16);
   const auto n = static_cast<std::size_t>(a.num_cols);
   const auto m = static_cast<std::size_t>(a.num_rows);
@@ -188,22 +188,21 @@ int main(int argc, char** argv) {
        [&] { sparse::spmv_ccsr(ccsr_fp16, x1, y1); },
        [&](idx_t k) { sparse::spmm_ccsr(ccsr_fp16, k, xk, yk); }});
   families.push_back(
-      {"cbuffered-bf16", sparse::cbuffered_work(cbuf_bf16),
-       [&] { sparse::spmv_cbuffered(cbuf_bf16, x1, y1); },
-       [&](idx_t k) { sparse::spmm_cbuffered(cbuf_bf16, k, xk, yk); }});
+      {"buffered-bf16", sparse::buffered_work(buf_bf16),
+       [&] { sparse::spmv_buffered(buf_bf16, x1, y1); },
+       [&](idx_t k) { sparse::spmm_buffered(buf_bf16, k, xk, yk); }});
   families.push_back(
-      {"cbuffered-bf16-planned", sparse::cbuffered_work(cbuf_bf16),
+      {"buffered-bf16-planned", sparse::buffered_work(buf_bf16),
        [&] {
-         sparse::spmv_cbuffered_planned(cbuf_bf16, buf_plan, buf_ws, x1, y1);
+         sparse::spmv_buffered_planned(buf_bf16, buf_plan, buf_ws, x1, y1);
        },
        [&](idx_t k) {
-         sparse::spmm_cbuffered_planned(cbuf_bf16, buf_plan, buf_ws, k, xk,
-                                        yk);
+         sparse::spmm_buffered_planned(buf_bf16, buf_plan, buf_ws, k, xk, yk);
        }});
   families.push_back(
-      {"cbuffered-fp16", sparse::cbuffered_work(cbuf_fp16),
-       [&] { sparse::spmv_cbuffered(cbuf_fp16, x1, y1); },
-       [&](idx_t k) { sparse::spmm_cbuffered(cbuf_fp16, k, xk, yk); }});
+      {"buffered-fp16", sparse::buffered_work(buf_fp16),
+       [&] { sparse::spmv_buffered(buf_fp16, x1, y1); },
+       [&](idx_t k) { sparse::spmm_buffered(buf_fp16, k, xk, yk); }});
 
   std::vector<Row> rows;
   io::TablePrinter table("Multi-RHS sweep (slices/s and amortized traffic)");

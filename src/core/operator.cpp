@@ -77,15 +77,16 @@ namespace {
 /// A matrix in whichever storage the kernel kind and precision select.
 using StoredMatrix =
     std::variant<sparse::CsrMatrix, sparse::EllBlockMatrix,
-                 sparse::BufferedMatrix, sparse::CompressedCsr,
-                 sparse::CompressedBuffered>;
+                 sparse::BufferedMatrix, sparse::CompressedCsr>;
 
 std::int64_t matrix_bytes(const sparse::EllBlockMatrix& m) {
   return m.padded_nnz() *
          static_cast<std::int64_t>(sizeof(idx_t) + sizeof(real));
 }
 std::int64_t matrix_bytes(const sparse::BufferedMatrix& m) {
-  return m.nnz() * static_cast<std::int64_t>(sizeof(buf_idx_t) + sizeof(real)) +
+  const auto per_nnz = static_cast<std::int64_t>(
+      sizeof(buf_idx_t) + sparse::bytes_per_value(m.storage));
+  return m.nnz() * per_nnz +
          m.total_staged() * static_cast<std::int64_t>(sizeof(idx_t));
 }
 std::int64_t matrix_bytes(const auto& m) { return m.regular_bytes(); }
@@ -101,9 +102,6 @@ perf::KernelWork work(const sparse::BufferedMatrix& m) {
 }
 perf::KernelWork work(const sparse::CompressedCsr& m) {
   return sparse::ccsr_work(m);
-}
-perf::KernelWork work(const sparse::CompressedBuffered& m) {
-  return sparse::cbuffered_work(m);
 }
 
 }  // namespace
@@ -163,8 +161,7 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
       case KernelKind::Buffered: {
         sparse::BufferedMatrix b = sparse::build_buffered(m, buffer);
         m = {};
-        if (compressed) return sparse::compress_buffered(b, precision);
-        return b;
+        return sparse::compress_buffered(std::move(b), precision);
       }
     }
     return m;
@@ -207,11 +204,11 @@ std::unique_ptr<MemXCTOperator> MemXCTOperator::make_view() const {
 
 idx_t MemXCTOperator::row_partition_size() const {
   const Storage& s = *store_;
-  if (s.precision != sparse::ValueStorage::Fp32)
-    throw InvalidArgument(
-        "subset views are not supported for compressed operator storage");
   switch (s.kind) {
     case KernelKind::Baseline:
+      if (s.precision != sparse::ValueStorage::Fp32)
+        throw InvalidArgument(
+            "subset views are not supported for compressed CSR storage");
       return sparse::kCsrPartsize;
     case KernelKind::Buffered:
       return std::get<sparse::BufferedMatrix>(s.fwd.matrix).config.partsize;

@@ -9,9 +9,10 @@
 // clipped to the column range by indices precomputed at view-build time,
 // costing O(nnz_subset) rather than O(nnz).
 //
-// Supported for the Baseline (CSR) and Buffered fp32 kernel families — the
-// families the ordered-subsets solvers target. EllBlock, Library, and the
-// compressed-precision layouts throw InvalidArgument from subset_view().
+// Supported for the Buffered family at every value precision and the
+// Baseline (CSR) family at fp32 — the families the ordered-subsets solvers
+// target. EllBlock, Library, and compressed CSR storage throw
+// InvalidArgument from subset_view().
 #pragma once
 
 #include <memory>

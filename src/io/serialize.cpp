@@ -137,6 +137,8 @@ constexpr char kBufMagic[8] = {'M', 'X', 'B', 'U', 'F', '0', '0', '1'};
 void save_buffered(const std::string& path,
                    const sparse::BufferedMatrix& matrix) {
   matrix.validate();
+  if (matrix.storage != sparse::ValueStorage::Fp32)
+    throw InvalidArgument("save_buffered: the file format holds fp32 values");
   const auto f = open_or_throw(path, "wb");
   write_array(f.get(), kBufMagic, sizeof(kBufMagic), path);
   const std::int64_t header[8] = {

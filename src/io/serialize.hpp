@@ -24,7 +24,8 @@ void save_csr(const std::string& path, const sparse::CsrMatrix& matrix);
 
 /// Writes a fully built multi-stage buffered matrix, so the complete
 /// preprocessing output (including Listing 3's staged structures, which
-/// cost another pass over the nonzeros to rebuild) can be cached.
+/// cost another pass over the nonzeros to rebuild) can be cached. fp32
+/// values only: throws InvalidArgument for a bf16/fp16 matrix.
 void save_buffered(const std::string& path,
                    const sparse::BufferedMatrix& matrix);
 

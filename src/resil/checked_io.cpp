@@ -164,7 +164,7 @@ void save_compressed_csr_checked(const std::string& path,
   w.put_array<nnz_t>(m.part_bytes);
   w.put_array<std::uint8_t>(m.ind_bytes);
   w.put_array<std::uint16_t>(m.val16);
-  w.put_array<real>(m.val32);
+  w.put_array<real>(m.val);
   write_checked(path, BlobKind::CompressedCsr, w.payload());
 }
 
@@ -192,7 +192,7 @@ sparse::CompressedCsr load_compressed_csr_checked(const std::string& path) {
   r.get_array(m.part_bytes);
   r.get_array(m.ind_bytes);
   r.get_array(m.val16);
-  r.get_array(m.val32);
+  r.get_array(m.val);
   r.expect_end();
   // Full structural pass: decodes every varint stream with bounds checks.
   m.validate();

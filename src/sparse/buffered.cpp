@@ -29,7 +29,10 @@ void BufferedMatrix::validate() const {
                static_cast<std::size_t>(num_stages()) * config.partsize + 1);
   MEMXCT_CHECK(displ.front() == 0 &&
                displ.back() == static_cast<nnz_t>(ind.size()));
-  MEMXCT_CHECK(ind.size() == val.size());
+  if (storage == ValueStorage::Fp32)
+    MEMXCT_CHECK(val.size() == ind.size() && val16.empty());
+  else
+    MEMXCT_CHECK(val16.size() == ind.size() && val.empty());
 }
 
 BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
@@ -193,11 +196,27 @@ void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,
   apply(a, {}, 1, x, y);
 }
 
+BufferedMatrix compress_buffered(BufferedMatrix b, ValueStorage storage) {
+  if (storage == b.storage) return b;
+  MEMXCT_CHECK_MSG(b.storage == ValueStorage::Fp32,
+                   "compress_buffered quantizes fp32 values only");
+  const nnz_t n = b.nnz();
+  b.val16.resize(static_cast<std::size_t>(n));
+#pragma omp parallel for schedule(static)
+  for (nnz_t j = 0; j < n; ++j)
+    b.val16[static_cast<std::size_t>(j)] =
+        encode_value(b.val[static_cast<std::size_t>(j)], storage);
+  b.val = AlignedVector<real>();  // release the fp32 copy
+  b.storage = storage;
+  return b;
+}
+
 perf::KernelWork buffered_work(const BufferedMatrix& a) {
   perf::KernelWork w;
   w.nnz = a.nnz();
   w.staged_words = a.total_staged();
   w.index_bytes_per_fma = sizeof(buf_idx_t);
+  w.value_bytes_per_fma = bytes_per_value(a.storage);
   return w;
 }
 

@@ -8,7 +8,9 @@
 //   2. compute: per-row FMA loops addressing the buffer with 16-bit indices.
 // Per-FMA regular traffic drops from 8 B (4 B index + 4 B value) to 6 B,
 // the Section 3.3.5 bandwidth saving; the staging gather replaces scattered
-// DRAM-latency-bound accesses with dense buffer reuse.
+// DRAM-latency-bound accesses with dense buffer reuse. Values may also be
+// held in 16 bits (bf16 or fp16, compress_buffered): 4 B/FMA, same index
+// streams, same walk, values widened to fp32 as they are read.
 //
 // Pseudo-Hilbert ordering is the enabler: it makes each partition's
 // footprint a compact 2D region, so the distinct-column count per partition
@@ -20,6 +22,7 @@
 
 #include "perf/counters.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/precision.hpp"
 
 namespace memxct::sparse {
 
@@ -43,7 +46,11 @@ struct BufferedMatrix {
                                    ///< range; laid out stage-major as in
                                    ///< Listing 3: displ[stage*partsize + j].
   AlignedVector<buf_idx_t> ind;    ///< 16-bit buffer-local indices.
-  AlignedVector<real> val;         ///< Values, reordered stage-major.
+  AlignedVector<real> val;         ///< Values, reordered stage-major, when
+                                   ///< storage == Fp32.
+  AlignedVector<std::uint16_t> val16;  ///< The same values as bf16/fp16
+                                       ///< bits otherwise.
+  ValueStorage storage = ValueStorage::Fp32;
 
   [[nodiscard]] idx_t num_partitions() const noexcept {
     return static_cast<idx_t>(partdispl.size()) - 1;
@@ -70,23 +77,35 @@ inline constexpr nnz_t kStreamChunk = 16;          ///< Entries per prefetch.
 inline constexpr nnz_t kStreamPrefetchAhead = 512;  ///< Distance, in entries.
 
 /// Walks the run [b, e) of a buffered matrix's (ind, val) stream of `nnz`
-/// entries, calling f(ind[i], val[i]) for each i in strict ascending order,
-/// so any sum the caller forms is bitwise that of the plain loop. The run
-/// goes in kStreamChunk-entry chunks with one prefetch of `val` and `ind`
-/// kStreamPrefetchAhead entries ahead per chunk (clamped to the last entry,
-/// so no pointer leaves the arrays), then a scalar tail. Prefetching per
-/// chunk rather than behind a per-entry branch keeps the entry loop clean.
-template <class F>
-inline void for_each_in_run(const buf_idx_t* ind, const real* val, nnz_t nnz,
+/// entries, calling f(ind[i], Vals::decode(val[i])) for each i in strict
+/// ascending order, so any sum the caller forms is bitwise that of the plain
+/// loop. `val` is the stored value array and Vals its decoder
+/// (sparse/precision.hpp). The run goes in kStreamChunk-entry chunks with one
+/// prefetch of `val` and `ind` kStreamPrefetchAhead entries ahead per chunk
+/// (clamped to the last entry, so no pointer leaves the arrays), then a
+/// scalar tail. Prefetching per chunk rather than behind a per-entry branch
+/// keeps the entry loop clean.
+template <class Vals = Fp32Values, class V, class F>
+inline void for_each_in_run(const buf_idx_t* ind, const V* val, nnz_t nnz,
                             nnz_t b, nnz_t e, F&& f) {
   nnz_t i = b;
   for (; e - i >= kStreamChunk; i += kStreamChunk) {
     const nnz_t ahead = std::min(i + kStreamPrefetchAhead, nnz - 1);
     __builtin_prefetch(val + ahead);
     __builtin_prefetch(ind + ahead);
-    for (nnz_t k = i; k < i + kStreamChunk; ++k) f(ind[k], val[k]);
+    if constexpr (sizeof(V) == sizeof(real)) {
+      for (nnz_t k = i; k < i + kStreamChunk; ++k)
+        f(ind[k], Vals::decode(val[k]));
+    } else {
+      // Unrolled fully, a 16-bit chunk's slot and value loads share one
+      // register and GCC parks each slot in a vector register on the way
+      // (DESIGN.md §21). Four entries at a time keep the loop clean.
+#pragma GCC unroll 4
+      for (nnz_t k = i; k < i + kStreamChunk; ++k)
+        f(ind[k], Vals::decode(val[k]));
+    }
   }
-  for (; i < e; ++i) f(ind[i], val[i]);
+  for (; i < e; ++i) f(ind[i], Vals::decode(val[i]));
 }
 
 /// Builds the staged structure from CSR. Requires buffsize <= 65536 (16-bit
@@ -99,7 +118,16 @@ inline void for_each_in_run(const buf_idx_t* ind, const real* val, nnz_t nnz,
 void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,
                    std::span<real> y);
 
-/// Work accounting: nnz FMAs at 6 B/FMA plus staging traffic.
+/// Quantizes the values of a built fp32 buffered matrix into `storage`
+/// (bf16 or fp16 bits in val16; identity for Fp32). Structure and index
+/// streams are kept as they are, so the reduced-precision apply walks the
+/// same runs in the same order. Quantization is idempotent: a matrix whose
+/// values are already representable keeps its bits.
+[[nodiscard]] BufferedMatrix compress_buffered(BufferedMatrix b,
+                                               ValueStorage storage);
+
+/// Work accounting: nnz FMAs at 2 B of index plus the stored value width
+/// (6 B/FMA in fp32, 4 B in bf16/fp16), plus staging traffic.
 [[nodiscard]] perf::KernelWork buffered_work(const BufferedMatrix& a);
 
 }  // namespace memxct::sparse

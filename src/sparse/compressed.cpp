@@ -34,13 +34,13 @@ void splice_chunks(const std::vector<std::vector<std::uint8_t>>& chunks,
 
 void quantize_values(std::span<const real> src, ValueStorage storage,
                      AlignedVector<std::uint16_t>& val16,
-                     AlignedVector<real>& val32) {
+                     AlignedVector<real>& val) {
   const auto n = static_cast<nnz_t>(src.size());
   if (storage == ValueStorage::Fp32) {
-    val32.resize(src.size());
+    val.resize(src.size());
 #pragma omp parallel for schedule(static)
     for (nnz_t j = 0; j < n; ++j)
-      val32[static_cast<std::size_t>(j)] = src[static_cast<std::size_t>(j)];
+      val[static_cast<std::size_t>(j)] = src[static_cast<std::size_t>(j)];
     return;
   }
   val16.resize(src.size());
@@ -48,18 +48,6 @@ void quantize_values(std::span<const real> src, ValueStorage storage,
   for (nnz_t j = 0; j < n; ++j)
     val16[static_cast<std::size_t>(j)] =
         encode_value(src[static_cast<std::size_t>(j)], storage);
-}
-
-void check_values(const AlignedVector<std::uint16_t>& val16,
-                  const AlignedVector<real>& val32, ValueStorage storage,
-                  nnz_t nnz) {
-  if (storage == ValueStorage::Fp32) {
-    MEMXCT_CHECK(val16.empty());
-    MEMXCT_CHECK(static_cast<nnz_t>(val32.size()) == nnz);
-  } else {
-    MEMXCT_CHECK(val32.empty());
-    MEMXCT_CHECK(static_cast<nnz_t>(val16.size()) == nnz);
-  }
 }
 
 }  // namespace
@@ -78,7 +66,9 @@ void CompressedCsr::validate() const {
   MEMXCT_CHECK(static_cast<idx_t>(part_bytes.size()) == numparts + 1);
   MEMXCT_CHECK(part_bytes.front() == 0);
   MEMXCT_CHECK(part_bytes.back() == static_cast<nnz_t>(ind_bytes.size()));
-  check_values(val16, val32, storage, nnz());
+  MEMXCT_CHECK(storage == ValueStorage::Fp32
+                   ? val16.empty() && static_cast<nnz_t>(val.size()) == nnz()
+                   : val.empty() && static_cast<nnz_t>(val16.size()) == nnz());
 
   std::vector<idx_t> cols;
   for (idx_t p = 0; p < numparts; ++p) {
@@ -107,7 +97,7 @@ CompressedCsr compress_csr(const CsrMatrix& a, idx_t partsize,
   c.partsize = partsize;
   c.storage = storage;
   c.displ.assign(a.displ.begin(), a.displ.end());
-  quantize_values({a.val.data(), a.val.size()}, storage, c.val16, c.val32);
+  quantize_values({a.val.data(), a.val.size()}, storage, c.val16, c.val);
 
   const idx_t numparts = std::max<idx_t>(1, ceil_div(a.num_rows, partsize));
   std::vector<std::vector<std::uint8_t>> chunks(
@@ -164,8 +154,8 @@ CsrMatrix decompress_csr(const CompressedCsr& c) {
   }
   const nnz_t n = c.nnz();
   if (c.storage == ValueStorage::Fp32) {
-    MEMXCT_CHECK(static_cast<nnz_t>(c.val32.size()) == n);
-    std::copy(c.val32.begin(), c.val32.end(), a.val.begin());
+    MEMXCT_CHECK(static_cast<nnz_t>(c.val.size()) == n);
+    std::copy(c.val.begin(), c.val.end(), a.val.begin());
   } else {
     MEMXCT_CHECK(static_cast<nnz_t>(c.val16.size()) == n);
     const bool fp16 = c.storage == ValueStorage::Fp16;
@@ -178,126 +168,6 @@ CsrMatrix decompress_csr(const CompressedCsr& c) {
   }
   a.validate();
   return a;
-}
-
-// ---- CompressedBuffered --------------------------------------------------
-
-void CompressedBuffered::validate() const {
-  MEMXCT_CHECK(config.partsize > 0);
-  MEMXCT_CHECK(config.buffsize > 0 && config.buffsize <= 65536);
-  MEMXCT_CHECK(!partdispl.empty() && partdispl.front() == 0);
-  MEMXCT_CHECK(partdispl.back() == num_stages());
-  MEMXCT_CHECK(stagedispl.size() == stagenz.size() + 1);
-  for (idx_t s = 0; s < num_stages(); ++s) {
-    MEMXCT_CHECK_MSG(stagenz[static_cast<std::size_t>(s)] <= config.buffsize,
-                     "stage exceeds buffer capacity");
-    MEMXCT_CHECK(stagedispl[static_cast<std::size_t>(s)] +
-                     stagenz[static_cast<std::size_t>(s)] ==
-                 stagedispl[static_cast<std::size_t>(s) + 1]);
-  }
-  MEMXCT_CHECK(displ.size() ==
-               static_cast<std::size_t>(num_stages()) * config.partsize + 1);
-  MEMXCT_CHECK(displ.front() == 0);
-  check_values(val16, val32, storage, nnz());
-
-  const idx_t numparts = num_partitions();
-  MEMXCT_CHECK(static_cast<idx_t>(part_map_bytes.size()) == numparts + 1);
-  MEMXCT_CHECK(part_map_bytes.front() == 0);
-  MEMXCT_CHECK(part_map_bytes.back() ==
-               static_cast<nnz_t>(map_bytes.size()));
-  MEMXCT_CHECK(static_cast<idx_t>(part_ind_bytes.size()) == numparts + 1);
-  MEMXCT_CHECK(part_ind_bytes.front() == 0);
-  MEMXCT_CHECK(part_ind_bytes.back() ==
-               static_cast<nnz_t>(ind_bytes.size()));
-
-  std::vector<idx_t> run;
-  for (idx_t p = 0; p < numparts; ++p) {
-    const std::string where = "CompressedBuffered partition " +
-                              std::to_string(p);
-    // Footprint: one ascending run over all the partition's stages.
-    {
-      const auto lo = static_cast<std::size_t>(part_map_bytes[p]);
-      const auto hi = static_cast<std::size_t>(part_map_bytes[p + 1]);
-      varint::Reader r({map_bytes.data() + lo, hi - lo}, where + " map");
-      const idx_t count = static_cast<idx_t>(
-          stagedispl[static_cast<std::size_t>(partdispl[p + 1])] -
-          stagedispl[static_cast<std::size_t>(partdispl[p])]);
-      run.clear();
-      varint::decode_run(r, count, num_cols, run);
-      MEMXCT_CHECK_MSG(r.done(), "map stream has trailing bytes");
-    }
-    // Buffer slots: one run per (stage, row) cell, stage-major.
-    {
-      const auto lo = static_cast<std::size_t>(part_ind_bytes[p]);
-      const auto hi = static_cast<std::size_t>(part_ind_bytes[p + 1]);
-      varint::Reader r({ind_bytes.data() + lo, hi - lo}, where + " ind");
-      for (idx_t stage = partdispl[p]; stage < partdispl[p + 1]; ++stage) {
-        const nnz_t dstart = static_cast<nnz_t>(stage) * config.partsize;
-        for (idx_t j = 0; j < config.partsize; ++j) {
-          run.clear();
-          varint::decode_run(
-              r,
-              static_cast<idx_t>(displ[dstart + j + 1] - displ[dstart + j]),
-              stagenz[static_cast<std::size_t>(stage)], run);
-        }
-      }
-      MEMXCT_CHECK_MSG(r.done(), "ind stream has trailing bytes");
-    }
-  }
-}
-
-CompressedBuffered compress_buffered(const BufferedMatrix& b,
-                                     ValueStorage storage) {
-  CompressedBuffered c;
-  c.num_rows = b.num_rows;
-  c.num_cols = b.num_cols;
-  c.config = b.config;
-  c.storage = storage;
-  c.partdispl = b.partdispl;
-  c.stagedispl = b.stagedispl;
-  c.stagenz = b.stagenz;
-  c.displ.assign(b.displ.begin(), b.displ.end());
-  quantize_values({b.val.data(), b.val.size()}, storage, c.val16, c.val32);
-
-  const idx_t numparts = b.num_partitions();
-  const idx_t partsize = b.config.partsize;
-  std::vector<std::vector<std::uint8_t>> map_chunks(
-      static_cast<std::size_t>(numparts));
-  std::vector<std::vector<std::uint8_t>> ind_chunks(
-      static_cast<std::size_t>(numparts));
-#pragma omp parallel
-  {
-    std::vector<idx_t> run;
-#pragma omp for schedule(dynamic, 16)
-    for (idx_t p = 0; p < numparts; ++p) {
-      // Footprint run: the partition's distinct columns across all stages
-      // (strictly ascending by construction in build_buffered).
-      const nnz_t m0 =
-          b.stagedispl[static_cast<std::size_t>(b.partdispl[p])];
-      const nnz_t m1 =
-          b.stagedispl[static_cast<std::size_t>(b.partdispl[p + 1])];
-      varint::encode_run(
-          {b.map.data() + m0, static_cast<std::size_t>(m1 - m0)},
-          map_chunks[static_cast<std::size_t>(p)]);
-      // Slot runs: each (stage, row) cell's 16-bit buffer indices ascend.
-      auto& out = ind_chunks[static_cast<std::size_t>(p)];
-      for (idx_t stage = b.partdispl[p]; stage < b.partdispl[p + 1];
-           ++stage) {
-        const nnz_t dstart = static_cast<nnz_t>(stage) * partsize;
-        for (idx_t j = 0; j < partsize; ++j) {
-          run.clear();
-          for (nnz_t i = b.displ[dstart + j]; i < b.displ[dstart + j + 1];
-               ++i)
-            run.push_back(static_cast<idx_t>(b.ind[i]));
-          varint::encode_run(run, out);
-        }
-      }
-    }
-  }
-  splice_chunks(map_chunks, c.part_map_bytes, c.map_bytes);
-  splice_chunks(ind_chunks, c.part_ind_bytes, c.ind_bytes);
-  c.validate();
-  return c;
 }
 
 // ---- work accounting and plan weights ------------------------------------
@@ -313,22 +183,6 @@ perf::KernelWork ccsr_work(const CompressedCsr& a) {
   return w;
 }
 
-perf::KernelWork cbuffered_work(const CompressedBuffered& a) {
-  perf::KernelWork w;
-  w.nnz = a.nnz();
-  w.staged_words = a.total_staged();
-  w.value_bytes_per_fma = bytes_per_value(a.storage);
-  w.index_bytes_per_fma =
-      w.nnz > 0 ? static_cast<double>(a.index_bytes()) /
-                      static_cast<double>(w.nnz)
-                : static_cast<double>(sizeof(buf_idx_t));
-  w.staged_index_bytes =
-      w.staged_words > 0 ? static_cast<double>(a.staged_bytes()) /
-                               static_cast<double>(w.staged_words)
-                         : static_cast<double>(sizeof(idx_t));
-  return w;
-}
-
 std::vector<nnz_t> partition_nnz(const CompressedCsr& a) {
   const idx_t numparts = a.num_partitions();
   std::vector<nnz_t> weights(static_cast<std::size_t>(numparts), 0);
@@ -336,22 +190,6 @@ std::vector<nnz_t> partition_nnz(const CompressedCsr& a) {
     const idx_t r0 = std::min<idx_t>(p * a.partsize, a.num_rows);
     const idx_t r1 = std::min<idx_t>(r0 + a.partsize, a.num_rows);
     weights[static_cast<std::size_t>(p)] = a.displ[r1] - a.displ[r0];
-  }
-  return weights;
-}
-
-std::vector<nnz_t> partition_nnz(const CompressedBuffered& a) {
-  const idx_t numparts = a.num_partitions();
-  std::vector<nnz_t> weights(static_cast<std::size_t>(numparts), 0);
-  for (idx_t p = 0; p < numparts; ++p) {
-    const nnz_t lo =
-        a.displ[static_cast<nnz_t>(a.partdispl[static_cast<std::size_t>(p)]) *
-                a.config.partsize];
-    const nnz_t hi =
-        a.displ[static_cast<nnz_t>(
-                    a.partdispl[static_cast<std::size_t>(p) + 1]) *
-                a.config.partsize];
-    weights[static_cast<std::size_t>(p)] = hi - lo;
   }
   return weights;
 }

@@ -7,8 +7,9 @@
 //
 // A storage family plugs in through walkers that visit its streams in stored
 // order: index decoding (plain, varint, or clipped to a column range) and
-// value decoding (fp32, bf16, fp16) happen inside them, so the arithmetic —
-// strict per-lane j-order, `acc += x * v` — is written once below.
+// value decoding (fp32, bf16, fp16; a template argument, sparse/precision.hpp)
+// happen inside them, so the arithmetic — strict per-lane j-order,
+// `acc += x * v` — is written once below.
 #pragma once
 
 #include <algorithm>
@@ -179,8 +180,10 @@ void run_staged(const RowRange& rows, idx_t num_rows,
       });
 }
 
-/// Stream walkers of an fp32 buffered matrix: footprints from `map`, runs
-/// through the prefetching for_each_in_run (DESIGN.md §19).
+/// Stream walkers of a buffered matrix whose values Vals decodes:
+/// footprints from `map`, runs through the prefetching for_each_in_run
+/// (DESIGN.md §19, §21).
+template <class Vals>
 inline auto buffered_runs(const BufferedMatrix& a) {
   return [&a](idx_t part, auto&& body) {
     const idx_t partsize = a.config.partsize;
@@ -189,7 +192,7 @@ inline auto buffered_runs(const BufferedMatrix& a) {
     const idx_t* const map = a.map.data();
     const nnz_t* const displ = a.displ.data();
     const buf_idx_t* const ind = a.ind.data();
-    const real* const val = a.val.data();
+    const auto* const val = Vals::of(a);
     const nnz_t nnz = a.nnz();
     body(
         a.partdispl[static_cast<std::size_t>(part)],
@@ -200,7 +203,7 @@ inline auto buffered_runs(const BufferedMatrix& a) {
         },
         [&](idx_t stage, idx_t j, auto&& add) {
           const nnz_t* const run = displ + static_cast<nnz_t>(stage) * partsize;
-          for_each_in_run(ind, val, nnz, run[j], run[j + 1], add);
+          for_each_in_run<Vals>(ind, val, nnz, run[j], run[j + 1], add);
         });
   };
 }

@@ -30,10 +30,10 @@
 
 namespace memxct::sparse {
 
-/// Value-storage precision of a memoized operator. Fp32 selects the
-/// uncompressed kernels (the historical layout, bitwise unchanged); Bf16
-/// and Fp16 select the compressed kernel variants (16-bit values plus
-/// delta/varint indices, sparse/compressed.hpp).
+/// Value-storage precision of a memoized operator. Fp32 keeps 4-byte
+/// values; Bf16 and Fp16 keep 16-bit ones. The buffered layout holds either
+/// in place (BufferedMatrix::val / val16, same index streams); the CSR
+/// layout's reduced-precision form is CompressedCsr (sparse/compressed.hpp).
 enum class ValueStorage { Fp32, Bf16, Fp16 };
 
 [[nodiscard]] const char* to_string(ValueStorage storage) noexcept;
@@ -96,25 +96,19 @@ enum class ValueStorage { Fp32, Bf16, Fp16 };
 }
 
 /// fp16 bits -> fp32 (exact for every fp16 value, subnormals included).
+/// Branch-free: the exponent and mantissa bits shifted into fp32 position
+/// read as 2^-112 times the value (an fp32 subnormal for an fp16 one), so
+/// one exact multiply by 2^112 rebiases normals and normalizes subnormals;
+/// Inf/NaN take fp32's all-ones exponent instead. The multiply needs
+/// subnormals honoured (no flush-to-zero / denormals-are-zero mode).
 [[nodiscard]] inline float fp16_to_fp32(std::uint16_t h) noexcept {
   const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
-  const std::uint32_t exp = (h >> 10) & 0x1fu;
-  const std::uint32_t mant = h & 0x03ffu;
-  if (exp == 0x1fu)  // Inf / NaN
-    return std::bit_cast<float>(sign | 0x7f800000u | (mant << 13));
-  if (exp == 0) {
-    if (mant == 0) return std::bit_cast<float>(sign);  // ±0
-    // Subnormal (mant · 2^-24): normalize into fp32's wider exponent range.
-    std::uint32_t m = mant;
-    int shift = 0;
-    while ((m & 0x0400u) == 0) {
-      m <<= 1;
-      ++shift;
-    }
-    const std::uint32_t e = static_cast<std::uint32_t>(113 - shift);
-    return std::bit_cast<float>(sign | (e << 23) | ((m & 0x03ffu) << 13));
-  }
-  return std::bit_cast<float>(sign | ((exp + 112u) << 23) | (mant << 13));
+  const std::uint32_t bits = static_cast<std::uint32_t>(h & 0x7fffu) << 13;
+  const std::uint32_t magnitude =
+      bits >= (0x7c00u << 13)
+          ? bits | 0x7f800000u
+          : std::bit_cast<std::uint32_t>(std::bit_cast<float>(bits) * 0x1p112f);
+  return std::bit_cast<float>(sign | magnitude);
 }
 
 /// Quantizes `f` through the given storage and back to fp32 — the value the
@@ -136,6 +130,56 @@ enum class ValueStorage { Fp32, Bf16, Fp16 };
 [[nodiscard]] inline std::uint16_t encode_value(real f,
                                                 ValueStorage storage) noexcept {
   return storage == ValueStorage::Fp16 ? fp32_to_fp16(f) : fp32_to_bf16(f);
+}
+
+// ---- value decoders of the apply walkers ---------------------------------
+//
+// A decoder finds a matrix's stored value array (`val` in fp32, `val16` in
+// 16 bits) and widens one stored value to fp32. It is a template argument of
+// the walkers (sparse/kernels.hpp), so each storage gets its own branch-free
+// loop and the fp32 walk stays the plain loop.
+
+struct Fp32Values {
+  template <class Matrix>
+  [[nodiscard]] static const real* of(const Matrix& m) noexcept {
+    return m.val.data();
+  }
+  [[nodiscard]] static real decode(real v) noexcept { return v; }
+};
+struct Bf16Values {
+  template <class Matrix>
+  [[nodiscard]] static const std::uint16_t* of(const Matrix& m) noexcept {
+    return m.val16.data();
+  }
+  [[nodiscard]] static real decode(std::uint16_t b) noexcept {
+    return bf16_to_fp32(b);
+  }
+};
+struct Fp16Values {
+  template <class Matrix>
+  [[nodiscard]] static const std::uint16_t* of(const Matrix& m) noexcept {
+    return m.val16.data();
+  }
+  [[nodiscard]] static real decode(std::uint16_t h) noexcept {
+    return fp16_to_fp32(h);
+  }
+};
+
+/// Calls fn(decoder) with the decoder of `storage`: the one run-time
+/// dispatch of an apply.
+template <class Fn>
+void with_values(ValueStorage storage, Fn&& fn) {
+  switch (storage) {
+    case ValueStorage::Fp32:
+      fn(Fp32Values{});
+      return;
+    case ValueStorage::Bf16:
+      fn(Bf16Values{});
+      return;
+    case ValueStorage::Fp16:
+      fn(Fp16Values{});
+      return;
+  }
 }
 
 }  // namespace memxct::sparse

@@ -21,10 +21,12 @@ void apply(const CsrMatrix& a, const Schedule& sched, idx_t k,
 void apply(const BufferedMatrix& a, const Schedule& sched, idx_t k,
            std::span<const real> x, std::span<real> y) {
   detail::check_shape(a.num_rows, a.num_cols, k, x, y);
-  with_block_lanes(k, [&](auto lanes) {
-    detail::run_staged<decltype(lanes)::value>(
-        RowRange{0, a.num_rows}, a.num_rows, a.config, sched, k, x.data(),
-        y.data(), detail::buffered_runs(a));
+  with_values(a.storage, [&](auto vals) {
+    with_block_lanes(k, [&](auto lanes) {
+      detail::run_staged<decltype(lanes)::value>(
+          RowRange{0, a.num_rows}, a.num_rows, a.config, sched, k, x.data(),
+          y.data(), detail::buffered_runs<decltype(vals)>(a));
+    });
   });
 }
 

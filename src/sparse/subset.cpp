@@ -65,8 +65,11 @@ void apply(const BufferedMatrix& a, const RowRange& rows,
   MEMXCT_CHECK(static_cast<idx_t>(x.size()) == a.num_cols);
   MEMXCT_CHECK(static_cast<idx_t>(y_sub.size()) == rows.count);
   check_range_aligned(rows, a.num_rows, a.config.partsize);
-  detail::run_staged<1>(rows, a.num_rows, a.config, sched, 1, x.data(),
-                        y_sub.data(), detail::buffered_runs(a));
+  with_values(a.storage, [&](auto vals) {
+    detail::run_staged<1>(rows, a.num_rows, a.config, sched, 1, x.data(),
+                          y_sub.data(),
+                          detail::buffered_runs<decltype(vals)>(a));
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -226,46 +229,51 @@ void apply(const BufferedMatrix& at, const BufferedColRange& index,
   const idx_t* const map = at.map.data();
   const nnz_t* const displ = at.displ.data();
   const buf_idx_t* const ind = at.ind.data();
-  const real* const val = at.val.data();
   const nnz_t nnz = at.nnz();
   const idx_t first = index.range.first;
   const idx_t last = index.range.last();
   // Only the partition's in-range stage window runs (an empty window stores
   // zero rows). Per stage, footprint slots [blo, bhi) hold the in-range
   // columns; a boundary stage clips each row's ascending-`ind` run to them.
-  const auto runs = [&](idx_t part, auto&& body) {
-    idx_t blo = 0, bhi = 0;
-    bool interior = true;
-    body(
-        index.stage_begin[static_cast<std::size_t>(part)],
-        index.stage_end[static_cast<std::size_t>(part)],
-        [&](idx_t stage, auto&& put) {
-          const idx_t* const mp = map + stagedispl[stage];
-          const idx_t nz = stagenz[stage];
-          blo = static_cast<idx_t>(std::lower_bound(mp, mp + nz, first) - mp);
-          bhi = static_cast<idx_t>(std::lower_bound(mp + blo, mp + nz, last) -
-                                   mp);
-          interior = blo == 0 && bhi == nz;
-          // Slots outside [blo, bhi) are left stale; the clipped runs never
-          // address them.
-          for (idx_t i = blo; i < bhi; ++i) put(i, mp[i] - first);
-        },
-        [&](idx_t stage, idx_t j, auto&& add) {
-          const nnz_t* const run = displ + static_cast<nnz_t>(stage) * partsize;
-          nnz_t b = run[j];
-          nnz_t e = run[j + 1];
-          if (!interior) {
-            const buf_idx_t* const lo = std::lower_bound(
-                ind + b, ind + e, static_cast<buf_idx_t>(blo));
-            e = std::lower_bound(lo, ind + e, static_cast<buf_idx_t>(bhi)) -
-                ind;
-            b = lo - ind;
-          }
-          for_each_in_run(ind, val, nnz, b, e, add);
-        });
-  };
-  detail::run_staged<1>(RowRange{0, at.num_rows}, at.num_rows, at.config,
-                        sched, 1, y_sub.data(), x.data(), runs);
+  with_values(at.storage, [&](auto vals) {
+    using Vals = decltype(vals);
+    const auto* const val = Vals::of(at);
+    const auto runs = [&](idx_t part, auto&& body) {
+      idx_t blo = 0, bhi = 0;
+      bool interior = true;
+      body(
+          index.stage_begin[static_cast<std::size_t>(part)],
+          index.stage_end[static_cast<std::size_t>(part)],
+          [&](idx_t stage, auto&& put) {
+            const idx_t* const mp = map + stagedispl[stage];
+            const idx_t nz = stagenz[stage];
+            blo = static_cast<idx_t>(std::lower_bound(mp, mp + nz, first) -
+                                     mp);
+            bhi = static_cast<idx_t>(
+                std::lower_bound(mp + blo, mp + nz, last) - mp);
+            interior = blo == 0 && bhi == nz;
+            // Slots outside [blo, bhi) are left stale; the clipped runs
+            // never address them.
+            for (idx_t i = blo; i < bhi; ++i) put(i, mp[i] - first);
+          },
+          [&](idx_t stage, idx_t j, auto&& add) {
+            const nnz_t* const run =
+                displ + static_cast<nnz_t>(stage) * partsize;
+            nnz_t b = run[j];
+            nnz_t e = run[j + 1];
+            if (!interior) {
+              const buf_idx_t* const lo = std::lower_bound(
+                  ind + b, ind + e, static_cast<buf_idx_t>(blo));
+              e = std::lower_bound(lo, ind + e, static_cast<buf_idx_t>(bhi)) -
+                  ind;
+              b = lo - ind;
+            }
+            for_each_in_run<Vals>(ind, val, nnz, b, e, add);
+          });
+    };
+    detail::run_staged<1>(RowRange{0, at.num_rows}, at.num_rows, at.config,
+                          sched, 1, y_sub.data(), x.data(), runs);
+  });
 }
 
 }  // namespace memxct::sparse

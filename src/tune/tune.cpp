@@ -18,9 +18,11 @@ namespace {
 /// Bumped whenever the Candidate serialization below changes layout, or the
 /// kernels change enough that recorded rankings no longer hold (version 2:
 /// the buffered kernels prefetch their matrix stream; version 3: block
-/// widths > 1 are timed on the block kernels, not the SpMV); an unknown
-/// version is treated exactly like corruption (re-measure).
-constexpr std::uint32_t kTuneRecordVersion = 3;
+/// widths > 1 are timed on the block kernels, not the SpMV; version 4:
+/// reduced-precision buffered storage is fixed width, not varint, so it
+/// ranks differently against compressed CSR); an unknown version is treated
+/// exactly like corruption (re-measure).
+constexpr std::uint32_t kTuneRecordVersion = 4;
 
 /// Same FNV-1a as core/opkey.cpp: stable across platforms and runs.
 std::uint64_t fnv1a(const std::string& s) noexcept {

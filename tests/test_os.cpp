@@ -109,6 +109,8 @@ struct TempDir {
 
 // Every supported kernel family x schedule: the views must behave
 // identically (the OS solvers do not know which family they run on).
+// Buffered storage with 16-bit values takes the same windows, with the
+// walkers' value decoder swapped.
 std::vector<core::Config> view_configs() {
   std::vector<core::Config> configs;
   for (const core::KernelKind kernel :
@@ -121,6 +123,15 @@ std::vector<core::Config> view_configs() {
       configs.push_back(c);
     }
   }
+  for (const sparse::ValueStorage precision :
+       {sparse::ValueStorage::Bf16, sparse::ValueStorage::Fp16})
+    for (const core::ScheduleKind schedule :
+         {core::ScheduleKind::Dynamic, core::ScheduleKind::StaticPlan}) {
+      core::Config c;
+      c.precision = precision;
+      c.schedule = schedule;
+      configs.push_back(c);
+    }
   return configs;
 }
 
@@ -195,24 +206,31 @@ TEST(SubsetViews, TransposeBitwiseEqualsZeroPaddedFullTranspose) {
 }
 
 TEST(SubsetViews, AdjointConsistencyPerSubset) {
-  const auto f = make_fixture();
-  const core::MemXCTOperator& op = *f.recon->serial_op();
-  const auto x = testutil::random_vector(op.num_cols(), 17);
-  const auto views = core::make_subset_views(op, 8);
-  for (const auto& v : views) {
-    const auto count = static_cast<std::size_t>(v->num_rows());
-    AlignedVector<real> ax(count);
-    v->apply(x, ax);
-    auto y = testutil::random_vector(v->num_rows(),
-                                     19 + static_cast<std::uint64_t>(
-                                              v->first_row()));
-    AlignedVector<real> aty(static_cast<std::size_t>(v->num_cols()));
-    v->apply_transpose(y, aty);
-    const double lhs = solve::dot(ax, y);
-    const double rhs = solve::dot(x, aty);
-    const double scale = std::max({std::abs(lhs), std::abs(rhs), 1.0});
-    EXPECT_NEAR(lhs / scale, rhs / scale, 1e-5)
-        << "<A_s x, y> != <x, A_s^T y> for subset at row " << v->first_row();
+  for (const sparse::ValueStorage precision :
+       {sparse::ValueStorage::Fp32, sparse::ValueStorage::Bf16,
+        sparse::ValueStorage::Fp16}) {
+    core::Config config;
+    config.precision = precision;
+    const auto f = make_fixture(config);
+    const core::MemXCTOperator& op = *f.recon->serial_op();
+    const auto x = testutil::random_vector(op.num_cols(), 17);
+    const auto views = core::make_subset_views(op, 8);
+    for (const auto& v : views) {
+      const auto count = static_cast<std::size_t>(v->num_rows());
+      AlignedVector<real> ax(count);
+      v->apply(x, ax);
+      auto y = testutil::random_vector(v->num_rows(),
+                                       19 + static_cast<std::uint64_t>(
+                                                v->first_row()));
+      AlignedVector<real> aty(static_cast<std::size_t>(v->num_cols()));
+      v->apply_transpose(y, aty);
+      const double lhs = solve::dot(ax, y);
+      const double rhs = solve::dot(x, aty);
+      const double scale = std::max({std::abs(lhs), std::abs(rhs), 1.0});
+      EXPECT_NEAR(lhs / scale, rhs / scale, 1e-5)
+          << "<A_s x, y> != <x, A_s^T y> for subset at row "
+          << v->first_row() << " (" << sparse::to_string(precision) << ")";
+    }
   }
 }
 
@@ -396,19 +414,23 @@ TEST(OsSolve, CheckpointRestartResumesBitwise) {
 }
 
 TEST(OsSolve, ReconstructorPathRecoversPhantom) {
-  for (const core::SolverKind solver :
-       {core::SolverKind::OsSirt, core::SolverKind::OsSart}) {
-    core::Config config;
-    config.solver = solver;
-    config.num_subsets = 8;
-    config.iterations = 10;
-    const auto f = make_fixture(config);
-    const auto result = f.recon->reconstruct(f.sino);
-    EXPECT_EQ(result.solve.iterations, 10);
-    const double db = psnr(result.image, f.image);
-    EXPECT_GT(db, 17.0) << core::to_string(solver)
-                        << " reconstruction quality regressed";
-  }
+  for (const sparse::ValueStorage precision :
+       {sparse::ValueStorage::Fp32, sparse::ValueStorage::Bf16})
+    for (const core::SolverKind solver :
+         {core::SolverKind::OsSirt, core::SolverKind::OsSart}) {
+      core::Config config;
+      config.precision = precision;
+      config.solver = solver;
+      config.num_subsets = 8;
+      config.iterations = 10;
+      const auto f = make_fixture(config);
+      const auto result = f.recon->reconstruct(f.sino);
+      EXPECT_EQ(result.solve.iterations, 10);
+      const double db = psnr(result.image, f.image);
+      EXPECT_GT(db, 17.0) << core::to_string(solver) << " "
+                          << sparse::to_string(precision)
+                          << " reconstruction quality regressed";
+    }
 }
 
 TEST(OsSolve, ExtrasRequireOsSolver) {

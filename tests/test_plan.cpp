@@ -262,9 +262,9 @@ TEST(PlannedKernels, UndersizedWorkspaceThrows) {
                InvariantError);
   EXPECT_THROW(sparse::spmm_buffered_planned(bm, plan, small, k, x, y),
                InvariantError);
-  EXPECT_THROW(sparse::spmv_cbuffered_planned(cbuf, plan, small, x1, y1),
+  EXPECT_THROW(sparse::spmv_buffered_planned(cbuf, plan, small, x1, y1),
                InvariantError);
-  EXPECT_THROW(sparse::spmm_cbuffered_planned(cbuf, plan, small, k, x, y),
+  EXPECT_THROW(sparse::spmm_buffered_planned(cbuf, plan, small, k, x, y),
                InvariantError);
 }
 

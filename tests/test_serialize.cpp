@@ -62,6 +62,16 @@ TEST(Serialize, BufferedMatrixRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(Serialize, BufferedRejectsReducedPrecision) {
+  // The file format holds fp32 values; a bf16 matrix must not be written as
+  // a header that promises values the file does not carry.
+  const auto a = testutil::banded_csr(40, 50, 4, 29);
+  const auto bm = sparse::compress_buffered(sparse::build_buffered(a, {16, 64}),
+                                            sparse::ValueStorage::Bf16);
+  EXPECT_THROW(save_buffered("/tmp/memxct_buffered_bf16.bin", bm),
+               InvalidArgument);
+}
+
 TEST(Serialize, BufferedRejectsWrongMagic) {
   const auto a = testutil::random_csr(10, 10, 0.4, 28);
   const std::string path = "/tmp/memxct_notbuf.bin";

@@ -257,7 +257,7 @@ TEST(Spmm, EveryFamilyMatchesSerialReference) {
          },
          [&](auto x, auto y) { testutil::reference_apply(buf, x, y); }});
     std::vector<sparse::CompressedCsr> ccsr;
-    std::vector<sparse::CompressedBuffered> cbuf;
+    std::vector<sparse::BufferedMatrix> cbuf;
     const std::vector<ValueStorage> storages = {ValueStorage::Bf16,
                                                 ValueStorage::Fp16};
     for (const ValueStorage storage : storages) {
@@ -267,7 +267,7 @@ TEST(Spmm, EveryFamilyMatchesSerialReference) {
     for (std::size_t i = 0; i < storages.size(); ++i) {
       const ValueStorage storage = storages[i];
       const sparse::CompressedCsr& c = ccsr[i];
-      const sparse::CompressedBuffered& cb = cbuf[i];
+      const sparse::BufferedMatrix& cb = cbuf[i];
       families.push_back(
           {std::string("ccsr-") + sparse::to_string(storage),
            [&](bool planned, auto x, auto y) {
@@ -286,18 +286,18 @@ TEST(Spmm, EveryFamilyMatchesSerialReference) {
              testutil::reference_apply(m, x, y, storage);
            }});
       families.push_back(
-          {std::string("cbuffered-") + sparse::to_string(storage),
+          {std::string("buffered-") + sparse::to_string(storage),
            [&](bool planned, auto x, auto y) {
              if (planned)
-               sparse::spmv_cbuffered_planned(cb, buf_plan, ws, x, y);
+               sparse::spmv_buffered_planned(cb, buf_plan, ws, x, y);
              else
-               sparse::spmv_cbuffered(cb, x, y);
+               sparse::spmv_buffered(cb, x, y);
            },
            [&](bool planned, idx_t k, auto x, auto y) {
              if (planned)
-               sparse::spmm_cbuffered_planned(cb, buf_plan, ws, k, x, y);
+               sparse::spmm_buffered_planned(cb, buf_plan, ws, k, x, y);
              else
-               sparse::spmm_cbuffered(cb, k, x, y);
+               sparse::spmm_buffered(cb, k, x, y);
            },
            [&buf, storage](auto x, auto y) {
              testutil::reference_apply(buf, x, y, storage);

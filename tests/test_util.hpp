@@ -164,8 +164,9 @@ inline sparse::BufferedMatrix reference_build_buffered(
 /// each row its stages in order, each (stage, row) run summed from zero in
 /// strict j-order through the footprint map (no staging buffer, no
 /// prefetch, no OpenMP), values decoded through `storage`, and added to the
-/// row's running sum. A compressed buffered matrix has the same structure
-/// as the BufferedMatrix it was built from, so this is its reference too.
+/// row's running sum. A buffered matrix with 16-bit values has the same
+/// structure as the fp32 one it was quantized from, so this reference,
+/// given the fp32 matrix and the storage, is its reference too.
 [[gnu::optimize("fp-contract=off")]] inline void reference_apply(
     const sparse::BufferedMatrix& b, std::span<const real> x,
     std::span<real> y,
