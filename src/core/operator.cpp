@@ -146,8 +146,9 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
   s->num_cols = a.num_cols;
   s->nnz = a.nnz();
   // Each CSR is consumed by its conversion and released as soon as its
-  // derived form exists, so at most one CSR is alive while the backward
-  // form is built.
+  // derived form exists. The buffered forward is built first and A^T read
+  // from it, so A is gone before A^T exists: at most one CSR is alive at a
+  // time, beside the fp32 buffered forms.
   const auto convert = [&](sparse::CsrMatrix m) -> StoredMatrix {
     switch (kind) {
       case KernelKind::Baseline:
@@ -166,9 +167,17 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
     }
     return m;
   };
-  sparse::CsrMatrix at = sparse::transpose(a);
-  s->fwd.matrix = convert(std::move(a));
-  s->bwd.matrix = convert(std::move(at));
+  if (kind == KernelKind::Buffered) {
+    sparse::BufferedMatrix fwd = sparse::build_buffered(a, buffer);
+    a = {};
+    sparse::CsrMatrix at = sparse::transpose(fwd);
+    s->fwd.matrix = sparse::compress_buffered(std::move(fwd), precision);
+    s->bwd.matrix = convert(std::move(at));
+  } else {
+    sparse::CsrMatrix at = sparse::transpose(a);
+    s->fwd.matrix = convert(std::move(a));
+    s->bwd.matrix = convert(std::move(at));
+  }
   for (const Storage::Direction* d : {&s->fwd, &s->bwd})
     s->regular_bytes += std::visit(
         [](const auto& m) { return matrix_bytes(m); }, d->matrix);

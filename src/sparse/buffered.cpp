@@ -86,8 +86,11 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
 
   b.stagedispl.resize(static_cast<std::size_t>(total_stages) + 1);
   b.stagenz.resize(static_cast<std::size_t>(total_stages));
+  // map, displ, ind and val are written in full by pass 2 (displ[0] here),
+  // so they are left unfilled until the thread of each partition writes it.
   b.map.resize(static_cast<std::size_t>(total_map));
-  b.displ.assign(static_cast<std::size_t>(total_stages) * partsize + 1, 0);
+  b.displ.resize(static_cast<std::size_t>(total_stages) * partsize + 1);
+  b.displ[0] = 0;
   b.ind.resize(static_cast<std::size_t>(total_nnz));
   b.val.resize(static_cast<std::size_t>(total_nnz));
 
@@ -206,7 +209,7 @@ BufferedMatrix compress_buffered(BufferedMatrix b, ValueStorage storage) {
   for (nnz_t j = 0; j < n; ++j)
     b.val16[static_cast<std::size_t>(j)] =
         encode_value(b.val[static_cast<std::size_t>(j)], storage);
-  b.val = AlignedVector<real>();  // release the fp32 copy
+  b.val = UninitVector<real>();  // release the fp32 copy
   b.storage = storage;
   return b;
 }

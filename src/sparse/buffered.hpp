@@ -41,15 +41,15 @@ struct BufferedMatrix {
   std::vector<idx_t> partdispl;    ///< Per partition: first stage index.
   std::vector<nnz_t> stagedispl;   ///< Per stage: start into map.
   std::vector<idx_t> stagenz;      ///< Per stage: staged element count.
-  AlignedVector<idx_t> map;        ///< Staged global x indices.
-  AlignedVector<nnz_t> displ;      ///< Per (stage, row-in-partition) nonzero
+  UninitVector<idx_t> map;         ///< Staged global x indices.
+  UninitVector<nnz_t> displ;       ///< Per (stage, row-in-partition) nonzero
                                    ///< range; laid out stage-major as in
                                    ///< Listing 3: displ[stage*partsize + j].
-  AlignedVector<buf_idx_t> ind;    ///< 16-bit buffer-local indices.
-  AlignedVector<real> val;         ///< Values, reordered stage-major, when
+  UninitVector<buf_idx_t> ind;     ///< 16-bit buffer-local indices.
+  UninitVector<real> val;          ///< Values, reordered stage-major, when
                                    ///< storage == Fp32.
-  AlignedVector<std::uint16_t> val16;  ///< The same values as bf16/fp16
-                                       ///< bits otherwise.
+  UninitVector<std::uint16_t> val16;  ///< The same values as bf16/fp16
+                                      ///< bits otherwise.
   ValueStorage storage = ValueStorage::Fp32;
 
   [[nodiscard]] idx_t num_partitions() const noexcept {

@@ -20,8 +20,8 @@ struct CsrMatrix {
   idx_t num_rows = 0;
   idx_t num_cols = 0;
   AlignedVector<nnz_t> displ;  ///< Row displacements, size num_rows + 1.
-  AlignedVector<idx_t> ind;    ///< Column indices, sorted within each row.
-  AlignedVector<real> val;     ///< Values, parallel to ind.
+  UninitVector<idx_t> ind;     ///< Column indices, sorted within each row.
+  UninitVector<real> val;      ///< Values, parallel to ind.
 
   [[nodiscard]] nnz_t nnz() const noexcept {
     return displ.empty() ? 0 : displ.back();

@@ -154,13 +154,24 @@ BufferedColRange BufferedColRange::build(const BufferedMatrix& at,
   ix.stage_begin.resize(static_cast<std::size_t>(numparts));
   ix.stage_end.resize(static_cast<std::size_t>(numparts));
   ix.part_nnz.assign(static_cast<std::size_t>(numparts), 0);
-  nnz_t total = 0;
-#pragma omp parallel for schedule(dynamic, 4) reduction(+ : total)
+  ix.clip_begin.assign(static_cast<std::size_t>(numparts) + 1, 0);
+  // A stage's footprint is ascending, so its two ends tell whether all of
+  // it lies in the range.
+  const auto partial = [&](idx_t s) {
+    const nnz_t m0 = at.stagedispl[static_cast<std::size_t>(s)];
+    const idx_t nz = at.stagenz[static_cast<std::size_t>(s)];
+    return nz > 0 && (at.map[static_cast<std::size_t>(m0)] < range.first ||
+                      at.map[static_cast<std::size_t>(m0 + nz - 1)] >=
+                          range.last());
+  };
+
+  // Pass 1: each partition's in-range stage window (map is ascending within
+  // the partition, so the in-range stages are contiguous) and its count of
+  // boundary stages.
+#pragma omp parallel for schedule(dynamic, 4)
   for (idx_t p = 0; p < numparts; ++p) {
     const idx_t s0 = at.partdispl[static_cast<std::size_t>(p)];
     const idx_t s1 = at.partdispl[static_cast<std::size_t>(p) + 1];
-    // map is ascending within the partition (sorted distinct columns chunked
-    // into stages), so the in-range stages form one contiguous window.
     idx_t sb = s1, se = s0;
     for (idx_t s = s0; s < s1; ++s) {
       const nnz_t m0 = at.stagedispl[static_cast<std::size_t>(s)];
@@ -179,35 +190,56 @@ BufferedColRange BufferedColRange::build(const BufferedMatrix& at,
     }
     ix.stage_begin[static_cast<std::size_t>(p)] = sb;
     ix.stage_end[static_cast<std::size_t>(p)] = se;
-    // In-range entry count: per stage, the footprint slots in [blo, bhi)
-    // hold the in-range columns; each (stage, row) cell's ascending-`ind`
-    // run is clipped to that slot interval.
+    idx_t n = 0;
+    if (se > sb) n = partial(sb) + (se - 1 > sb && partial(se - 1));
+    ix.clip_begin[static_cast<std::size_t>(p) + 1] = n;
+  }
+  for (idx_t p = 0; p < numparts; ++p)
+    ix.clip_begin[static_cast<std::size_t>(p) + 1] +=
+        ix.clip_begin[static_cast<std::size_t>(p)];
+  ix.clips.resize(static_cast<std::size_t>(ix.clip_begin.back()));
+  ix.clip_runs.resize(ix.clips.size() * static_cast<std::size_t>(partsize) *
+                      2);
+
+  // Pass 2: clip the boundary stages and count in-range entries. Per clip,
+  // footprint slots [blo, bhi) hold the in-range columns, and each
+  // (stage, row) cell's ascending-`ind` run is clipped to that interval.
+  nnz_t total = 0;
+#pragma omp parallel for schedule(dynamic, 4) reduction(+ : total)
+  for (idx_t p = 0; p < numparts; ++p) {
+    auto c =
+        static_cast<std::size_t>(ix.clip_begin[static_cast<std::size_t>(p)]);
     nnz_t part_total = 0;
-    for (idx_t s = sb; s < se; ++s) {
-      const nnz_t m0 = at.stagedispl[static_cast<std::size_t>(s)];
-      const idx_t nz = at.stagenz[static_cast<std::size_t>(s)];
-      const idx_t* const mp = at.map.data() + m0;
-      const auto blo =
-          static_cast<idx_t>(std::lower_bound(mp, mp + nz, range.first) - mp);
-      const auto bhi =
-          static_cast<idx_t>(std::lower_bound(mp, mp + nz, range.last()) - mp);
-      const nnz_t dstart = static_cast<nnz_t>(s) * partsize;
-      if (blo == 0 && bhi == nz) {
-        part_total += at.displ[static_cast<std::size_t>(dstart + partsize)] -
-                      at.displ[static_cast<std::size_t>(dstart)];
+    for (idx_t s = ix.stage_begin[static_cast<std::size_t>(p)];
+         s < ix.stage_end[static_cast<std::size_t>(p)]; ++s) {
+      const nnz_t* const run =
+          at.displ.data() + static_cast<nnz_t>(s) * partsize;
+      if (!partial(s)) {
+        part_total += run[partsize] - run[0];
         continue;
       }
+      const idx_t* const mp =
+          at.map.data() + at.stagedispl[static_cast<std::size_t>(s)];
+      const idx_t nz = at.stagenz[static_cast<std::size_t>(s)];
+      Clip& clip = ix.clips[c];
+      clip.stage = s;
+      clip.blo =
+          static_cast<idx_t>(std::lower_bound(mp, mp + nz, range.first) - mp);
+      clip.bhi = static_cast<idx_t>(
+          std::lower_bound(mp + clip.blo, mp + nz, range.last()) - mp);
+      nnz_t* const out = ix.clip_runs.data() + c * partsize * 2;
       for (idx_t j = 0; j < partsize; ++j) {
-        const buf_idx_t* const ib =
-            at.ind.data() + at.displ[static_cast<std::size_t>(dstart + j)];
-        const buf_idx_t* const ie =
-            at.ind.data() + at.displ[static_cast<std::size_t>(dstart + j + 1)];
-        const auto* jlo =
-            std::lower_bound(ib, ie, static_cast<buf_idx_t>(blo));
-        const auto* jhi =
-            std::lower_bound(jlo, ie, static_cast<buf_idx_t>(bhi));
-        part_total += static_cast<nnz_t>(jhi - jlo);
+        const buf_idx_t* const ib = at.ind.data() + run[j];
+        const buf_idx_t* const ie = at.ind.data() + run[j + 1];
+        const buf_idx_t* const lo =
+            std::lower_bound(ib, ie, static_cast<buf_idx_t>(clip.blo));
+        const buf_idx_t* const hi =
+            std::lower_bound(lo, ie, static_cast<buf_idx_t>(clip.bhi));
+        out[2 * j] = lo - at.ind.data();
+        out[2 * j + 1] = hi - at.ind.data();
+        part_total += hi - lo;
       }
+      ++c;
     }
     ix.part_nnz[static_cast<std::size_t>(p)] = part_total;
     total += part_total;
@@ -231,44 +263,40 @@ void apply(const BufferedMatrix& at, const BufferedColRange& index,
   const buf_idx_t* const ind = at.ind.data();
   const nnz_t nnz = at.nnz();
   const idx_t first = index.range.first;
-  const idx_t last = index.range.last();
   // Only the partition's in-range stage window runs (an empty window stores
-  // zero rows). Per stage, footprint slots [blo, bhi) hold the in-range
-  // columns; a boundary stage clips each row's ascending-`ind` run to them.
+  // zero rows). A boundary stage stages its clipped slots and walks the
+  // stored clipped runs; an interior stage walks its runs whole.
   with_values(at.storage, [&](auto vals) {
     using Vals = decltype(vals);
     const auto* const val = Vals::of(at);
     const auto runs = [&](idx_t part, auto&& body) {
-      idx_t blo = 0, bhi = 0;
-      bool interior = true;
+      std::size_t c = static_cast<std::size_t>(
+          index.clip_begin[static_cast<std::size_t>(part)]);
+      const nnz_t* clipped = nullptr;  // the current stage's clipped runs
       body(
           index.stage_begin[static_cast<std::size_t>(part)],
           index.stage_end[static_cast<std::size_t>(part)],
           [&](idx_t stage, auto&& put) {
             const idx_t* const mp = map + stagedispl[stage];
-            const idx_t nz = stagenz[stage];
-            blo = static_cast<idx_t>(std::lower_bound(mp, mp + nz, first) -
-                                     mp);
-            bhi = static_cast<idx_t>(
-                std::lower_bound(mp + blo, mp + nz, last) - mp);
-            interior = blo == 0 && bhi == nz;
+            idx_t blo = 0, bhi = stagenz[stage];
+            clipped = nullptr;
+            if (c < index.clips.size() && index.clips[c].stage == stage) {
+              blo = index.clips[c].blo;
+              bhi = index.clips[c].bhi;
+              clipped = index.clip_runs.data() + c * partsize * 2;
+              ++c;
+            }
             // Slots outside [blo, bhi) are left stale; the clipped runs
             // never address them.
             for (idx_t i = blo; i < bhi; ++i) put(i, mp[i] - first);
           },
           [&](idx_t stage, idx_t j, auto&& add) {
+            // Either way run[0], run[1] bound the row's run.
             const nnz_t* const run =
-                displ + static_cast<nnz_t>(stage) * partsize;
-            nnz_t b = run[j];
-            nnz_t e = run[j + 1];
-            if (!interior) {
-              const buf_idx_t* const lo = std::lower_bound(
-                  ind + b, ind + e, static_cast<buf_idx_t>(blo));
-              e = std::lower_bound(lo, ind + e, static_cast<buf_idx_t>(bhi)) -
-                  ind;
-              b = lo - ind;
-            }
-            for_each_in_run<Vals>(ind, val, nnz, b, e, add);
+                clipped != nullptr
+                    ? clipped + 2 * j
+                    : displ + static_cast<nnz_t>(stage) * partsize + j;
+            for_each_in_run<Vals>(ind, val, nnz, run[0], run[1], add);
           });
     };
     detail::run_staged<1>(RowRange{0, at.num_rows}, at.num_rows, at.config,

@@ -105,15 +105,28 @@ void apply(const CsrMatrix& at, const ColRangeIndex& index,
 /// footprint `map` is ascending within each partition (sorted distinct
 /// columns, chunked into stages), so the in-range stages of partition p form
 /// one contiguous window [stage_begin[p], stage_end[p]); only the window's
-/// boundary stages can be partially in range and need per-apply filtering
-/// (binary search on the ascending buffer-local `ind` runs). Interior
+/// first and last stage can be partially in range. Those boundary stages are
+/// clipped once here: their in-range footprint slots and every row's
+/// clipped run are stored, so applies walk them without searching. Interior
 /// stages walk their runs unclipped.
 struct BufferedColRange {
+  /// A partially in-range stage: footprint slots [blo, bhi) hold the
+  /// in-range columns.
+  struct Clip {
+    idx_t stage = 0;
+    idx_t blo = 0, bhi = 0;
+  };
+
   RowRange range;                 ///< Column range (global x indices in map).
   std::vector<idx_t> stage_begin; ///< Per partition: first in-range stage.
   std::vector<idx_t> stage_end;   ///< Per partition: one past last in-range.
   std::vector<nnz_t> part_nnz;    ///< Per partition: in-range entries (plan
                                   ///< weights for the planned kernel).
+  std::vector<idx_t> clip_begin;  ///< Per partition: its first clip; one
+                                  ///< more entry closes the last partition.
+  std::vector<Clip> clips;        ///< Boundary stages, by ascending stage.
+  AlignedVector<nnz_t> clip_runs; ///< Clip c, row j: the run [b, e) of
+                                  ///< in-range entries at 2·(c·partsize + j).
   nnz_t nnz_sub = 0;              ///< Total in-range entries.
 
   [[nodiscard]] static BufferedColRange build(const BufferedMatrix& at,

@@ -6,6 +6,7 @@
 // entry order.
 #pragma once
 
+#include "sparse/buffered.hpp"
 #include "sparse/csr.hpp"
 
 namespace memxct::sparse {
@@ -16,6 +17,11 @@ namespace memxct::sparse {
 /// appear in increasing original-row order (sorted, preserving locality)
 /// and the result is bitwise identical for any thread count.
 [[nodiscard]] CsrMatrix transpose(const CsrMatrix& a);
+
+/// The same transpose read from a built fp32 buffered matrix: bitwise equal
+/// to transpose(a) for b = build_buffered(a, any config), so the operator
+/// build can release A before A^T exists.
+[[nodiscard]] CsrMatrix transpose(const BufferedMatrix& b);
 
 /// The alternative Section 3.5.1 rejects: an atomic-cursor parallel
 /// scatter whose thread interleaving *randomizes* the entry order within

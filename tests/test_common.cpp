@@ -76,6 +76,54 @@ TEST(Aligned, VectorIsCacheLineAligned) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w.data()) % kCacheLineBytes, 0u);
 }
 
+TEST(Aligned, LargeAllocationsKeepAlignmentAndCount) {
+  // From the huge-page floor up, storage sits on a 2 MiB boundary (so a
+  // cache line too) and still counts in the allocation hook the
+  // no-allocation hot-path tests diff. reserve() allocates without touching.
+  for (const std::size_t bytes :
+       {kHugePageFloorBytes - kCacheLineBytes, kHugePageFloorBytes,
+        kHugePageFloorBytes + 12345}) {
+    const std::int64_t before = aligned_alloc_count().load();
+    AlignedVector<std::uint8_t> v;
+    v.reserve(bytes);
+    EXPECT_EQ(aligned_alloc_count().load() - before, 1) << bytes;
+    const auto addr = reinterpret_cast<std::uintptr_t>(v.data());
+    EXPECT_EQ(addr % kCacheLineBytes, 0u) << bytes;
+    if (bytes >= kHugePageFloorBytes) EXPECT_EQ(addr % kHugePageBytes, 0u);
+  }
+  // Matrix arrays are mapped from a lower floor; they count the same way.
+  for (const std::size_t bytes :
+       {kMatrixMapFloorBytes - sizeof(float), kMatrixMapFloorBytes,
+        kHugePageFloorBytes + sizeof(float)}) {
+    const std::int64_t before = aligned_alloc_count().load();
+    UninitVector<float> u;
+    u.reserve(bytes / sizeof(float));
+    EXPECT_EQ(aligned_alloc_count().load() - before, 1) << bytes;
+    const auto addr = reinterpret_cast<std::uintptr_t>(u.data());
+    EXPECT_EQ(addr % kCacheLineBytes, 0u) << bytes;
+    if (bytes >= kHugePageFloorBytes) EXPECT_EQ(addr % kHugePageBytes, 0u);
+  }
+}
+
+TEST(Aligned, UninitVectorWritesExplicitValues) {
+  // Only argument-less construction is left unwritten; explicit values are
+  // stored as in any vector.
+  UninitVector<int> v(5, 7);
+  EXPECT_EQ(v, UninitVector<int>(5, 7));
+  v.resize(9, -3);
+  for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(v[i], i < 5 ? 7 : -3);
+  v.assign(4, 0);
+  for (const int x : v) EXPECT_EQ(x, 0);
+  // The same across the direct-mapping floor, growing and shrinking.
+  UninitVector<std::uint8_t> big(kMatrixMapFloorBytes / 2, 1);
+  big.resize(kMatrixMapFloorBytes * 3, 2);
+  EXPECT_EQ(big.front(), 1);
+  EXPECT_EQ(big.back(), 2);
+  big.resize(10);
+  big.shrink_to_fit();
+  EXPECT_EQ(big.back(), 1);
+}
+
 TEST(Rng, DeterministicBySeed) {
   Rng a(42), b(42), c(43);
   bool any_diff = false;

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -142,6 +144,39 @@ TEST(Fp16, SpecialsPropagate) {
   EXPECT_TRUE(std::isnan(fp16_to_fp32(fp32_to_fp16(snan))));
   EXPECT_EQ(fp16_to_fp32(fp32_to_fp16(std::numeric_limits<float>::infinity())),
             std::numeric_limits<float>::infinity());
+}
+
+// The branch-free software decode fp16_to_fp32 used before it went through
+// the compiler's binary16 type: exponent and mantissa shifted into fp32
+// position read as 2^-112 times the value, one exact multiply rebiases.
+float software_fp16_to_fp32(std::uint16_t h) {
+  const std::uint32_t sign = static_cast<std::uint32_t>(h & 0x8000u) << 16;
+  const std::uint32_t bits = static_cast<std::uint32_t>(h & 0x7fffu) << 13;
+  const std::uint32_t magnitude =
+      bits >= (0x7c00u << 13)
+          ? bits | 0x7f800000u
+          : std::bit_cast<std::uint32_t>(std::bit_cast<float>(bits) * 0x1p112f);
+  return std::bit_cast<float>(sign | magnitude);
+}
+
+TEST(Fp16, DecodeMatchesSoftwareDecodeOnEveryCode) {
+  // All 65 536 codes: bitwise equal wherever the code is not a NaN; NaN
+  // codes stay NaN (signalling payloads may come back quietened).
+  int nan_codes = 0;
+  for (std::uint32_t code = 0; code <= 0xffffu; ++code) {
+    const auto h = static_cast<std::uint16_t>(code);
+    const float want = software_fp16_to_fp32(h);
+    const float got = fp16_to_fp32(h);
+    if (std::isnan(want)) {
+      ++nan_codes;
+      EXPECT_TRUE(std::isnan(got)) << "code " << code;
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got),
+                std::bit_cast<std::uint32_t>(want))
+          << "code " << code;
+    }
+  }
+  EXPECT_EQ(nan_codes, 2 * 1023);
 }
 
 TEST(Quantize, IsIdempotentBitwise) {

@@ -1,7 +1,10 @@
 // Tests for projection-matrix construction in ordered index spaces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "geometry/projector.hpp"
 #include "geometry/siddon.hpp"
@@ -111,6 +114,61 @@ TEST(Projector, HilbertOrderingCompactsRowFootprints) {
     return total;
   };
   EXPECT_LT(total_lines(a_h), 0.8 * static_cast<double>(total_lines(a_nat)));
+}
+
+// The fill pass as it was before the radix sort: every traced row's ordered
+// columns sorted by std::sort, one row at a time.
+sparse::CsrMatrix reference_trace(const Geometry& g,
+                                  const hilbert::Ordering& sino,
+                                  const hilbert::Ordering& tomo) {
+  sparse::CsrMatrix a;
+  a.num_rows = static_cast<idx_t>(g.sinogram_extent().size());
+  a.num_cols = static_cast<idx_t>(g.tomogram_extent().size());
+  a.displ.assign(1, 0);
+  std::vector<std::pair<idx_t, real>> segments, ordered;
+  for (idx_t i = 0; i < a.num_rows; ++i) {
+    const Cell rc = sino.cell(i);
+    trace_ray(g, rc.row, rc.col, segments);
+    ordered.clear();
+    for (const auto& [pixel, length] : segments)
+      ordered.emplace_back(
+          tomo.to_ordered()[static_cast<std::size_t>(pixel)], length);
+    std::sort(ordered.begin(), ordered.end(),
+              [](const auto& x, const auto& y) { return x.first < y.first; });
+    for (const auto& [col, v] : ordered) {
+      a.ind.push_back(col);
+      a.val.push_back(v);
+    }
+    a.displ.push_back(static_cast<nnz_t>(a.ind.size()));
+  }
+  return a;
+}
+
+TEST(Projector, RadixSortedRowsMatchComparisonSortBitwise) {
+  // Odd and even sizes, a limited-angle scan, every ordering, and tiled
+  // orderings: the radix-sorted rows are the std::sort rows byte for byte.
+  const std::vector<Geometry> geometries = {
+      make_geometry(37, 29), make_geometry(16, 16), make_geometry(9, 40),
+      make_limited_angle_geometry(23, 31, 3.14159265358979323846 / 3)};
+  for (const Geometry& g : geometries)
+    for (const auto kind :
+         {hilbert::CurveKind::RowMajor, hilbert::CurveKind::Hilbert,
+          hilbert::CurveKind::Morton})
+      for (const idx_t tile : {idx_t{0}, idx_t{4}}) {
+        const hilbert::Ordering sino(g.sinogram_extent(), kind, tile);
+        const hilbert::Ordering tomo(g.tomogram_extent(), kind, tile);
+        SCOPED_TRACE(testing::Message()
+                     << g.num_angles << "x" << g.num_channels << " span "
+                     << g.angle_span << " " << hilbert::to_string(kind)
+                     << " tile " << tile);
+        const auto want = reference_trace(g, sino, tomo);
+        const auto got = build_projection_matrix(g, sino, tomo);
+        EXPECT_EQ(got.num_rows, want.num_rows);
+        EXPECT_EQ(got.num_cols, want.num_cols);
+        EXPECT_TRUE(testutil::same_bytes(got.displ, want.displ));
+        EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind));
+        EXPECT_TRUE(testutil::same_bytes(got.val, want.val));
+      }
 }
 
 TEST(Projector, MismatchedOrderingExtentsRejected) {

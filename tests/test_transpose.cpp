@@ -188,5 +188,54 @@ TEST(Transpose, BitwiseIdenticalForAnyThreadCount) {
   omp_set_num_threads(saved);
 }
 
+TEST(Transpose, FromBufferedForwardMatchesCsrTransposeBitwise) {
+  // A^T read from build_buffered(A) is transpose(A) byte for byte, for
+  // several partition and buffer shapes (one-row partitions, one-slot
+  // buffers, many stages) and thread counts. The stripe matrix has empty
+  // rows, whole empty partitions and empty columns.
+  CsrBuilder stripes(50, 40);
+  std::vector<std::pair<idx_t, real>> entries;
+  for (idx_t r = 0; r < 50; ++r) {
+    entries.clear();
+    if (r % 7 != 3 && (r < 12 || r >= 24))
+      for (idx_t c = r % 5; c < 40; c += 3)
+        if (c % 11 != 4) entries.emplace_back(c, 0.25f * r + 0.5f * c + 1.0f);
+    stripes.set_row(r, entries);
+  }
+  const std::vector<CsrMatrix> cases = {
+      stripes.assemble(),
+      testutil::random_csr(97, 61, 0.1, 41),
+      testutil::random_csr(5, 40, 0.0, 42),
+      testutil::banded_csr(300, 200, 12, 43),
+  };
+  const std::vector<BufferConfig> configs = {
+      {1, 1}, {3, 2}, {8, 5}, {16, 64}, {128, 4096}};
+  const int saved = omp_get_max_threads();
+  for (const CsrMatrix& a : cases) {
+    const CsrMatrix want = transpose(a);
+    for (const BufferConfig& config : configs) {
+      const BufferedMatrix b = build_buffered(a, config);
+      for (const int threads : {1, 3, 4}) {
+        omp_set_num_threads(threads);
+        const CsrMatrix got = transpose(b);
+        SCOPED_TRACE(testing::Message()
+                     << a.num_rows << "x" << a.num_cols << " partsize "
+                     << config.partsize << " buffsize " << config.buffsize
+                     << " on " << threads << " threads");
+        EXPECT_EQ(got.num_rows, want.num_rows);
+        EXPECT_EQ(got.num_cols, want.num_cols);
+        EXPECT_TRUE(testutil::same_bytes(got.displ, want.displ));
+        EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind));
+        EXPECT_TRUE(testutil::same_bytes(got.val, want.val));
+      }
+    }
+  }
+  omp_set_num_threads(saved);
+  EXPECT_THROW(
+      (void)transpose(compress_buffered(build_buffered(cases[1], {8, 5}),
+                                        ValueStorage::Bf16)),
+      InvariantError);
+}
+
 }  // namespace
 }  // namespace memxct::sparse
