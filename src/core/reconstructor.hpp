@@ -31,8 +31,12 @@ namespace memxct::core {
 struct PreprocessReport {
   double ordering_seconds = 0.0;
   double trace_seconds = 0.0;      ///< Ray tracing / matrix construction.
-  double transpose_seconds = 0.0;  ///< Includes derived-format builds.
-  double partition_seconds = 0.0;  ///< Distributed plan construction.
+  double transpose_seconds = 0.0;  ///< Serial path: transpose plus
+                                   ///< derived-format builds.
+  /// Partitioned paths: the whole DistOperator or ShardedOperator build,
+  /// transpose, row slices and exchange plans included (transpose_seconds
+  /// stays 0 there).
+  double partition_seconds = 0.0;
   double tune_seconds = 0.0;  ///< Autotune step wall time (replay or
                               ///< measurement; 0 when autotune is Off).
   double total_seconds = 0.0;

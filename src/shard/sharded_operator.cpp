@@ -1,6 +1,8 @@
 #include "shard/sharded_operator.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <utility>
 
 #include "common/error.hpp"
@@ -39,6 +41,15 @@ std::int64_t plan_rank_bytes(const ExchangePlan& plan, int p) {
   return b;
 }
 
+// Lowers `slot` to `value` if that is smaller; concurrent callers leave the
+// minimum of all their values, whatever their order.
+void atomic_min(int& slot, int value) {
+  std::atomic_ref<int> a(slot);
+  int cur = a.load();
+  while (cur > value && !a.compare_exchange_weak(cur, value)) {
+  }
+}
+
 }  // namespace
 
 ShardedOperator::ShardedOperator(std::shared_ptr<const Storage> storage)
@@ -68,19 +79,13 @@ ShardedOperator::Side ShardedOperator::build_side(
   side.footprint.resize(static_cast<std::size_t>(P));
   side.tiles.resize(static_cast<std::size_t>(P));
   std::vector<std::vector<int>> first_tile(static_cast<std::size_t>(P));
-  sparse::FootprintIndex footprint(m.num_cols);
+
+  // Tile cuts distribute each shard's kernel partitions over the uniform
+  // tile count; small shards get empty tail tiles. Cuts stay multiples of
+  // partsize so the buffered stage structure matches the serial build.
   for (int p = 0; p < P; ++p) {
     const idx_t rb = side.rows.begin(p);
-    const idx_t re = side.rows.end(p);
-    auto& fp = side.footprint[static_cast<std::size_t>(p)];
-    fp = footprint.collect(m, rb, re);
-    footprint.index(fp);
-    first_tile[static_cast<std::size_t>(p)].assign(fp.size(), -1);
-
-    // Tile cuts distribute the shard's kernel partitions over the uniform
-    // tile count; small shards get empty tail tiles. Cuts stay multiples of
-    // partsize so the buffered stage structure matches the serial build.
-    const idx_t local_rows = re - rb;
+    const idx_t local_rows = side.rows.end(p) - rb;
     const idx_t np = std::max<idx_t>(1, (local_rows + partsize - 1) / partsize);
     auto& blocks = side.tiles[static_cast<std::size_t>(p)];
     blocks.resize(static_cast<std::size_t>(tiles));
@@ -95,35 +100,82 @@ ShardedOperator::Side ShardedOperator::build_side(
       TileBlock& block = blocks[static_cast<std::size_t>(t)];
       block.row_begin = rb + off0;
       block.rows = off1 - off0;
-      sparse::CsrMatrix& local = block.local;
-      local.num_rows = block.rows;
-      local.num_cols = static_cast<idx_t>(fp.size());
-      local.displ.reserve(static_cast<std::size_t>(block.rows) + 1);
-      local.displ.push_back(0);
-      const nnz_t block_nnz =
-          m.displ[block.row_begin + block.rows] - m.displ[block.row_begin];
-      local.ind.reserve(static_cast<std::size_t>(block_nnz));
-      local.val.reserve(static_cast<std::size_t>(block_nnz));
-      for (idx_t r = block.row_begin; r < block.row_begin + block.rows; ++r) {
-        for (nnz_t j = m.displ[r]; j < m.displ[r + 1]; ++j) {
-          const idx_t pos = footprint.position(m.ind[j]);
-          local.ind.push_back(pos);
-          local.val.push_back(m.val[j]);
-          auto& ft = first_tile[static_cast<std::size_t>(p)]
-                               [static_cast<std::size_t>(pos)];
-          if (ft < 0) ft = t;
-        }
-        local.displ.push_back(static_cast<nnz_t>(local.ind.size()));
-      }
-      if (opt.kernel == LocalKernel::Buffered && block.rows > 0) {
-        block.buffered = sparse::build_buffered(local, opt.buffer);
-        // The buffered structure is self-contained; the CSR slice it was
-        // staged from is dead weight — drop it so each shard's residency is
-        // the buffered footprint alone (the apply never reads it).
-        local = sparse::CsrMatrix{};
-      }
     }
   }
+
+  // An exception may not leave the parallel region below: the first one
+  // thrown is kept and rethrown after it.
+  std::exception_ptr error;
+  const auto guarded = [&error](auto&& step) {
+    try {
+      step();
+    } catch (...) {
+#pragma omp critical(shard_build_error)
+      if (!error) error = std::current_exception();
+    }
+  };
+
+  // One parallel region: footprints per shard, then one loop over the
+  // P × tiles blocks. Every block writes only its own arrays, so the bytes
+  // do not depend on which thread builds which block; the only shared
+  // output, first_tile, is a minimum and so is order-independent too. A
+  // lone block has no one to share the region with, so it stays inactive
+  // and the block's buffered build gets the threads.
+  const int num_blocks = P * tiles;
+#pragma omp parallel if (num_blocks > 1)
+  {
+    sparse::FootprintIndex footprint(m.num_cols);
+#pragma omp for schedule(dynamic, 1)
+    for (int p = 0; p < P; ++p) {
+      guarded([&] {
+        auto& fp = side.footprint[static_cast<std::size_t>(p)];
+        fp = footprint.collect(m, side.rows.begin(p), side.rows.end(p));
+        first_tile[static_cast<std::size_t>(p)].assign(fp.size(), tiles);
+      });
+    }
+#pragma omp for schedule(dynamic, 1)
+    for (int b = 0; b < num_blocks; ++b) {
+      guarded([&] {
+        const int p = b / tiles;
+        const int t = b % tiles;
+        const auto& fp = side.footprint[static_cast<std::size_t>(p)];
+        auto& ft = first_tile[static_cast<std::size_t>(p)];
+        TileBlock& block = side.tiles[static_cast<std::size_t>(p)]
+                                     [static_cast<std::size_t>(t)];
+        footprint.index(fp);
+
+        // The slice's arrays are sized once and filled here, so this thread
+        // first-touches their pages.
+        sparse::CsrMatrix& local = block.local;
+        local.num_rows = block.rows;
+        local.num_cols = static_cast<idx_t>(fp.size());
+        local.displ.resize(static_cast<std::size_t>(block.rows) + 1);
+        const nnz_t base = m.displ[block.row_begin];
+        for (idx_t r = 0; r <= block.rows; ++r)
+          local.displ[static_cast<std::size_t>(r)] =
+              m.displ[block.row_begin + r] - base;
+        const nnz_t block_nnz = local.displ.back();
+        local.ind.resize(static_cast<std::size_t>(block_nnz));
+        local.val.resize(static_cast<std::size_t>(block_nnz));
+        std::copy(m.val.begin() + base, m.val.begin() + base + block_nnz,
+                  local.val.begin());
+        for (nnz_t j = 0; j < block_nnz; ++j) {
+          const idx_t pos = footprint.position(m.ind[base + j]);
+          local.ind[static_cast<std::size_t>(j)] = pos;
+          atomic_min(ft[static_cast<std::size_t>(pos)], t);
+        }
+        if (opt.kernel == LocalKernel::Buffered && block.rows > 0) {
+          // Nested in this region, the buffered build runs on this thread.
+          block.buffered = sparse::build_buffered(local, opt.buffer);
+          // The buffered structure is self-contained; the CSR slice it was
+          // staged from is dead weight — drop it so each shard's residency
+          // is the buffered footprint alone (the apply never reads it).
+          local = sparse::CsrMatrix{};
+        }
+      });
+    }
+  }
+  if (error) std::rethrow_exception(error);
   side.plan = build_exchange_plan(input_owner, side.footprint, first_tile,
                                   tiles, opt.group_size);
   return side;
@@ -136,7 +188,7 @@ std::shared_ptr<const ShardedOperator::Storage> ShardedOperator::build_storage(
   if (opt.group_size < 1) opt.group_size = 1;
   const idx_t ps = opt.kernel == LocalKernel::Buffered ? opt.buffer.partsize
                                                        : sparse::kCsrPartsize;
-  const sparse::CsrMatrix at = sparse::transpose(a);
+  sparse::CsrMatrix at = sparse::transpose(a);
   dist::DomainPartition sino = partition_rows_aligned(a, opt.num_shards, ps);
   dist::DomainPartition tomo = partition_rows_aligned(at, opt.num_shards, ps);
 
@@ -150,13 +202,13 @@ std::shared_ptr<const ShardedOperator::Storage> ShardedOperator::build_storage(
   int tiles = opt.pipeline_tiles > 0 ? opt.pipeline_tiles : 4;
   tiles = std::max(1, std::min<int>(tiles, static_cast<int>(max_np)));
 
-  Storage st{opt,
-             a.num_rows,
-             a.num_cols,
-             tiles,
-             build_side(a, sino, tomo, opt, ps, tiles),
-             build_side(at, tomo, sino, opt, ps, tiles),
-             {}};
+  // Backward side first, so A^T is released before the forward side is
+  // built: the peak is A + A^T + one side, not A + A^T + both.
+  Side bwd = build_side(at, tomo, sino, opt, ps, tiles);
+  at = sparse::CsrMatrix{};
+  Side fwd = build_side(a, sino, tomo, opt, ps, tiles);
+  Storage st{opt,           a.num_rows,     a.num_cols, tiles,
+             std::move(fwd), std::move(bwd), {}};
 
   st.rank_bytes.assign(static_cast<std::size_t>(opt.num_shards), 0);
   for (int p = 0; p < opt.num_shards; ++p) {

@@ -3,9 +3,12 @@
 // bitwise parity with the serial P=1 path for any shard count, kernel
 // family, SpMM width, group size, and pipeline depth.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cstring>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "core/opkey.hpp"
 #include "core/reconstructor.hpp"
@@ -392,6 +395,133 @@ TEST(ShardedOperator, ViewsShareStorageButNotCounters) {
   EXPECT_EQ(op.stats().applies, 1);
   EXPECT_EQ(view->stats().applies, 1);  // not 2: counters are per view
   EXPECT_EQ(op.bytes(), view->bytes());
+}
+
+// ---------------------------------------------------------------------------
+// The shard build runs its blocks in parallel; what it stores must not
+// depend on the thread count or on being nested inside a worker's region.
+
+struct BuildSnapshot {
+  std::string fwd_plan, bwd_plan;
+  std::vector<idx_t> sino_cuts, tomo_cuts;
+  std::vector<std::int64_t> rank_bytes;
+  int tiles = 0;
+  AlignedVector<real> y, x, y_block;
+};
+
+BuildSnapshot snapshot(const sparse::CsrMatrix& a,
+                       const ShardedOperator::Options& opt) {
+  const ShardedOperator op(a, opt);
+  BuildSnapshot s;
+  s.fwd_plan = op.forward_plan().fingerprint();
+  s.bwd_plan = op.transpose_plan().fingerprint();
+  for (int p = 0; p <= opt.num_shards; ++p) {
+    s.sino_cuts.push_back(p < opt.num_shards ? op.sino_partition().begin(p)
+                                             : op.sino_partition().total());
+    s.tomo_cuts.push_back(p < opt.num_shards ? op.tomo_partition().begin(p)
+                                             : op.tomo_partition().total());
+  }
+  for (int p = 0; p < opt.num_shards; ++p)
+    s.rank_bytes.push_back(op.rank_bytes(p));
+  s.tiles = op.pipeline_tiles();
+  const idx_t k = 3;
+  const auto x = testutil::random_vector(a.num_cols, 91);
+  const auto y = testutil::random_vector(a.num_rows, 92);
+  const auto xk = testutil::random_vector(a.num_cols * k, 93);
+  s.y.resize(static_cast<std::size_t>(a.num_rows));
+  s.x.resize(static_cast<std::size_t>(a.num_cols));
+  s.y_block.resize(static_cast<std::size_t>(a.num_rows * k));
+  op.apply(x, s.y);
+  op.apply_transpose(y, s.x);
+  op.apply_block(xk, s.y_block, k);
+  return s;
+}
+
+void expect_same_build(const BuildSnapshot& want, const BuildSnapshot& got) {
+  EXPECT_EQ(got.fwd_plan, want.fwd_plan);
+  EXPECT_EQ(got.bwd_plan, want.bwd_plan);
+  EXPECT_EQ(got.sino_cuts, want.sino_cuts);
+  EXPECT_EQ(got.tomo_cuts, want.tomo_cuts);
+  EXPECT_EQ(got.rank_bytes, want.rank_bytes);
+  EXPECT_EQ(got.tiles, want.tiles);
+  EXPECT_TRUE(bitwise_equal(got.y, want.y));
+  EXPECT_TRUE(bitwise_equal(got.x, want.x));
+  EXPECT_TRUE(bitwise_equal(got.y_block, want.y_block));
+}
+
+TEST(ShardBuild, StorageDoesNotDependOnThreadCount) {
+  const auto a = make_matrix();
+  const int saved = omp_get_max_threads();
+  bool saw_empty_shard = false;
+  bool saw_empty_tail_tile = false;
+  for (const LocalKernel kernel :
+       {LocalKernel::BaselineCsr, LocalKernel::Buffered})
+    for (const idx_t partsize : {32, 128, 256})
+      for (const int shards : {1, 2, 3, 4})
+        for (const int tiles : {1, 4})
+          for (const int group : {1, 2}) {
+            if (kernel == LocalKernel::BaselineCsr && partsize != 32)
+              continue;  // the CSR kernel ignores the buffer config
+            ShardedOperator::Options opt;
+            opt.num_shards = shards;
+            opt.kernel = kernel;
+            opt.buffer = {partsize, 256};
+            opt.pipeline_tiles = tiles;
+            opt.group_size = group;
+            SCOPED_TRACE(testing::Message()
+                         << (kernel == LocalKernel::Buffered ? "buffered"
+                                                             : "csr")
+                         << " partsize " << partsize << " P " << shards
+                         << " tiles " << tiles << " group " << group);
+            omp_set_num_threads(1);
+            const BuildSnapshot want = snapshot(a, opt);
+            for (const int threads : {3, 4}) {
+              omp_set_num_threads(threads);
+              SCOPED_TRACE(testing::Message() << threads << " threads");
+              expect_same_build(want, snapshot(a, opt));
+            }
+            // A batch or serve worker builds from inside its own region.
+            omp_set_num_threads(4);
+            std::optional<BuildSnapshot> nested;
+#pragma omp parallel num_threads(2)
+            {
+#pragma omp single
+              nested = snapshot(a, opt);
+            }
+            SCOPED_TRACE("nested in a parallel region");
+            expect_same_build(want, *nested);
+
+            // Coverage: empty shards and empty tail tiles occur.
+            const idx_t ps = kernel == LocalKernel::Buffered
+                                 ? partsize
+                                 : sparse::kCsrPartsize;
+            for (const auto* cuts : {&want.sino_cuts, &want.tomo_cuts})
+              for (int p = 0; p < shards; ++p) {
+                const idx_t rows = (*cuts)[static_cast<std::size_t>(p) + 1] -
+                                   (*cuts)[static_cast<std::size_t>(p)];
+                saw_empty_shard |= rows == 0;
+                saw_empty_tail_tile |= (rows + ps - 1) / ps < want.tiles;
+              }
+          }
+  omp_set_num_threads(saved);
+  EXPECT_TRUE(saw_empty_shard);
+  EXPECT_TRUE(saw_empty_tail_tile);
+}
+
+TEST(ShardBuild, BlockFailureThrowsOutOfTheParallelBuild) {
+  // A buffer too wide for 16-bit slots fails inside a block's buffered
+  // build; the failure reaches the caller as an exception, at any thread
+  // count.
+  const auto a = make_matrix();
+  ShardedOperator::Options opt;
+  opt.num_shards = 3;
+  opt.buffer = {32, 65537};
+  const int saved = omp_get_max_threads();
+  for (const int threads : {1, 4}) {
+    omp_set_num_threads(threads);
+    EXPECT_THROW(ShardedOperator(a, opt), InvariantError) << threads;
+  }
+  omp_set_num_threads(saved);
 }
 
 // ---------------------------------------------------------------------------
