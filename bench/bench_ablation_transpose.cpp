@@ -5,12 +5,19 @@
 // within-row entry ordering that the pseudo-Hilbert layout created, which
 // (1) breaks the sortedness the buffered-matrix builder requires and
 // (2) degrades the gather locality of the plain CSR backprojection.
+//
+// A second table times the Buffered operator's backward build: the scan
+// transpose followed by build_buffered, against build_buffered_transpose
+// reading the buffered forward (DESIGN.md §23), with the matrix bytes each
+// holds beyond the forward and the finished backward.
 #include <cstdio>
+#include <cstring>
 
 #include "bench_util.hpp"
 #include "cachesim/spmv_trace.hpp"
 #include "io/table.hpp"
 #include "perf/timer.hpp"
+#include "sparse/buffered.hpp"
 #include "sparse/spmv.hpp"
 #include "sparse/transpose.hpp"
 
@@ -68,5 +75,51 @@ int main() {
       "order; the paper's objection concerns many-thread runs where the\n"
       "interleaving randomizes rows and the buffered builder would reject\n"
       "them (it requires sorted rows).\n");
-  return 0;
+
+  // The backward staged layout, both ways, from the same buffered forward.
+  const sparse::BufferConfig config{};
+  const sparse::BufferedMatrix fwd = sparse::build_buffered(a, config);
+  MatrixByteCounter& counter = matrix_byte_counter();
+  // Matrix bytes held at the peak of build() beyond what was alive before
+  // it and the backward it returns.
+  const auto measure = [&](auto&& build, double& seconds,
+                           std::int64_t& transient) {
+    counter.reset_high_water();
+    t.reset();
+    sparse::BufferedMatrix b = build();
+    seconds = t.seconds();
+    transient = counter.high_water() - counter.live();
+    return b;
+  };
+  double t_csr = 0, t_staged = 0;
+  std::int64_t held_csr = 0, held_staged = 0;
+  const auto via_csr = measure(
+      [&] { return sparse::build_buffered(sparse::transpose(a), config); },
+      t_csr, held_csr);
+  const auto staged = measure(
+      [&] { return sparse::build_buffered_transpose(fwd, config); },
+      t_staged, held_staged);
+  const bool equal =
+      staged.ind.size() == via_csr.ind.size() &&
+      std::memcmp(staged.ind.data(), via_csr.ind.data(),
+                  staged.ind.size() * sizeof(buf_idx_t)) == 0 &&
+      std::memcmp(staged.val.data(), via_csr.val.data(),
+                  staged.val.size() * sizeof(real)) == 0 &&
+      std::memcmp(staged.displ.data(), via_csr.displ.data(),
+                  staged.displ.size() * sizeof(nnz_t)) == 0 &&
+      std::memcmp(staged.map.data(), via_csr.map.data(),
+                  staged.map.size() * sizeof(idx_t)) == 0;
+  io::TablePrinter build(
+      "Backward buffered build: CSR transpose vs staged transpose");
+  build.header({"path", "build time", "transient matrix bytes",
+                "bitwise equal"});
+  build.row({"scan transpose + build_buffered",
+             io::TablePrinter::time_s(t_csr),
+             io::TablePrinter::bytes(static_cast<double>(held_csr)), "-"});
+  build.row({"build_buffered_transpose (MemXCT op)",
+             io::TablePrinter::time_s(t_staged),
+             io::TablePrinter::bytes(static_cast<double>(held_staged)),
+             equal ? "yes" : "NO"});
+  build.print();
+  return equal ? 0 : 1;
 }

@@ -44,6 +44,42 @@ inline std::atomic<std::int64_t>& aligned_alloc_count() noexcept {
   return count;
 }
 
+/// Test hook: bytes of matrix-array (UninitAllocator) storage alive in the
+/// process, and their high-water mark since the last reset. A test pins the
+/// peak matrix footprint of an operator build with it.
+class MatrixByteCounter {
+ public:
+  [[nodiscard]] std::int64_t live() const noexcept {
+    return live_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::int64_t high_water() const noexcept {
+    return high_.load(std::memory_order_relaxed);
+  }
+  /// Restarts the high-water mark from the bytes alive now.
+  void reset_high_water() noexcept {
+    high_.store(live(), std::memory_order_relaxed);
+  }
+  void add(std::int64_t bytes) noexcept {
+    const std::int64_t now =
+        live_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+    std::int64_t high = high_.load(std::memory_order_relaxed);
+    while (now > high && !high_.compare_exchange_weak(
+                             high, now, std::memory_order_relaxed)) {
+    }
+  }
+  void remove(std::int64_t bytes) noexcept {
+    live_.fetch_sub(bytes, std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::int64_t> live_{0}, high_{0};
+};
+
+inline MatrixByteCounter& matrix_byte_counter() noexcept {
+  static MatrixByteCounter counter;
+  return counter;
+}
+
 namespace detail {
 
 /// `bytes` of storage, at least kCacheLineBytes-aligned. From `map_floor`
@@ -167,11 +203,13 @@ class UninitAllocator : public AlignedAllocator<T> {
     // as NaN or index -1 in the sanitizer builds.
     std::memset(static_cast<void*>(p), 0xFF, n * sizeof(T));
 #endif
+    matrix_byte_counter().add(static_cast<std::int64_t>(n * sizeof(T)));
     return p;
   }
 
   void deallocate(T* p, std::size_t n) noexcept {
     detail::free_bytes(p, n * sizeof(T), kMatrixMapFloorBytes);
+    matrix_byte_counter().remove(static_cast<std::int64_t>(n * sizeof(T)));
   }
 
   // Only the argument-less form is declared: std::allocator_traits

@@ -145,35 +145,24 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
   s->num_rows = a.num_rows;
   s->num_cols = a.num_cols;
   s->nnz = a.nnz();
-  // Each CSR is consumed by its conversion and released as soon as its
-  // derived form exists. The buffered forward is built first and A^T read
-  // from it, so A is gone before A^T exists: at most one CSR is alive at a
-  // time, beside the fp32 buffered forms.
-  const auto convert = [&](sparse::CsrMatrix m) -> StoredMatrix {
-    switch (kind) {
-      case KernelKind::Baseline:
-        if (compressed)
-          return sparse::compress_csr(m, sparse::kCsrPartsize, precision);
-        return m;
-      case KernelKind::Library:
-        return m;
-      case KernelKind::EllBlock:
-        return sparse::to_ell_block(m, ell_block_rows);
-      case KernelKind::Buffered: {
-        sparse::BufferedMatrix b = sparse::build_buffered(m, buffer);
-        m = {};
-        return sparse::compress_buffered(std::move(b), precision);
-      }
-    }
-    return m;
-  };
   if (kind == KernelKind::Buffered) {
+    // The backward is written straight from the fp32 buffered forward, in
+    // its final precision, once A is released: the build holds A and the
+    // forward, then the forward and the backward, never a CSR A^T
+    // (DESIGN.md §23).
     sparse::BufferedMatrix fwd = sparse::build_buffered(a, buffer);
     a = {};
-    sparse::CsrMatrix at = sparse::transpose(fwd);
+    s->bwd.matrix = sparse::build_buffered_transpose(fwd, buffer, precision);
     s->fwd.matrix = sparse::compress_buffered(std::move(fwd), precision);
-    s->bwd.matrix = convert(std::move(at));
   } else {
+    // Each CSR is consumed by its conversion.
+    const auto convert = [&](sparse::CsrMatrix m) -> StoredMatrix {
+      if (kind == KernelKind::EllBlock)
+        return sparse::to_ell_block(m, ell_block_rows);
+      if (compressed)
+        return sparse::compress_csr(m, sparse::kCsrPartsize, precision);
+      return m;
+    };
     sparse::CsrMatrix at = sparse::transpose(a);
     s->fwd.matrix = convert(std::move(a));
     s->bwd.matrix = convert(std::move(at));

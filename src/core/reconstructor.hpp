@@ -31,8 +31,11 @@ namespace memxct::core {
 struct PreprocessReport {
   double ordering_seconds = 0.0;
   double trace_seconds = 0.0;      ///< Ray tracing / matrix construction.
-  double transpose_seconds = 0.0;  ///< Serial path: transpose plus
-                                   ///< derived-format builds.
+  /// Serial path: the whole MemXCTOperator build after the trace. For
+  /// Buffered that is the buffered forward and the backward staged
+  /// straight from it (no CSR transpose); for the other kernels the scan
+  /// transpose and both derived-format builds.
+  double transpose_seconds = 0.0;
   /// Partitioned paths: the whole DistOperator or ShardedOperator build,
   /// transpose, row slices and exchange plans included (transpose_seconds
   /// stays 0 there).

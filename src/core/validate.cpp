@@ -13,6 +13,11 @@ void validate_config(const Config& config) {
     throw InvalidArgument("config: num_ranks must be >= 1");
   if (config.num_shards < 1)
     throw InvalidArgument("config: num_shards must be >= 1");
+  if (config.buffer.partsize < 1)
+    throw InvalidArgument("config: buffer partsize must be >= 1");
+  if (config.buffer.buffsize < 1 || config.buffer.buffsize > 65536)
+    throw InvalidArgument(
+        "config: buffer buffsize must be in [1, 65536] (16-bit slots)");
 
   const bool distributed = config.num_ranks > 1 || config.force_distributed;
   const bool sharded = config.num_shards > 1;

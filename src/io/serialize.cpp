@@ -196,7 +196,10 @@ sparse::BufferedMatrix load_buffered(const std::string& path) {
   read_array(f.get(), m.displ.data(), m.displ.size(), path);
   read_array(f.get(), m.ind.data(), m.ind.size(), path);
   read_array(f.get(), m.val.data(), m.val.size(), path);
+  // The file's bytes are untrusted: beyond the structure, every slot must
+  // address its stage's staged footprint before a kernel reads through it.
   m.validate();
+  m.validate_slots();
   return m;
 }
 

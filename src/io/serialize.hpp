@@ -29,7 +29,9 @@ void save_csr(const std::string& path, const sparse::CsrMatrix& matrix);
 void save_buffered(const std::string& path,
                    const sparse::BufferedMatrix& matrix);
 
-/// Reads a buffered matrix written by save_buffered; validates on load.
+/// Reads a buffered matrix written by save_buffered; validates its
+/// structure and every slot on load, so whatever it returns an apply reads
+/// within bounds.
 [[nodiscard]] sparse::BufferedMatrix load_buffered(const std::string& path);
 
 /// Writes a float vector.

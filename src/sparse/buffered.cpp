@@ -11,14 +11,25 @@
 namespace memxct::sparse {
 
 void BufferedMatrix::validate() const {
+  MEMXCT_CHECK(num_rows >= 0 && num_cols >= 0);
   MEMXCT_CHECK(config.partsize > 0);
   MEMXCT_CHECK(config.buffsize > 0 && config.buffsize <= 65536);
-  MEMXCT_CHECK(!partdispl.empty() && partdispl.front() == 0);
+  // The apply walks one partition per partsize rows.
+  MEMXCT_CHECK(static_cast<std::int64_t>(partdispl.size()) ==
+               std::max<std::int64_t>(1, ceil_div<std::int64_t>(
+                                             num_rows, config.partsize)) +
+                   1);
+  MEMXCT_CHECK(partdispl.front() == 0);
+  for (std::size_t p = 1; p < partdispl.size(); ++p)
+    MEMXCT_CHECK(partdispl[p - 1] <= partdispl[p]);
   MEMXCT_CHECK(partdispl.back() == num_stages());
   MEMXCT_CHECK(stagedispl.size() == stagenz.size() + 1);
+  MEMXCT_CHECK(stagedispl.front() == 0);
   MEMXCT_CHECK(stagedispl.back() == static_cast<nnz_t>(map.size()));
   for (idx_t s = 0; s < num_stages(); ++s) {
-    MEMXCT_CHECK_MSG(stagenz[static_cast<std::size_t>(s)] <= config.buffsize,
+    MEMXCT_CHECK_MSG(stagenz[static_cast<std::size_t>(s)] >= 0 &&
+                         stagenz[static_cast<std::size_t>(s)] <=
+                             config.buffsize,
                      "stage exceeds buffer capacity");
     MEMXCT_CHECK(stagedispl[static_cast<std::size_t>(s)] +
                      stagenz[static_cast<std::size_t>(s)] ==
@@ -29,10 +40,20 @@ void BufferedMatrix::validate() const {
                static_cast<std::size_t>(num_stages()) * config.partsize + 1);
   MEMXCT_CHECK(displ.front() == 0 &&
                displ.back() == static_cast<nnz_t>(ind.size()));
+  for (std::size_t i = 1; i < displ.size(); ++i)
+    MEMXCT_CHECK_MSG(displ[i - 1] <= displ[i], "run bounds not monotone");
   if (storage == ValueStorage::Fp32)
     MEMXCT_CHECK(val.size() == ind.size() && val16.empty());
   else
     MEMXCT_CHECK(val16.size() == ind.size() && val.empty());
+}
+
+void BufferedMatrix::validate_slots() const {
+  const auto partsize = static_cast<std::size_t>(config.partsize);
+  for (std::size_t s = 0; s < stagenz.size(); ++s)
+    for (nnz_t k = displ[s * partsize]; k < displ[(s + 1) * partsize]; ++k)
+      MEMXCT_CHECK_MSG(ind[static_cast<std::size_t>(k)] < stagenz[s],
+                       "slot outside its stage's staged footprint");
 }
 
 BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {

@@ -66,8 +66,14 @@ struct BufferedMatrix {
     return static_cast<nnz_t>(map.size());
   }
 
-  /// Structural validation (stage sizes, index bounds, coverage).
+  /// Structural validation: partition count, monotone partdispl,
+  /// stagedispl and displ within their arrays, stage sizes, map bounds.
+  /// Linear in stages·partsize + staged words, not in nnz.
   void validate() const;
+  /// Checks that every 16-bit slot lies below its stage's stagenz, so an
+  /// apply reads only staged buffer entries. O(nnz): run where untrusted
+  /// bytes come in (io::load_buffered), after validate().
+  void validate_slots() const;
 };
 
 /// Matrix-stream prefetch (DESIGN.md §19). One core cannot keep enough

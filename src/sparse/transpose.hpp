@@ -3,7 +3,8 @@
 // MemXCT builds the backprojection matrix A^T from A with a scan-based
 // transposition that keeps row-segment relative order (so the pseudo-Hilbert
 // data locality survives), instead of an atomic scatter that would randomize
-// entry order.
+// entry order. The Buffered operator's backward is the same transposition
+// written straight into the staged layout from the buffered forward.
 #pragma once
 
 #include "sparse/buffered.hpp"
@@ -18,10 +19,17 @@ namespace memxct::sparse {
 /// and the result is bitwise identical for any thread count.
 [[nodiscard]] CsrMatrix transpose(const CsrMatrix& a);
 
-/// The same transpose read from a built fp32 buffered matrix: bitwise equal
-/// to transpose(a) for b = build_buffered(a, any config), so the operator
-/// build can release A before A^T exists.
-[[nodiscard]] CsrMatrix transpose(const BufferedMatrix& b);
+/// A^T's staged layout written straight from a built fp32 buffered forward:
+/// for fwd = build_buffered(a, any config) it equals, array for array and
+/// byte for byte, compress_buffered(build_buffered(transpose(a), config),
+/// storage). No CSR A^T exists on the way, so the operator build holds at
+/// most the forward and the backward at once (DESIGN.md §23). Three
+/// OpenMP-parallel passes over blocks of forward partitions (footprint
+/// counts, map and cell counts, placement), bitwise identical for any
+/// thread count. Throws InvariantError unless fwd holds fp32 values.
+[[nodiscard]] BufferedMatrix build_buffered_transpose(
+    const BufferedMatrix& fwd, const BufferConfig& config = {},
+    ValueStorage storage = ValueStorage::Fp32);
 
 /// The alternative Section 3.5.1 rejects: an atomic-cursor parallel
 /// scatter whose thread interleaving *randomizes* the entry order within

@@ -222,19 +222,6 @@ TEST(RunWalker, BitwiseEqualToPlainLoopAtEveryLength) {
 // Oracle: the production build must reproduce the reference builder
 // (testutil::reference_build_buffered) byte for byte, at any thread count.
 
-void expect_same_buffered(const BufferedMatrix& got,
-                          const BufferedMatrix& want) {
-  EXPECT_EQ(got.num_rows, want.num_rows);
-  EXPECT_EQ(got.num_cols, want.num_cols);
-  EXPECT_TRUE(testutil::same_bytes(got.partdispl, want.partdispl));
-  EXPECT_TRUE(testutil::same_bytes(got.stagedispl, want.stagedispl));
-  EXPECT_TRUE(testutil::same_bytes(got.stagenz, want.stagenz));
-  EXPECT_TRUE(testutil::same_bytes(got.map, want.map));
-  EXPECT_TRUE(testutil::same_bytes(got.displ, want.displ));
-  EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind));
-  EXPECT_TRUE(testutil::same_bytes(got.val, want.val));
-}
-
 // Rows [first, last) emptied: whole empty partitions and stray empty rows.
 CsrMatrix with_empty_rows(const CsrMatrix& a, idx_t first, idx_t last) {
   CsrBuilder b(a.num_rows, a.num_cols);
@@ -326,7 +313,25 @@ TEST_P(BufferedOracle, MatchesReferenceBuilderBytewise) {
   for (const int threads : {1, 3, 4}) {
     omp_set_num_threads(threads);
     SCOPED_TRACE(threads);
-    expect_same_buffered(build_buffered(a, param.config), want);
+    testutil::expect_same_buffered(build_buffered(a, param.config), want);
+  }
+  omp_set_num_threads(saved);
+}
+
+TEST_P(BufferedOracle, StagedTransposeMatchesReferenceBytewise) {
+  // The backward read straight from the buffered forward is the reference
+  // build of the CSR transpose, whatever the forward's own threads.
+  const auto& param = GetParam();
+  const CsrMatrix a = param.matrix();
+  const BufferedMatrix want =
+      testutil::reference_build_buffered(transpose(a), param.config);
+  const BufferedMatrix fwd = build_buffered(a, param.config);
+  const int saved = omp_get_max_threads();
+  for (const int threads : {1, 3, 4}) {
+    omp_set_num_threads(threads);
+    SCOPED_TRACE(threads);
+    testutil::expect_same_buffered(build_buffered_transpose(fwd, param.config),
+                                   want);
   }
   omp_set_num_threads(saved);
 }

@@ -2,10 +2,14 @@
 // end-to-end Reconstructor pipeline.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/reconstructor.hpp"
 #include "geometry/projector.hpp"
+#include "phantom/analytic.hpp"
 #include "phantom/datasets.hpp"
 #include "phantom/phantom.hpp"
+#include "sparse/transpose.hpp"
 #include "test_util.hpp"
 
 namespace memxct::core {
@@ -47,6 +51,109 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, KernelKinds,
                                            KernelKind::EllBlock,
                                            KernelKind::Buffered,
                                            KernelKind::Library));
+
+// Bytes of matrix-array (UninitAllocator) storage held by the arrays.
+template <class... V>
+std::int64_t matrix_bytes(const V&... arrays) {
+  return (static_cast<std::int64_t>(arrays.capacity() *
+                                    sizeof(typename V::value_type)) +
+          ...);
+}
+std::int64_t matrix_bytes_of(const sparse::CsrMatrix& m) {
+  return matrix_bytes(m.ind, m.val);
+}
+std::int64_t matrix_bytes_of(const sparse::BufferedMatrix& m) {
+  return matrix_bytes(m.map, m.displ, m.ind, m.val, m.val16);
+}
+
+TEST(OperatorBuild, BufferedBuildHoldsAtMostTwoMatrices) {
+  // A Buffered build holds A and the fp32 forward, then the forward and
+  // the backward: never a CSR A^T beside them (DESIGN.md §23). The bound
+  // counts fp32 forms; in 16 bits the backward is written compressed, so
+  // the forward's 16-bit copy fits in the room its fp32 values would take.
+  const auto g = geometry::make_geometry(48, 40);
+  const hilbert::Ordering sino(g.sinogram_extent(),
+                               hilbert::CurveKind::Hilbert, 4);
+  const hilbert::Ordering tomo(g.tomogram_extent(),
+                               hilbert::CurveKind::Hilbert, 4);
+  const sparse::CsrMatrix a = geometry::build_projection_matrix(g, sino, tomo);
+  const sparse::BufferConfig buffer{32, 256};
+  std::int64_t fwd = 0, at = 0, bwd = 0;
+  {
+    const sparse::CsrMatrix t = sparse::transpose(a);
+    fwd = matrix_bytes_of(sparse::build_buffered(a, buffer));
+    at = matrix_bytes_of(t);
+    bwd = matrix_bytes_of(sparse::build_buffered(t, buffer));
+  }
+  MatrixByteCounter& counter = matrix_byte_counter();
+  for (const auto precision :
+       {sparse::ValueStorage::Fp32, sparse::ValueStorage::Bf16}) {
+    SCOPED_TRACE(sparse::to_string(precision));
+    sparse::CsrMatrix copy = a;
+    const std::int64_t a_bytes = matrix_bytes_of(copy);
+    const std::int64_t bound = std::max(a_bytes + fwd, fwd + bwd);
+    EXPECT_GT(fwd + at + bwd, bound);  // the CSR A^T path exceeds it
+    const std::int64_t others = counter.live() - a_bytes;
+    counter.reset_high_water();
+    const MemXCTOperator op(std::move(copy), KernelKind::Buffered, buffer, 64,
+                            ScheduleKind::StaticPlan, precision);
+    const std::int64_t held = counter.high_water() - others;
+    EXPECT_GE(held, a_bytes + fwd);
+    EXPECT_LE(held, bound);
+  }
+}
+
+// The Buffered operator of the CSR transpose path: both directions built by
+// build_buffered, the backward from transpose(A).
+class CsrTransposeBuffered final : public solve::LinearOperator {
+ public:
+  CsrTransposeBuffered(const sparse::CsrMatrix& a,
+                       const sparse::BufferConfig& buffer,
+                       sparse::ValueStorage precision)
+      : fwd_(sparse::compress_buffered(sparse::build_buffered(a, buffer),
+                                       precision)),
+        bwd_(sparse::compress_buffered(
+            sparse::build_buffered(sparse::transpose(a), buffer), precision)) {}
+  idx_t num_rows() const override { return fwd_.num_rows; }
+  idx_t num_cols() const override { return fwd_.num_cols; }
+  void apply(std::span<const real> x, std::span<real> y) const override {
+    sparse::spmv_buffered(fwd_, x, y);
+  }
+  void apply_transpose(std::span<const real> y,
+                       std::span<real> x) const override {
+    sparse::spmv_buffered(bwd_, y, x);
+  }
+
+ private:
+  sparse::BufferedMatrix fwd_, bwd_;
+};
+
+TEST(Reconstructor, BufferedBackwardMatchesCsrTransposePathBitwise) {
+  // Limited angle (120 degrees) at an odd size, so partitions end ragged on
+  // both sides: the Reconstructor's images equal, byte for byte, those of
+  // an operator whose backward is build_buffered(transpose(A)).
+  const auto g = geometry::make_limited_angle_geometry(45, 37, 2.0 * M_PI / 3);
+  const auto sinogram = phantom::analytic_sinogram(
+      g, phantom::shepp_logan_ellipses(g.num_channels));
+  for (const auto precision :
+       {sparse::ValueStorage::Fp32, sparse::ValueStorage::Bf16}) {
+    SCOPED_TRACE(sparse::to_string(precision));
+    Config config;
+    config.iterations = 8;
+    config.buffer = {16, 128};
+    config.precision = precision;
+    const Reconstructor recon(g, config);
+    const CsrTransposeBuffered ref(
+        geometry::build_projection_matrix(g, recon.sinogram_ordering(),
+                                          recon.tomogram_ordering()),
+        config.buffer, precision);
+    const auto got = recon.reconstruct(sinogram);
+    const auto want =
+        reconstruct_slice(ref, g, recon.config(), recon.sinogram_ordering(),
+                          recon.tomogram_ordering(), sinogram);
+    EXPECT_TRUE(testutil::same_bytes(got.image, want.image));
+  }
+}
 
 TEST(Reconstructor, RecoversPhantomFromCleanData) {
   const auto spec = phantom::dataset("ADS1").scaled_by(8);  // 45x32

@@ -188,14 +188,19 @@ TEST(Serialize, FuzzByteFlipNeverCrashes) {
   // legitimately undetectable — but a flip anywhere must either load
   // cleanly or fail with one of the two typed errors. Anything else
   // (unbounded allocation, over-read, uncaught exception) fails the test.
+  // A buffered matrix that loads is applied too: whatever the loader
+  // accepts, the kernels must read within bounds (checked under ASan).
   Rng rng(72);
   const auto a = testutil::random_csr(20, 20, 0.3, 34);
   const auto v = testutil::random_vector(100, 35);
+  const auto bm = sparse::build_buffered(testutil::banded_csr(60, 70, 6, 36),
+                                         {16, 64});
   const std::string path = "/tmp/memxct_fuzz_flip.bin";
-  for (int trial = 0; trial < 60; ++trial) {
-    const int format = trial % 2;
+  for (int trial = 0; trial < 90; ++trial) {
+    const int format = trial % 3;
     if (format == 0) save_csr(path, a);
-    else save_vector(path, v);
+    else if (format == 1) save_vector(path, v);
+    else save_buffered(path, bm);
     std::FILE* f = std::fopen(path.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
     std::fseek(f, 0, SEEK_END);
@@ -210,12 +215,67 @@ TEST(Serialize, FuzzByteFlipNeverCrashes) {
     std::fputc(flipped, f);
     std::fclose(f);
     try {
-      if (format == 0) (void)load_csr(path);
-      else (void)load_vector(path);
+      if (format == 0) {
+        (void)load_csr(path);
+      } else if (format == 1) {
+        (void)load_vector(path);
+      } else {
+        const auto loaded = load_buffered(path);
+        const AlignedVector<real> x(static_cast<std::size_t>(loaded.num_cols),
+                                    1.0f);
+        AlignedVector<real> y(static_cast<std::size_t>(loaded.num_rows));
+        sparse::spmv_buffered(loaded, x, y);
+      }
     } catch (const InvalidArgument&) {
     } catch (const InvariantError&) {
     }
   }
+  std::remove(path.c_str());
+}
+
+// Overwrites sizeof(T) bytes of the file at `offset` with `value`.
+template <class T>
+void patch(const std::string& path, long offset, T value) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, offset, SEEK_SET);
+  std::fwrite(&value, sizeof(T), 1, f);
+  std::fclose(f);
+}
+
+TEST(Serialize, LoadBufferedRejectsOutOfBoundsStructure) {
+  // Each corruption keeps every array size and check of the structure's
+  // shape but would make an apply read outside an array: a run bound past
+  // the stream, a slot past its stage, a stage index past the stages.
+  const auto bm = sparse::build_buffered(testutil::banded_csr(60, 70, 6, 37),
+                                         {16, 64});
+  ASSERT_GE(bm.num_partitions(), 2);
+  const std::string path = "/tmp/memxct_buffered_bounds.bin";
+  // File layout: magic, eight int64 header fields, then partdispl,
+  // stagedispl, stagenz, map, displ, ind, val.
+  const long partdispl = 8 + 8 * 8;
+  const long stagedispl =
+      partdispl + static_cast<long>(bm.partdispl.size() * sizeof(idx_t));
+  const long stagenz =
+      stagedispl + static_cast<long>(bm.stagedispl.size() * sizeof(nnz_t));
+  const long map =
+      stagenz + static_cast<long>(bm.stagenz.size() * sizeof(idx_t));
+  const long displ = map + static_cast<long>(bm.map.size() * sizeof(idx_t));
+  const long ind = displ + static_cast<long>(bm.displ.size() * sizeof(nnz_t));
+
+  save_buffered(path, bm);
+  ASSERT_NO_THROW((void)load_buffered(path));
+  patch<nnz_t>(path, displ + static_cast<long>(bm.displ.size() / 2) * 8,
+               1000000000);
+  EXPECT_THROW((void)load_buffered(path), InvariantError);
+
+  save_buffered(path, bm);
+  patch<buf_idx_t>(path, ind + 2 * 3, 60000);
+  EXPECT_THROW((void)load_buffered(path), InvariantError);
+
+  save_buffered(path, bm);
+  patch<idx_t>(path, partdispl + 4, 1000000);
+  EXPECT_THROW((void)load_buffered(path), InvariantError);
   std::remove(path.c_str());
 }
 

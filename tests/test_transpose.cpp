@@ -189,10 +189,12 @@ TEST(Transpose, BitwiseIdenticalForAnyThreadCount) {
 }
 
 TEST(Transpose, FromBufferedForwardMatchesCsrTransposeBitwise) {
-  // A^T read from build_buffered(A) is transpose(A) byte for byte, for
-  // several partition and buffer shapes (one-row partitions, one-slot
-  // buffers, many stages) and thread counts. The stripe matrix has empty
-  // rows, whole empty partitions and empty columns.
+  // The backward staged layout read from build_buffered(A) is
+  // build_buffered(transpose(A)) byte for byte on every array, for several
+  // partition and buffer shapes (one-row partitions, one-slot buffers, many
+  // stages) on either side, at several thread counts, and in 16-bit
+  // storage. The stripe matrix has empty rows, whole empty partitions and
+  // empty columns.
   CsrBuilder stripes(50, 40);
   std::vector<std::pair<idx_t, real>> entries;
   for (idx_t r = 0; r < 50; ++r) {
@@ -212,28 +214,36 @@ TEST(Transpose, FromBufferedForwardMatchesCsrTransposeBitwise) {
       {1, 1}, {3, 2}, {8, 5}, {16, 64}, {128, 4096}};
   const int saved = omp_get_max_threads();
   for (const CsrMatrix& a : cases) {
-    const CsrMatrix want = transpose(a);
+    const CsrMatrix at = transpose(a);
     for (const BufferConfig& config : configs) {
-      const BufferedMatrix b = build_buffered(a, config);
-      for (const int threads : {1, 3, 4}) {
-        omp_set_num_threads(threads);
-        const CsrMatrix got = transpose(b);
-        SCOPED_TRACE(testing::Message()
-                     << a.num_rows << "x" << a.num_cols << " partsize "
-                     << config.partsize << " buffsize " << config.buffsize
-                     << " on " << threads << " threads");
-        EXPECT_EQ(got.num_rows, want.num_rows);
-        EXPECT_EQ(got.num_cols, want.num_cols);
-        EXPECT_TRUE(testutil::same_bytes(got.displ, want.displ));
-        EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind));
-        EXPECT_TRUE(testutil::same_bytes(got.val, want.val));
+      const BufferedMatrix want = build_buffered(at, config);
+      for (const BufferConfig& fwd_config : configs) {
+        const BufferedMatrix b = build_buffered(a, fwd_config);
+        for (const int threads : {1, 3, 4}) {
+          omp_set_num_threads(threads);
+          SCOPED_TRACE(testing::Message()
+                       << a.num_rows << "x" << a.num_cols << " forward "
+                       << fwd_config.partsize << "/" << fwd_config.buffsize
+                       << " backward " << config.partsize << "/"
+                       << config.buffsize << " on " << threads
+                       << " threads");
+          testutil::expect_same_buffered(build_buffered_transpose(b, config),
+                                         want);
+          for (const ValueStorage storage :
+               {ValueStorage::Bf16, ValueStorage::Fp16})
+            testutil::expect_same_buffered(
+                build_buffered_transpose(b, config, storage),
+                compress_buffered(want, storage));
+        }
       }
     }
   }
   omp_set_num_threads(saved);
   EXPECT_THROW(
-      (void)transpose(compress_buffered(build_buffered(cases[1], {8, 5}),
-                                        ValueStorage::Bf16)),
+      (void)build_buffered_transpose(
+          compress_buffered(build_buffered(cases[1], {8, 5}),
+                            ValueStorage::Bf16),
+          {8, 5}),
       InvariantError);
 }
 

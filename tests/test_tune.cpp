@@ -74,6 +74,27 @@ TEST(ValidateConfig, ScalarRangeChecks) {
   EXPECT_THROW(core::validate_config(config), InvalidArgument);
 }
 
+TEST(ValidateConfig, BufferRangeChecks) {
+  // 16-bit slots bound buffsize to [1, 65536]; partitions need a row. An
+  // out-of-range buffer is a caller error at admission, before any build.
+  for (const sparse::BufferConfig bad :
+       {sparse::BufferConfig{0, 4096}, sparse::BufferConfig{-3, 4096},
+        sparse::BufferConfig{128, 0}, sparse::BufferConfig{128, 65537}}) {
+    core::Config config;
+    config.buffer = bad;
+    EXPECT_THROW(core::validate_config(config), InvalidArgument)
+        << bad.partsize << "/" << bad.buffsize;
+    EXPECT_THROW(core::Reconstructor(geometry::make_geometry(8, 8), config),
+                 InvalidArgument);
+  }
+  for (const sparse::BufferConfig good :
+       {sparse::BufferConfig{1, 1}, sparse::BufferConfig{128, 65536}}) {
+    core::Config config;
+    config.buffer = good;
+    EXPECT_NO_THROW(core::validate_config(config));
+  }
+}
+
 TEST(ValidateConfig, PairwiseConflictsNameTheFlags) {
   {
     core::Config config;

@@ -1,6 +1,8 @@
 // Shared helpers for the MemXCT test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -141,6 +143,25 @@ inline sparse::BufferedMatrix reference_build_buffered(
     }
   }
   return b;
+}
+
+/// Expects two staged matrices equal in shape, configuration and storage
+/// and byte for byte on every array.
+inline void expect_same_buffered(const sparse::BufferedMatrix& got,
+                                 const sparse::BufferedMatrix& want) {
+  EXPECT_EQ(got.num_rows, want.num_rows);
+  EXPECT_EQ(got.num_cols, want.num_cols);
+  EXPECT_EQ(got.config.partsize, want.config.partsize);
+  EXPECT_EQ(got.config.buffsize, want.config.buffsize);
+  EXPECT_EQ(got.storage, want.storage);
+  EXPECT_TRUE(same_bytes(got.partdispl, want.partdispl));
+  EXPECT_TRUE(same_bytes(got.stagedispl, want.stagedispl));
+  EXPECT_TRUE(same_bytes(got.stagenz, want.stagenz));
+  EXPECT_TRUE(same_bytes(got.map, want.map));
+  EXPECT_TRUE(same_bytes(got.displ, want.displ));
+  EXPECT_TRUE(same_bytes(got.ind, want.ind));
+  EXPECT_TRUE(same_bytes(got.val, want.val));
+  EXPECT_TRUE(same_bytes(got.val16, want.val16));
 }
 
 /// Serial reference apply of a CSR matrix: y[r] sums row r's entries from
