@@ -24,7 +24,6 @@
 
 #include "bench_util.hpp"
 #include "sparse/buffered.hpp"
-#include "sparse/compressed.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/plan.hpp"
 #include "sparse/spmv.hpp"
@@ -42,10 +41,8 @@ struct Fixtures {
   sparse::CsrMatrix ordered;
   sparse::BufferedMatrix buffered;
   sparse::EllBlockMatrix ell;
-  sparse::CompressedCsr ccsr_bf16;
   sparse::BufferedMatrix buf_bf16;
-  sparse::ApplyPlan plan_natural, plan_ordered, plan_buffered, plan_ell,
-      plan_ccsr;
+  sparse::ApplyPlan plan_natural, plan_ordered, plan_buffered, plan_ell;
   sparse::Workspace ws_buffered, ws_ell;
   AlignedVector<real> x, y;
 
@@ -55,8 +52,6 @@ struct Fixtures {
     ordered = bench::build_matrix(spec, hilbert::CurveKind::Hilbert);
     buffered = sparse::build_buffered(ordered, {128, 4096});
     ell = sparse::to_ell_block(ordered, 64);
-    ccsr_bf16 = sparse::compress_csr(ordered, sparse::kCsrPartsize,
-                                     sparse::ValueStorage::Bf16);
     buf_bf16 = sparse::compress_buffered(buffered, sparse::ValueStorage::Bf16);
     const int slots = omp_get_max_threads();
     plan_natural = sparse::ApplyPlan::build(
@@ -66,8 +61,6 @@ struct Fixtures {
     plan_buffered =
         sparse::ApplyPlan::build(sparse::partition_nnz(buffered), slots);
     plan_ell = sparse::ApplyPlan::build(sparse::partition_nnz(ell), slots);
-    plan_ccsr =
-        sparse::ApplyPlan::build(sparse::partition_nnz(ccsr_bf16), slots);
     ws_buffered = sparse::Workspace(slots, buffered.config.buffsize,
                                     buffered.config.partsize);
     ws_ell = sparse::Workspace(slots, 0, ell.block_rows);
@@ -151,13 +144,6 @@ void BM_SpmvEllBlockPlanned(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmvEllBlockPlanned);
 
-void BM_SpmvCompressedCsrBf16(benchmark::State& state) {
-  auto& f = fixtures();
-  for (auto _ : state) sparse::spmv_ccsr(f.ccsr_bf16, f.x, f.y);
-  set_counters(state, sparse::ccsr_work(f.ccsr_bf16));
-}
-BENCHMARK(BM_SpmvCompressedCsrBf16);
-
 void BM_SpmvBufferedBf16(benchmark::State& state) {
   auto& f = fixtures();
   for (auto _ : state) sparse::spmv_buffered(f.buf_bf16, f.x, f.y);
@@ -230,12 +216,6 @@ int run_json(const std::string& path, const std::string& schedule_filter) {
                                        f.ws_buffered, f.x, f.y);
        },
        sparse::buffered_work(f.buffered), f.plan_buffered.stats().imbalance()},
-      {"ccsr-bf16", "dynamic",
-       [&] { sparse::spmv_ccsr(f.ccsr_bf16, f.x, f.y); },
-       sparse::ccsr_work(f.ccsr_bf16), 0.0},
-      {"ccsr-bf16", "static-plan",
-       [&] { sparse::spmv_ccsr_planned(f.ccsr_bf16, f.plan_ccsr, f.x, f.y); },
-       sparse::ccsr_work(f.ccsr_bf16), f.plan_ccsr.stats().imbalance()},
       {"buffered-bf16", "dynamic",
        [&] { sparse::spmv_buffered(f.buf_bf16, f.x, f.y); },
        sparse::buffered_work(f.buf_bf16), 0.0},

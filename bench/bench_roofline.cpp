@@ -6,10 +6,10 @@
 // bottleneck moves from computation to memory" argument (Fig 3). This
 // bench computes each kernel's intensity from its exact byte counts,
 // derives the attainable GFLOPS ceiling per machine, and reports the
-// measured host fraction of its own ceiling. The compressed rows carry
-// MEASURED per-FMA byte widths (16-bit values + delta/varint indices), so
-// their higher intensity — and the B/FMA reduction vs fp32 — comes from
-// the actual encoded streams, not a model constant.
+// measured host fraction of its own ceiling. The bf16 row takes its
+// per-FMA byte width from the built operator (16-bit values beside 16-bit
+// slots), so its higher intensity — and the B/FMA reduction vs fp32 —
+// comes from the stored streams, not a model constant.
 //
 //   bench_roofline [--json <path>]
 #include <cstdio>
@@ -20,7 +20,6 @@
 #include "io/table.hpp"
 #include "perf/machine_model.hpp"
 #include "sparse/buffered.hpp"
-#include "sparse/compressed.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/spmv.hpp"
 
@@ -42,8 +41,6 @@ int main(int argc, char** argv) {
   const auto a = bench::build_matrix(spec, hilbert::CurveKind::Hilbert);
   const auto bm = sparse::build_buffered(a, {128, 4096});
   const auto ell = sparse::to_ell_block(a, 64);
-  const auto ccsr =
-      sparse::compress_csr(a, sparse::kCsrPartsize, sparse::ValueStorage::Bf16);
   const auto bm_bf16 = sparse::compress_buffered(bm, sparse::ValueStorage::Bf16);
 
   AlignedVector<real> x(static_cast<std::size_t>(a.num_cols), 1.0f);
@@ -61,8 +58,6 @@ int main(int argc, char** argv) {
        bench::time_kernel([&] { sparse::spmv_ell(ell, x, y); })},
       {"multi-stage buffered", sparse::buffered_work(bm),
        bench::time_kernel([&] { sparse::spmv_buffered(bm, x, y); })},
-      {"compressed CSR bf16", sparse::ccsr_work(ccsr),
-       bench::time_kernel([&] { sparse::spmv_ccsr(ccsr, x, y); })},
       {"buffered bf16", sparse::buffered_work(bm_bf16),
        bench::time_kernel([&] { sparse::spmv_buffered(bm_bf16, x, y); })},
   };
@@ -100,8 +95,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\nReading: the buffered kernel's higher intensity (6 B vs 8 B per\n"
       "FMA) raises its roofline 16-25%% over baseline (depending on the\n"
-      "staging overhead) — Section 3.3.5 in roofline form; bf16 values +\n"
-      "varint indices push the matrix stream below 4 B/FMA. All\n"
+      "staging overhead) — Section 3.3.5 in roofline form; bf16 values\n"
+      "beside the 16-bit slots bring the matrix stream to 4 B/FMA. All\n"
       "intensities are << 1 FLOP/byte: memory-bound everywhere, exactly\n"
       "the regime the memory-centric design targets.\n");
 

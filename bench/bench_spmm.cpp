@@ -29,7 +29,6 @@
 #include "bench_util.hpp"
 #include "io/table.hpp"
 #include "sparse/buffered.hpp"
-#include "sparse/compressed.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/plan.hpp"
 #include "sparse/spmm.hpp"
@@ -87,13 +86,7 @@ int main(int argc, char** argv) {
   const auto a = bench::build_matrix(spec, hilbert::CurveKind::Hilbert);
   const auto buffered = sparse::build_buffered(a, {128, 4096});
   const auto ell = sparse::to_ell_block(a, 64);
-  // Reduced-precision variants: compressed CSR (16-bit values + a varint
-  // column stream, whose KernelWork carries the MEASURED per-FMA index
-  // width) and the fixed-width buffered layout with 16-bit values.
-  const auto ccsr_bf16 =
-      sparse::compress_csr(a, sparse::kCsrPartsize, sparse::ValueStorage::Bf16);
-  const auto ccsr_fp16 =
-      sparse::compress_csr(a, sparse::kCsrPartsize, sparse::ValueStorage::Fp16);
+  // Reduced-precision variants: the buffered layout with 16-bit values.
   const auto buf_bf16 =
       sparse::compress_buffered(buffered, sparse::ValueStorage::Bf16);
   const auto buf_fp16 =
@@ -173,20 +166,6 @@ int main(int argc, char** argv) {
        [&](idx_t k) {
          sparse::spmm_buffered_planned(buffered, buf_plan, buf_ws, k, xk, yk);
        }});
-  families.push_back(
-      {"ccsr-bf16", sparse::ccsr_work(ccsr_bf16),
-       [&] { sparse::spmv_ccsr(ccsr_bf16, x1, y1); },
-       [&](idx_t k) { sparse::spmm_ccsr(ccsr_bf16, k, xk, yk); }});
-  families.push_back(
-      {"ccsr-bf16-planned", sparse::ccsr_work(ccsr_bf16),
-       [&] { sparse::spmv_ccsr_planned(ccsr_bf16, csr_plan, x1, y1); },
-       [&](idx_t k) {
-         sparse::spmm_ccsr_planned(ccsr_bf16, csr_plan, k, xk, yk);
-       }});
-  families.push_back(
-      {"ccsr-fp16", sparse::ccsr_work(ccsr_fp16),
-       [&] { sparse::spmv_ccsr(ccsr_fp16, x1, y1); },
-       [&](idx_t k) { sparse::spmm_ccsr(ccsr_fp16, k, xk, yk); }});
   families.push_back(
       {"buffered-bf16", sparse::buffered_work(buf_bf16),
        [&] { sparse::spmv_buffered(buf_bf16, x1, y1); },

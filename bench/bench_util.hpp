@@ -60,9 +60,9 @@ inline sparse::CsrMatrix build_matrix(const phantom::DatasetSpec& spec,
 /// every bench reporting "matrix bytes per slice" uses the same
 /// perf::KernelWork accounting (matrix stream and staging-map reads
 /// amortize over the k slices of a block apply; x gathers do not). The
-/// accounting is precision-aware: compressed operators carry their actual
-/// stored value width and measured varint bytes per index, so reduced-
-/// precision work structs report the smaller footprint automatically.
+/// accounting is precision-aware: reduced-precision operators carry their
+/// actual stored value width, so their work structs report the smaller
+/// footprint automatically.
 inline double matrix_bytes_per_slice(const perf::KernelWork& fwd,
                                      const perf::KernelWork& bwd, int k) {
   return fwd.regular_bytes_at_width(k) + bwd.regular_bytes_at_width(k);

@@ -24,8 +24,8 @@
 //   --autotune-json FILE       write the measured candidate table (the same
 //                              schema bench_fig10_tuning --json emits)
 //   --precision fp32|bf16|fp16 operator value storage      (default fp32;
-//                              bf16/fp16 also varint-compress the indices,
-//                              buffered/baseline kernels only)
+//                              bf16/fp16 store 16-bit values beside the
+//                              16-bit slots, buffered kernel only)
 //   --ranks P                  simulated distributed ranks (default 1)
 //   --shards P                 shard the operator across P simulated ranks
 //                              behind the serving stack (bitwise identical
@@ -372,14 +372,10 @@ int run(int argc, char** argv) {
   if (config.precision != sparse::ValueStorage::Fp32 &&
       recon.serial_op() != nullptr) {
     const auto fwd = recon.serial_op()->forward_work();
-    std::printf("%s values + varint indices: %.2f matrix B/FMA (fp32 %s "
-                "streams %.0f)\n",
+    std::printf("%s values + 16-bit slots: %.2f matrix B/FMA (fp32 "
+                "buffered streams %.0f)\n",
                 sparse::to_string(config.precision), fwd.bytes_per_fma(),
-                config.kernel == core::KernelKind::Buffered ? "buffered"
-                                                            : "baseline",
-                config.kernel == core::KernelKind::Buffered
-                    ? perf::RegularBytes::kBuffered
-                    : perf::RegularBytes::kBaseline);
+                perf::RegularBytes::kBuffered);
   }
 
   if (slices > 1) {

@@ -24,8 +24,9 @@
 // registry sizes block workspaces per width, so widths never share an
 // operator entry) and reports the amortized per-slice matrix traffic,
 // measured from the operator's own work accounting rather than the fp32
-// model constant. --precision serves compressed reduced-precision
-// operators; the registry's byte budget charges their smaller footprint.
+// model constant. --precision serves reduced-precision buffered operators
+// (16-bit values); the registry's byte budget charges their smaller
+// footprint.
 //
 // --autotune lets the registry resolve each build's kernel/schedule/buffer
 // from measurements on the traced matrix (src/tune); with --cache-dir the
@@ -323,8 +324,8 @@ int main(int argc, char** argv) {
       (block_width > 1 || precision != sparse::ValueStorage::Fp32)) {
     // Measured, not modeled: preprocess one representative operator through
     // the same pipeline the server uses and read its work accounting, so
-    // the number reflects actual stored value widths and varint index
-    // streams instead of the fp32 buffered constant.
+    // the number reflects actual stored value widths instead of the fp32
+    // buffered constant.
     const core::Reconstructor probe(geoms[0], config);
     const perf::KernelWork fwd = probe.serial_op()->forward_work();
     std::printf("%s matrix stream: %.2f B/FMA at width 1, amortized to "

@@ -71,11 +71,11 @@ struct Config {
   /// solver. Part of the operator identity (keyed by the serve registry:
   /// block workspaces are sized per width).
   int block_width = 1;
-  /// Operator value storage (sparse/precision.hpp). Fp32 keeps the
-  /// historical uncompressed layouts bit for bit; Bf16/Fp16 store the
-  /// memoized matrices with 16-bit values + delta/varint indices
-  /// (sparse/compressed.hpp), supported for the Baseline and Buffered
-  /// kernels. Part of the operator identity (opkey suffix "-v<precision>").
+  /// Operator value storage (sparse/precision.hpp). Fp32 keeps 4-byte
+  /// values; Bf16/Fp16 store the buffered matrices' values in 16 bits
+  /// beside the same 16-bit slots (sparse::compress_buffered), supported
+  /// for the Buffered kernel only. Part of the operator identity (opkey
+  /// suffix "-v<precision>").
   sparse::ValueStorage precision = sparse::ValueStorage::Fp32;
 
   /// Operator-build autotuning (src/tune): Off keeps the fields above as

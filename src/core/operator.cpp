@@ -10,7 +10,6 @@
 #include "common/grid.hpp"
 #include "common/interleave.hpp"
 #include "core/subset.hpp"
-#include "sparse/compressed.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/spmm.hpp"
@@ -74,10 +73,9 @@ const char* to_string(SolverKind kind) noexcept {
 
 namespace {
 
-/// A matrix in whichever storage the kernel kind and precision select.
-using StoredMatrix =
-    std::variant<sparse::CsrMatrix, sparse::EllBlockMatrix,
-                 sparse::BufferedMatrix, sparse::CompressedCsr>;
+/// A matrix in whichever storage the kernel kind selects.
+using StoredMatrix = std::variant<sparse::CsrMatrix, sparse::EllBlockMatrix,
+                                  sparse::BufferedMatrix>;
 
 std::int64_t matrix_bytes(const sparse::EllBlockMatrix& m) {
   return m.padded_nnz() *
@@ -99,9 +97,6 @@ perf::KernelWork work(const sparse::EllBlockMatrix& m) {
 }
 perf::KernelWork work(const sparse::BufferedMatrix& m) {
   return sparse::buffered_work(m);
-}
-perf::KernelWork work(const sparse::CompressedCsr& m) {
-  return sparse::ccsr_work(m);
 }
 
 }  // namespace
@@ -130,13 +125,10 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
                                const sparse::BufferConfig& buffer,
                                idx_t ell_block_rows, ScheduleKind schedule,
                                sparse::ValueStorage precision) {
-  const bool compressed = precision != sparse::ValueStorage::Fp32;
-  if (compressed &&
-      !(kind == KernelKind::Baseline || kind == KernelKind::Buffered))
-    throw InvalidArgument(std::string("compressed precision ") +
+  if (precision != sparse::ValueStorage::Fp32 && kind != KernelKind::Buffered)
+    throw InvalidArgument(std::string("reduced precision ") +
                           sparse::to_string(precision) +
-                          " is only supported for the baseline CSR and "
-                          "buffered kernels, not " +
+                          " is only supported for the buffered kernel, not " +
                           to_string(kind));
   auto s = std::make_shared<Storage>();
   s->kind = kind;
@@ -159,8 +151,6 @@ MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
     const auto convert = [&](sparse::CsrMatrix m) -> StoredMatrix {
       if (kind == KernelKind::EllBlock)
         return sparse::to_ell_block(m, ell_block_rows);
-      if (compressed)
-        return sparse::compress_csr(m, sparse::kCsrPartsize, precision);
       return m;
     };
     sparse::CsrMatrix at = sparse::transpose(a);
@@ -204,9 +194,6 @@ idx_t MemXCTOperator::row_partition_size() const {
   const Storage& s = *store_;
   switch (s.kind) {
     case KernelKind::Baseline:
-      if (s.precision != sparse::ValueStorage::Fp32)
-        throw InvalidArgument(
-            "subset views are not supported for compressed CSR storage");
       return sparse::kCsrPartsize;
     case KernelKind::Buffered:
       return std::get<sparse::BufferedMatrix>(s.fwd.matrix).config.partsize;

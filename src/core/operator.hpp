@@ -66,11 +66,10 @@ class BlockWorkspace {
 class MemXCTOperator final : public solve::LinearOperator {
  public:
   /// Takes the ordered-space forward matrix; builds the transpose and any
-  /// derived (ELL / buffered / compressed) structures, then releases
-  /// storage the chosen kernel does not need. A non-Fp32 `precision` keeps
-  /// 16-bit values: the buffered layout with bf16/fp16 values
-  /// (sparse::compress_buffered) for Buffered, CompressedCsr for Baseline;
-  /// combining it with EllBlock or Library throws InvalidArgument.
+  /// derived (ELL / buffered) structures, then releases storage the chosen
+  /// kernel does not need. A non-Fp32 `precision` keeps the buffered layout
+  /// with bf16/fp16 values (sparse::compress_buffered); combining it with
+  /// any kernel but Buffered throws InvalidArgument.
   MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
                  const sparse::BufferConfig& buffer = {},
                  idx_t ell_block_rows = 64,
@@ -90,8 +89,8 @@ class MemXCTOperator final : public solve::LinearOperator {
 
   /// Row-partition granularity of the stored forward matrix: kCsrPartsize
   /// for Baseline, the buffer partsize for Buffered. Subset row ranges must
-  /// align to it. Throws InvalidArgument for kinds/precisions without
-  /// subset support (EllBlock, Library, compressed CSR storage).
+  /// align to it. Throws InvalidArgument for kinds without subset support
+  /// (EllBlock, Library).
   [[nodiscard]] idx_t row_partition_size() const;
 
   /// Row-range view over rows [first_row, first_row + num_rows) behind the
@@ -99,8 +98,7 @@ class MemXCTOperator final : public solve::LinearOperator {
   /// (keepalive, no matrix copy), slices the forward matrix by existing
   /// partitions, and filters the stored transpose by column range through
   /// indices built here once. The range must align to row_partition_size().
-  /// Supported for Buffered at every precision and Baseline at Fp32;
-  /// throws InvalidArgument otherwise.
+  /// Supported for Buffered and Baseline; throws InvalidArgument otherwise.
   [[nodiscard]] std::unique_ptr<SubsetOperatorView> subset_view(
       idx_t first_row, idx_t num_rows) const;
 

@@ -22,23 +22,18 @@ namespace memxct::core {
 
 namespace {
 
-/// Cache file name keyed by everything the cached payload depends on:
-/// geometry shape, angular span, ordering scheme, tile size — and, for
-/// reduced-precision operators, the value storage, because the compressed
-/// payload holds QUANTIZED values (".ccsr" extension) while the fp32 cache
-/// stores the exact traced matrix (".csr"). A config change keys a
-/// different file, so stale caches are simply never opened; a file that
-/// *was* tampered with to the right name still fails its checksum or the
-/// dimension cross-check below.
+/// Cache file name keyed by everything the traced matrix depends on:
+/// geometry shape, angular span, ordering scheme, tile size. The entry is
+/// the exact fp32 matrix at every precision (reduced precision quantizes
+/// during the operator build), so all precisions share one file. A config
+/// change keys a different file, so stale caches are simply never opened;
+/// a file that *was* tampered with to the right name still fails its
+/// checksum or the dimension cross-check below.
 std::string cache_file_name(const geometry::Geometry& g, const Config& c) {
   std::ostringstream os;
   os << "memxct-a" << g.num_angles << "-c" << g.num_channels << "-i"
      << g.image_size << "-s" << g.angle_span << "-" << to_string(c.ordering)
-     << "-t" << c.tile_size;
-  if (c.precision == sparse::ValueStorage::Fp32)
-    os << ".csr";
-  else
-    os << "-v" << sparse::to_string(c.precision) << ".ccsr";
+     << "-t" << c.tile_size << ".csr";
   return os.str();
 }
 
@@ -46,23 +41,13 @@ std::string cache_file_name(const geometry::Geometry& g, const Config& c) {
 /// missing file, checksum mismatch, truncation, wrong dimensions — returns
 /// false and the caller rebuilds; corruption is reported on stderr but
 /// never crashes preprocessing (the cache is an optimization, not a
-/// dependency). Reduced-precision caches store the quantized compressed
-/// form; decompressing yields the quantized fp32 matrix, and re-compressing
-/// that during operator construction is bitwise idempotent, so cache hit
-/// and miss produce identical operators.
+/// dependency). A hit yields the same matrix a miss traces, so both build
+/// the same operator.
 bool try_load_cache(const std::string& path, const geometry::Geometry& g,
-                    const Config& c, sparse::CsrMatrix& a, bool* corrupt) {
+                    sparse::CsrMatrix& a, bool* corrupt) {
   if (!resil::file_exists(path)) return false;
   try {
-    if (c.precision == sparse::ValueStorage::Fp32) {
-      a = resil::load_csr_checked(path);
-    } else {
-      const sparse::CompressedCsr packed =
-          resil::load_compressed_csr_checked(path);
-      if (packed.storage != c.precision)
-        throw IoError(path + ": cached value storage does not match config");
-      a = sparse::decompress_csr(packed);
-    }
+    a = resil::load_csr_checked(path);
     if (static_cast<std::int64_t>(a.num_rows) != g.sinogram_extent().size() ||
         static_cast<std::int64_t>(a.num_cols) != g.tomogram_extent().size())
       throw IoError(path + ": cached matrix shape does not match geometry");
@@ -77,16 +62,6 @@ bool try_load_cache(const std::string& path, const geometry::Geometry& g,
     if (corrupt != nullptr) *corrupt = true;
   }
   return false;
-}
-
-/// Writes the cache entry for `a` (compressed when precision != fp32).
-void save_cache(const std::string& path, const Config& c,
-                const sparse::CsrMatrix& a) {
-  if (c.precision == sparse::ValueStorage::Fp32)
-    resil::save_csr_checked(path, a);
-  else
-    resil::save_compressed_csr_checked(
-        path, sparse::compress_csr(a, sparse::kCsrPartsize, c.precision));
 }
 
 }  // namespace
@@ -117,8 +92,8 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
   std::string cache_path;
   if (!config_.cache_dir.empty()) {
     cache_path = config_.cache_dir + "/" + cache_file_name(geometry_, config_);
-    report_.cache_hit = try_load_cache(cache_path, geometry_, config_, a,
-                                       &report_.cache_corrupt);
+    report_.cache_hit =
+        try_load_cache(cache_path, geometry_, a, &report_.cache_corrupt);
   }
   if (!report_.cache_hit) {
     a = geometry::build_projection_matrix(geometry_, *sino_order_,
@@ -127,7 +102,7 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
       try {
         std::error_code ec;  // a failed mkdir surfaces as the write error
         std::filesystem::create_directories(config_.cache_dir, ec);
-        save_cache(cache_path, config_, a);
+        resil::save_csr_checked(cache_path, a);
       } catch (const IoError& e) {
         std::fprintf(stderr, "memxct: cache write failed (%s); continuing\n",
                      e.what());
@@ -154,7 +129,7 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
   if (config_.num_ranks > 1 || config_.force_distributed) {
     // Distributed path: steps 3-4 (transposition + plans) happen inside
     // DistOperator per rank (validate_config already rejected reduced
-    // precision here — no compressed local kernels exist yet).
+    // precision here — the rank-local kernels are fp32 only).
     phase.reset();
     const auto sino_part =
         dist::partition_by_tiles(*sino_order_, config_.num_ranks);

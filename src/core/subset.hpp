@@ -10,9 +10,8 @@
 // costing O(nnz_subset) rather than O(nnz).
 //
 // Supported for the Buffered family at every value precision and the
-// Baseline (CSR) family at fp32 — the families the ordered-subsets solvers
-// target. EllBlock, Library, and compressed CSR storage throw
-// InvalidArgument from subset_view().
+// Baseline (CSR) family — the families the ordered-subsets solvers target.
+// EllBlock and Library throw InvalidArgument from subset_view().
 #pragma once
 
 #include <memory>

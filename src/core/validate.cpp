@@ -44,11 +44,11 @@ void validate_config(const Config& config) {
     throw UnsupportedConfigError(
         "--shards", "--kernel",
         "the sharded path supports the baseline and buffered kernels only");
-  if (reduced && !shardable_kernel)
+  if (reduced && config.kernel != KernelKind::Buffered)
     throw UnsupportedConfigError(
         "--kernel", "--precision",
-        "compressed reduced-precision storage exists for the baseline and "
-        "buffered kernels only; use --precision fp32 or another kernel");
+        "reduced-precision operators (bf16/fp16) exist for the buffered "
+        "kernel only; use --precision fp32 or --kernel buffered");
 }
 
 }  // namespace memxct::core

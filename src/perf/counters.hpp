@@ -23,22 +23,19 @@ struct RegularBytes {
 
 /// Work accounting for one projection/backprojection kernel invocation.
 ///
-/// Byte costs are split into value and index components and carried as
-/// doubles because the compressed layouts (sparse/compressed.hpp) have
-/// FRACTIONAL per-FMA index costs: a varint stream's average bytes/entry is
-/// measured from the built structure, not fixed by a type width. The fp32
-/// layouts keep their historical integer costs (8 B/FMA baseline CSR,
-/// 6 B/FMA buffered) through the defaults below.
+/// Byte costs are split into value and index components, so a reduced-
+/// precision layout reports its narrower values beside unchanged indices.
+/// They are doubles so an averaged per-FMA cost stays exact; every stored
+/// layout today has whole-byte costs (8 B/FMA baseline CSR, 6 B/FMA
+/// buffered fp32, 4 B/FMA buffered bf16/fp16).
 struct KernelWork {
   nnz_t nnz = 0;           ///< Nonzeros processed (FMAs).
   nnz_t staged_words = 0;  ///< Buffer-staging loads (map reads + x gathers).
   /// Bytes of stored matrix value streamed per FMA (4 fp32, 2 bf16/fp16).
   double value_bytes_per_fma = sizeof(real);
-  /// Bytes of matrix index streamed per FMA (4 CSR, 2 buffered, measured
-  /// average for varint streams).
+  /// Bytes of matrix index streamed per FMA (4 CSR, 2 buffered).
   double index_bytes_per_fma = sizeof(idx_t);
-  /// Bytes of staging-map entry read per staged word (4 raw, measured
-  /// average for varint streams).
+  /// Bytes of staging-map entry read per staged word (4 raw).
   double staged_index_bytes = sizeof(idx_t);
 
   /// Total matrix-stream bytes per FMA (index + value), the Table 3 metric.

@@ -152,53 +152,6 @@ sparse::CsrMatrix load_csr_checked(const std::string& path) {
   return m;
 }
 
-void save_compressed_csr_checked(const std::string& path,
-                                 const sparse::CompressedCsr& m) {
-  m.validate();
-  BlobWriter w;
-  w.put_scalar<std::int64_t>(m.num_rows);
-  w.put_scalar<std::int64_t>(m.num_cols);
-  w.put_scalar<std::int64_t>(m.partsize);
-  w.put_scalar<std::uint32_t>(static_cast<std::uint32_t>(m.storage));
-  w.put_array<nnz_t>(m.displ);
-  w.put_array<nnz_t>(m.part_bytes);
-  w.put_array<std::uint8_t>(m.ind_bytes);
-  w.put_array<std::uint16_t>(m.val16);
-  w.put_array<real>(m.val);
-  write_checked(path, BlobKind::CompressedCsr, w.payload());
-}
-
-sparse::CompressedCsr load_compressed_csr_checked(const std::string& path) {
-  const auto payload = read_checked(path, BlobKind::CompressedCsr);
-  BlobReader r(payload, path);
-  sparse::CompressedCsr m;
-  m.num_rows = static_cast<idx_t>(r.get_scalar<std::int64_t>());
-  m.num_cols = static_cast<idx_t>(r.get_scalar<std::int64_t>());
-  m.partsize = static_cast<idx_t>(r.get_scalar<std::int64_t>());
-  if (m.num_rows < 0 || m.num_cols < 0 || m.partsize <= 0)
-    throw IoError(path + ": bad compressed matrix dimensions");
-  const auto storage = r.get_scalar<std::uint32_t>();
-  switch (storage) {
-    case static_cast<std::uint32_t>(sparse::ValueStorage::Fp32):
-    case static_cast<std::uint32_t>(sparse::ValueStorage::Bf16):
-    case static_cast<std::uint32_t>(sparse::ValueStorage::Fp16):
-      m.storage = static_cast<sparse::ValueStorage>(storage);
-      break;
-    default:
-      throw IoError(path + ": unknown value storage tag " +
-                    std::to_string(storage));
-  }
-  r.get_array(m.displ);
-  r.get_array(m.part_bytes);
-  r.get_array(m.ind_bytes);
-  r.get_array(m.val16);
-  r.get_array(m.val);
-  r.expect_end();
-  // Full structural pass: decodes every varint stream with bounds checks.
-  m.validate();
-  return m;
-}
-
 void save_vector_checked(const std::string& path,
                          std::span<const real> data) {
   BlobWriter w;

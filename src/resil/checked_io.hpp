@@ -31,15 +31,14 @@
 #include "common/aligned.hpp"
 #include "common/error.hpp"
 #include "common/types.hpp"
-#include "sparse/compressed.hpp"
 #include "sparse/csr.hpp"
 
 namespace memxct::resil {
 
 /// Format version; bumped on incompatible payload-layout changes. Loads
 /// reject files written by a different version with IoError (the cache
-/// caller treats that as stale and rebuilds). v2 added the compressed
-/// operator payload (CompressedCsr) and the per-FMA byte-accounting split;
+/// caller treats that as stale and rebuilds). v2 added a compressed-CSR
+/// operator payload (since deleted) and the per-FMA byte-accounting split;
 /// v1 files are rebuilt on first use.
 inline constexpr std::uint32_t kCheckedFormatVersion = 2;
 
@@ -48,7 +47,8 @@ enum class BlobKind : std::uint32_t {
   CsrMatrix = 1,
   Vector = 2,
   Checkpoint = 3,
-  CompressedCsr = 4,
+  // 4 stays unused: it tagged the deleted compressed-CSR cache payload, and
+  // an old cache file of that kind must never parse as a later kind.
   TunedChoice = 5,  ///< Autotuner decision record (src/tune, `.tune` files).
 };
 
@@ -159,16 +159,6 @@ void write_checked(const std::string& path, BlobKind kind,
 /// CSR matrix in the checked format (the preprocessing cache payload).
 void save_csr_checked(const std::string& path, const sparse::CsrMatrix& m);
 [[nodiscard]] sparse::CsrMatrix load_csr_checked(const std::string& path);
-
-/// Compressed CSR (sparse/compressed.hpp) in the checked format — the
-/// preprocessing-cache payload for reduced-precision operators. On top of
-/// the file-level CRC, load runs CompressedCsr::validate(), which decodes
-/// every varint stream with bounds checks, so a corrupt entry surfaces as
-/// IoError/InvariantError and the cache caller rebuilds.
-void save_compressed_csr_checked(const std::string& path,
-                                 const sparse::CompressedCsr& m);
-[[nodiscard]] sparse::CompressedCsr load_compressed_csr_checked(
-    const std::string& path);
 
 /// Float vector in the checked format.
 void save_vector_checked(const std::string& path, std::span<const real> data);

@@ -40,18 +40,20 @@ core::Config apply_rung(const core::Config& config, const DegradeRung& rung) {
     out.early_stop = true;
     out.early_stop_tol = rung.early_stop_tol;
   }
-  // Reduced precision only where the operator family supports it — the
-  // same gate Config::precision documents. The sharded and distributed
-  // families are fp32-only, so a degraded sharded request must not be
-  // rewritten into the UnsupportedConfigError the admission path rejects.
-  // An unsupported family silently keeps the submitted precision; the
-  // rung's other knobs still apply.
-  if (rung.precision != sparse::ValueStorage::Fp32 &&
-      (config.kernel == core::KernelKind::Baseline ||
-       config.kernel == core::KernelKind::Buffered) &&
-      config.num_shards == 1 && config.num_ranks == 1 &&
-      !config.force_distributed)
-    out.precision = rung.precision;
+  // A reduced rung precision only where core::validate_config accepts it,
+  // so a degraded request is never rewritten into the UnsupportedConfigError
+  // admission rejects (reduced precision is unsharded Buffered only). Any
+  // other request keeps its submitted precision, as it does under an fp32
+  // rung; the rung's other knobs still apply.
+  if (rung.precision != sparse::ValueStorage::Fp32) {
+    core::Config rewritten = out;
+    rewritten.precision = rung.precision;
+    try {
+      core::validate_config(rewritten);
+      out = rewritten;
+    } catch (const InvalidArgument&) {
+    }
+  }
   return out;
 }
 

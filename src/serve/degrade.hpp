@@ -32,11 +32,13 @@ inline constexpr int kMaxRungs = 8;
 /// decreasing quality / cost.
 struct DegradeRung {
   std::string name;  ///< Human-readable tag ("fast", "preview", ...).
-  /// Operator value storage for this rung. Applied only when the submitted
-  /// config's kernel family supports it (Baseline/Buffered — same rule as
-  /// Config::precision); otherwise the rung keeps the submitted precision.
-  /// Changing precision selects a DIFFERENT registry operator (the opkey
-  /// carries it), so a preview rung can hit a warm reduced-precision entry.
+  /// Operator value storage for this rung. A reduced precision is applied
+  /// only when core::validate_config accepts the rewritten config (reduced
+  /// precision is unsharded Buffered only); otherwise, and under Fp32, the
+  /// rung keeps the submitted precision, so a Baseline request's preview
+  /// runs fp32 at the rung's iteration cap. Changing precision selects a DIFFERENT registry
+  /// operator (the opkey carries it), so a preview rung can hit a warm
+  /// reduced-precision entry.
   sparse::ValueStorage precision = sparse::ValueStorage::Fp32;
   /// Early-stop tolerance override; 0 keeps the submitted early-stop
   /// settings. Only CGLS honors early stopping.
@@ -69,12 +71,13 @@ struct DegradeOptions {
 
 /// The default two-rung ladder:
 ///   rung 1 "fast":    fp32, early-stop tol 1e-2, half the iterations;
-///   rung 2 "preview": bf16 operator, tol 3e-2, quarter iterations,
+///   rung 2 "preview": bf16 operator (unsharded Buffered requests; others
+///                     stay fp32), tol 3e-2, quarter iterations,
 ///                     PSNR >= 28 dB vs its fp32 reference (PR 6 budget).
 [[nodiscard]] std::vector<DegradeRung> default_ladder();
 
 /// Returns `config` with `rung` applied (iteration cap, early-stop
-/// override, precision where the kernel family supports it).
+/// override, and precision where core::validate_config accepts it).
 [[nodiscard]] core::Config apply_rung(const core::Config& config,
                                       const DegradeRung& rung);
 

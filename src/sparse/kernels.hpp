@@ -1,12 +1,12 @@
 // The apply-kernel bodies: one lane-templated body per index layout (CSR
 // rows, staged runs) and the runners that put them under the partition
 // driver of sparse/plan.hpp. Included only by the memxct_sparse translation
-// units that define apply() (spmm.cpp, subset.cpp, compressed_kernels.cpp),
-// so every instance is compiled with the target's -ffp-contract=off; other
-// libraries call the entry points.
+// units that define apply() (spmm.cpp, subset.cpp), so every instance is
+// compiled with the target's -ffp-contract=off; other libraries call the
+// entry points.
 //
 // A storage family plugs in through walkers that visit its streams in stored
-// order: index decoding (plain, varint, or clipped to a column range) and
+// order: index decoding (plain, or clipped to a column range) and
 // value decoding (fp32, bf16, fp16; a template argument, sparse/precision.hpp)
 // happen inside them, so the arithmetic — strict per-lane j-order,
 // `acc += x * v` — is written once below.
@@ -77,7 +77,7 @@ inline void csr_rows(idx_t r0, idx_t r1, idx_t k, const real* x, real* y,
 /// Runs csr_rows<L> over the `partsize`-row partitions covering `rows` (a
 /// partition-aligned window of a num_rows-row matrix) under `sched`; row r
 /// goes to y[(r - rows.first)·k]. walker(part) returns partition part's
-/// row walker, so decoders may carry state from row to row.
+/// row walker.
 template <idx_t L, class Walker>
 void run_csr_rows(const RowRange& rows, idx_t num_rows, idx_t partsize,
                   const Schedule& sched, idx_t k, const real* x, real* y,

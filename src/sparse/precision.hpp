@@ -18,8 +18,7 @@
 // (validated against fp64 references by the precision property tests).
 //
 // Both conversions round to nearest-even, preserve NaN (quietly) and ±Inf,
-// and are idempotent: converting an already-representable value is exact,
-// which is what makes the compressed disk cache round-trip bitwise.
+// and are idempotent: converting an already-representable value is exact.
 #pragma once
 
 #include <bit>
@@ -31,9 +30,9 @@
 namespace memxct::sparse {
 
 /// Value-storage precision of a memoized operator. Fp32 keeps 4-byte
-/// values; Bf16 and Fp16 keep 16-bit ones. The buffered layout holds either
-/// in place (BufferedMatrix::val / val16, same index streams); the CSR
-/// layout's reduced-precision form is CompressedCsr (sparse/compressed.hpp).
+/// values; Bf16 and Fp16 keep 16-bit ones. Only the buffered layout stores
+/// reduced precision, in place (BufferedMatrix::val / val16, same index
+/// streams); the CSR, ELL and library layouts are fp32 only.
 enum class ValueStorage { Fp32, Bf16, Fp16 };
 
 [[nodiscard]] const char* to_string(ValueStorage storage) noexcept;
@@ -105,7 +104,7 @@ enum class ValueStorage { Fp32, Bf16, Fp16 };
 }
 
 /// Quantizes `f` through the given storage and back to fp32 — the value the
-/// compressed kernels actually multiply with. Identity for Fp32.
+/// reduced-precision kernels actually multiply with. Identity for Fp32.
 [[nodiscard]] inline real quantize(real f, ValueStorage storage) noexcept {
   switch (storage) {
     case ValueStorage::Fp32:

@@ -15,8 +15,8 @@
 // j-order of one row sum.
 //
 // `apply` is the entry point of every storage family (these three, with
-// the buffered layout at any value precision; compressed CSR in
-// sparse/compressed.hpp; the subset windows in sparse/subset.hpp). It runs one lane-templated body per index layout —
+// the buffered layout at any value precision; the subset windows in
+// sparse/subset.hpp). It runs one lane-templated body per index layout —
 // CSR rows or staged runs (DESIGN.md §20) — under the one partition driver
 // of sparse/plan.hpp, dynamic or planned. The spmv_*/spmm_* functions are
 // its width-1 and width-k spellings. Bodies are instantiated only inside

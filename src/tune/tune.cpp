@@ -19,10 +19,11 @@ namespace {
 /// kernels change enough that recorded rankings no longer hold (version 2:
 /// the buffered kernels prefetch their matrix stream; version 3: block
 /// widths > 1 are timed on the block kernels, not the SpMV; version 4:
-/// reduced-precision buffered storage is fixed width, not varint, so it
-/// ranks differently against compressed CSR); an unknown version is treated
-/// exactly like corruption (re-measure).
-constexpr std::uint32_t kTuneRecordVersion = 4;
+/// reduced-precision buffered storage is fixed width, so it ranks
+/// differently; version 5: reduced precision is Buffered only, so a record
+/// naming Baseline at bf16/fp16 would fail validation); an unknown version
+/// is treated exactly like corruption (re-measure).
+constexpr std::uint32_t kTuneRecordVersion = 5;
 
 /// Same FNV-1a as core/opkey.cpp: stable across platforms and runs.
 std::uint64_t fnv1a(const std::string& s) noexcept {

@@ -212,6 +212,31 @@ class SteppingClock final : public solve::Clock {
   mutable std::atomic<std::int64_t> readings_{0};
 };
 
+TEST(Chaos, PreviewRungPrecisionFollowsValidateConfig) {
+  // The preview rung's bf16 applies only where core::validate_config
+  // accepts it; every other knob of the rung applies regardless.
+  const serve::DegradeRung preview = serve::default_ladder()[1];
+  ASSERT_EQ(preview.precision, sparse::ValueStorage::Bf16);
+  core::Config baseline;
+  baseline.kernel = core::KernelKind::Baseline;
+  baseline.iterations = 20;
+  core::Config buffered;
+  buffered.iterations = 20;
+  core::Config sharded = buffered;
+  sharded.num_shards = 2;
+
+  const auto on_baseline = serve::apply_rung(baseline, preview);
+  EXPECT_EQ(on_baseline.precision, sparse::ValueStorage::Fp32);
+  EXPECT_EQ(on_baseline.iterations, 5);
+  EXPECT_EQ(serve::apply_rung(buffered, preview).precision,
+            sparse::ValueStorage::Bf16);
+  const auto on_sharded = serve::apply_rung(sharded, preview);
+  EXPECT_EQ(on_sharded.precision, sparse::ValueStorage::Fp32);
+  EXPECT_EQ(on_sharded.iterations, 5);
+  for (const auto& c : {on_baseline, on_sharded})
+    EXPECT_NO_THROW(core::validate_config(c));
+}
+
 TEST(Chaos, SalvagedPartialIsDegradedWithBestSoFarIterate) {
   auto f = make_fixture();
   serve::ServerOptions options;

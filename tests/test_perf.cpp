@@ -55,8 +55,8 @@ TEST(KernelWork, CompressedWidthsLowerTraffic) {
   w.nnz = 1'000'000;
   w.staged_words = 100'000;
   w.value_bytes_per_fma = 2.0;   // bf16 storage
-  w.index_bytes_per_fma = 1.25;  // measured varint average
-  w.staged_index_bytes = 1.5;    // measured varint average
+  w.index_bytes_per_fma = 1.25;  // a fractional (averaged) index cost
+  w.staged_index_bytes = 1.5;    // a fractional (averaged) map cost
   EXPECT_DOUBLE_EQ(w.bytes_per_fma(), 3.25);
   EXPECT_DOUBLE_EQ(w.regular_bytes(), 3.25e6 + 1e5 * 5.5);
   // Matrix stream and map reads amortize across k lanes; gathers do not.

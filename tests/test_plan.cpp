@@ -16,7 +16,6 @@
 #include "core/operator.hpp"
 #include "solve/cgls.hpp"
 #include "solve/vector_ops.hpp"
-#include "sparse/compressed.hpp"
 #include "sparse/plan.hpp"
 #include "sparse/spmm.hpp"
 #include "sparse/spmv.hpp"

@@ -1,9 +1,9 @@
 // Reduced-precision operator tests: bf16/fp16 conversion edge cases
-// (subnormals, NaN propagation), fp64-referenced error budgets for every
-// compressed kernel family at K ∈ {1, 4, 8}, SpMM lane parity, operator
-// adjoint/linearity under quantization, reconstruction PSNR vs fp32, the
-// measured B/FMA reduction, and the compressed disk-cache round trip
-// including corrupt-entry rebuild.
+// (subnormals, NaN propagation), fp64-referenced error budgets for the
+// buffered layout at every value storage and K ∈ {1, 4, 8}, SpMM lane
+// parity, operator adjoint/linearity under quantization, reconstruction
+// PSNR vs fp32, the measured B/FMA reduction, and the shared fp32 disk
+// cache at bf16 including corrupt-entry rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,9 +25,7 @@
 #include "phantom/datasets.hpp"
 #include "phantom/phantom.hpp"
 #include "pre/normalize.hpp"
-#include "resil/checked_io.hpp"
 #include "sparse/buffered.hpp"
-#include "sparse/compressed.hpp"
 #include "sparse/plan.hpp"
 #include "sparse/spmm.hpp"
 #include "sparse/spmv.hpp"
@@ -38,8 +36,8 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// fp64-accumulated SpMV reference — the ground truth every compressed
-/// kernel's fp32 accumulation is budgeted against.
+/// fp64-accumulated SpMV reference — the ground truth every reduced-
+/// precision kernel's fp32 accumulation is budgeted against.
 AlignedVector<real> spmv_fp64(const CsrMatrix& a, std::span<const real> x) {
   AlignedVector<real> y(static_cast<std::size_t>(a.num_rows));
   for (idx_t r = 0; r < a.num_rows; ++r) {
@@ -53,8 +51,7 @@ AlignedVector<real> spmv_fp64(const CsrMatrix& a, std::span<const real> x) {
   return y;
 }
 
-/// Hilbert-ordered projection matrix — the layout whose small column gaps
-/// the varint streams are designed around.
+/// Hilbert-ordered projection matrix — the production layout.
 CsrMatrix projection_matrix(idx_t angles, idx_t channels) {
   const auto g = geometry::make_geometry(angles, channels);
   const hilbert::Ordering sino(g.sinogram_extent(),
@@ -180,8 +177,8 @@ TEST(Fp16, DecodeMatchesSoftwareDecodeOnEveryCode) {
 }
 
 TEST(Quantize, IsIdempotentBitwise) {
-  // Idempotence is what makes the compressed disk cache round-trip: a
-  // decompressed (already-quantized) matrix re-quantizes to the same bits.
+  // Idempotence: an already-quantized value re-quantizes to the same bits,
+  // so a matrix of quantize()d values is exactly what 16-bit storage holds.
   Rng rng(17);
   for (const ValueStorage s : {ValueStorage::Bf16, ValueStorage::Fp16}) {
     for (int i = 0; i < 10000; ++i) {
@@ -226,7 +223,6 @@ TEST(Quantize, NormalizeNaNMarkersSurvive) {
 struct FamilyCase {
   const char* name;
   ValueStorage storage;
-  bool buffered;
   /// Relative L2 budget vs the fp64 reference on the ORIGINAL values.
   double budget;
 };
@@ -246,15 +242,8 @@ TEST_P(CompressedFamilies, MeetsErrorBudgetAtAllWidths) {
   const auto x1 = testutil::random_vector(a.num_cols, 31);
   const auto y64 = spmv_fp64(a, x1);
 
-  CompressedCsr ccsr;
-  BufferedMatrix cbuf;
-  BufferedMatrix bm;
-  if (param.buffered) {
-    bm = build_buffered(a, {16, 64});
-    cbuf = compress_buffered(bm, param.storage);
-  } else {
-    ccsr = compress_csr(a, kCsrPartsize, param.storage);
-  }
+  const BufferedMatrix cbuf =
+      compress_buffered(build_buffered(a, {16, 64}), param.storage);
 
   for (const idx_t k : {idx_t{1}, idx_t{4}, idx_t{8}}) {
     AlignedVector<real> xk(n * static_cast<std::size_t>(k));
@@ -263,13 +252,10 @@ TEST_P(CompressedFamilies, MeetsErrorBudgetAtAllWidths) {
       for (idx_t s = 0; s < k; ++s)
         xk[i * static_cast<std::size_t>(k) + static_cast<std::size_t>(s)] =
             x1[i];
-    if (k == 1) {
-      if (param.buffered) spmv_buffered(cbuf, xk, yk);
-      else spmv_ccsr(ccsr, xk, yk);
-    } else {
-      if (param.buffered) spmm_buffered(cbuf, k, xk, yk);
-      else spmm_ccsr(ccsr, k, xk, yk);
-    }
+    if (k == 1)
+      spmv_buffered(cbuf, xk, yk);
+    else
+      spmm_buffered(cbuf, k, xk, yk);
     for (idx_t s = 0; s < k; ++s) {
       AlignedVector<real> lane(m);
       for (std::size_t r = 0; r < m; ++r)
@@ -283,12 +269,9 @@ TEST_P(CompressedFamilies, MeetsErrorBudgetAtAllWidths) {
 
 INSTANTIATE_TEST_SUITE_P(
     Budgets, CompressedFamilies,
-    ::testing::Values(FamilyCase{"ccsr-fp32", ValueStorage::Fp32, false, 1e-5},
-                      FamilyCase{"ccsr-bf16", ValueStorage::Bf16, false, 8e-3},
-                      FamilyCase{"ccsr-fp16", ValueStorage::Fp16, false, 1e-3},
-                      FamilyCase{"cbuf-fp32", ValueStorage::Fp32, true, 1e-5},
-                      FamilyCase{"cbuf-bf16", ValueStorage::Bf16, true, 8e-3},
-                      FamilyCase{"cbuf-fp16", ValueStorage::Fp16, true, 1e-3}));
+    ::testing::Values(FamilyCase{"cbuf-fp32", ValueStorage::Fp32, 1e-5},
+                      FamilyCase{"cbuf-bf16", ValueStorage::Bf16, 8e-3},
+                      FamilyCase{"cbuf-fp16", ValueStorage::Fp16, 1e-3}));
 
 TEST(CompressedKernels, QuantizedReferenceIsFp32Accurate) {
   // Against the fp64 reference on the QUANTIZED values the only remaining
@@ -296,12 +279,13 @@ TEST(CompressedKernels, QuantizedReferenceIsFp32Accurate) {
   // every storage, proving the error model is "one-time quantization only".
   const CsrMatrix a = projection_matrix(20, 12);
   const auto x = testutil::random_vector(a.num_cols, 47);
+  const BufferedMatrix bm = build_buffered(a, {16, 64});
   for (const ValueStorage s : {ValueStorage::Bf16, ValueStorage::Fp16}) {
-    const CompressedCsr c = compress_csr(a, kCsrPartsize, s);
-    const CsrMatrix aq = decompress_csr(c);
+    CsrMatrix aq = a;
+    for (real& v : aq.val) v = quantize(v, s);
     const auto y64 = spmv_fp64(aq, x);
     AlignedVector<real> y(static_cast<std::size_t>(a.num_rows));
-    spmv_ccsr(c, x, y);
+    spmv_buffered(compress_buffered(bm, s), x, y);
     EXPECT_LT(testutil::rel_error(y, y64), 1e-5) << to_string(s);
   }
 }
@@ -312,7 +296,6 @@ TEST(CompressedKernels, SpmmLanesBitwiseMatchSpmv) {
   const CsrMatrix a = projection_matrix(24, 16);
   const auto n = static_cast<std::size_t>(a.num_cols);
   const auto m = static_cast<std::size_t>(a.num_rows);
-  const CompressedCsr ccsr = compress_csr(a, kCsrPartsize, ValueStorage::Bf16);
   const BufferedMatrix bm = build_buffered(a, {16, 64});
   const BufferedMatrix cbuf = compress_buffered(bm, ValueStorage::Bf16);
 
@@ -323,22 +306,17 @@ TEST(CompressedKernels, SpmmLanesBitwiseMatchSpmv) {
         xk[i * static_cast<std::size_t>(k) + static_cast<std::size_t>(s)] =
             0.25f + static_cast<real>((i * 31 + static_cast<std::size_t>(s) * 7)
                                       % 23) * 0.0625f;
-    AlignedVector<real> yk_csr(m * static_cast<std::size_t>(k));
     AlignedVector<real> yk_buf(m * static_cast<std::size_t>(k));
-    spmm_ccsr(ccsr, k, xk, yk_csr);
     spmm_buffered(cbuf, k, xk, yk_buf);
     for (idx_t s = 0; s < k; ++s) {
-      AlignedVector<real> x1(n), y1_csr(m), y1_buf(m);
+      AlignedVector<real> x1(n), y1_buf(m);
       for (std::size_t i = 0; i < n; ++i)
         x1[i] = xk[i * static_cast<std::size_t>(k) +
                    static_cast<std::size_t>(s)];
-      spmv_ccsr(ccsr, x1, y1_csr);
       spmv_buffered(cbuf, x1, y1_buf);
       for (std::size_t r = 0; r < m; ++r) {
         const std::size_t at =
             r * static_cast<std::size_t>(k) + static_cast<std::size_t>(s);
-        EXPECT_EQ(std::memcmp(&yk_csr[at], &y1_csr[r], sizeof(real)), 0)
-            << "ccsr width " << k << " lane " << s << " row " << r;
         EXPECT_EQ(std::memcmp(&yk_buf[at], &y1_buf[r], sizeof(real)), 0)
             << "buffered width " << k << " lane " << s << " row " << r;
       }
@@ -350,18 +328,11 @@ TEST(CompressedKernels, PlannedMatchesDynamicBitwise) {
   // Partitions own disjoint row ranges and rows accumulate in stream order,
   // so the schedule cannot change any bit of the output.
   const CsrMatrix a = projection_matrix(24, 16);
-  const CompressedCsr ccsr = compress_csr(a, kCsrPartsize, ValueStorage::Fp16);
   const BufferedMatrix bm = build_buffered(a, {16, 64});
   const BufferedMatrix cbuf = compress_buffered(bm, ValueStorage::Fp16);
   const auto x = testutil::random_vector(a.num_cols, 53);
   const auto m = static_cast<std::size_t>(a.num_rows);
   const int slots = 3;
-
-  const auto csr_plan = ApplyPlan::build(partition_nnz(ccsr), slots);
-  AlignedVector<real> y_dyn(m), y_plan(m, -1.0f);
-  spmv_ccsr(ccsr, x, y_dyn);
-  spmv_ccsr_planned(ccsr, csr_plan, x, y_plan);
-  EXPECT_EQ(std::memcmp(y_dyn.data(), y_plan.data(), m * sizeof(real)), 0);
 
   const auto buf_plan = ApplyPlan::build(partition_nnz(cbuf), slots);
   Workspace ws(slots, cbuf.config.buffsize, cbuf.config.partsize);
@@ -372,15 +343,9 @@ TEST(CompressedKernels, PlannedMatchesDynamicBitwise) {
 }
 
 TEST(CompressedKernels, MeasuredBytesPerFmaBeatFp32ByHalf) {
-  // CSR: bf16 + varint must cut matrix B/FMA by >= 1.5x vs fp32 on the same
-  // Hilbert-ordered geometry. Buffered: the 16-bit values keep the 2-byte
-  // slots, so bf16 saves exactly the 2 value bytes of each FMA.
+  // The 16-bit values keep the 2-byte slots, so bf16 saves exactly the 2
+  // value bytes of each FMA.
   const CsrMatrix a = projection_matrix(48, 32);
-  const CompressedCsr ccsr = compress_csr(a, kCsrPartsize, ValueStorage::Bf16);
-  const auto csr_fp32 = csr_work(a).bytes_per_fma();          // 8
-  const auto csr_bf16 = ccsr_work(ccsr).bytes_per_fma();
-  EXPECT_GE(csr_fp32 / csr_bf16, 1.5) << "measured " << csr_bf16;
-
   const BufferedMatrix bm = build_buffered(a, {64, 256});
   const BufferedMatrix cbuf = compress_buffered(bm, ValueStorage::Bf16);
   const auto buf_fp32 = buffered_work(bm).bytes_per_fma();    // 6
@@ -411,38 +376,36 @@ TEST(CompressedOperator, AdjointAndLinearityHold) {
   // <Ax, y> == <x, A'y> exactly characterizes that forward and transpose
   // use the SAME quantized matrix — quantization must not break adjointness
   // (CGLS relies on it), only perturb the operator as a whole.
-  for (const KernelKind kind : {KernelKind::Baseline, KernelKind::Buffered}) {
-    for (const auto storage :
-         {sparse::ValueStorage::Bf16, sparse::ValueStorage::Fp16}) {
-      auto a = small_projection();
-      const MemXCTOperator op(std::move(a), kind, {16, 64}, 64,
-                              ScheduleKind::StaticPlan, storage);
-      EXPECT_EQ(op.precision(), storage);
-      const auto x = testutil::random_vector(op.num_cols(), 61);
-      const auto y = testutil::random_vector(op.num_rows(), 62);
-      AlignedVector<real> ax(static_cast<std::size_t>(op.num_rows()));
-      AlignedVector<real> aty(static_cast<std::size_t>(op.num_cols()));
-      op.apply(x, ax);
-      op.apply_transpose(y, aty);
-      double axy = 0.0, xaty = 0.0;
-      for (std::size_t i = 0; i < ax.size(); ++i)
-        axy += static_cast<double>(ax[i]) * y[i];
-      for (std::size_t i = 0; i < aty.size(); ++i)
-        xaty += static_cast<double>(x[i]) * aty[i];
-      EXPECT_NEAR(axy, xaty, 1e-4 * std::max(std::abs(axy), 1.0));
+  for (const auto storage :
+       {sparse::ValueStorage::Bf16, sparse::ValueStorage::Fp16}) {
+    auto a = small_projection();
+    const MemXCTOperator op(std::move(a), KernelKind::Buffered, {16, 64}, 64,
+                            ScheduleKind::StaticPlan, storage);
+    EXPECT_EQ(op.precision(), storage);
+    const auto x = testutil::random_vector(op.num_cols(), 61);
+    const auto y = testutil::random_vector(op.num_rows(), 62);
+    AlignedVector<real> ax(static_cast<std::size_t>(op.num_rows()));
+    AlignedVector<real> aty(static_cast<std::size_t>(op.num_cols()));
+    op.apply(x, ax);
+    op.apply_transpose(y, aty);
+    double axy = 0.0, xaty = 0.0;
+    for (std::size_t i = 0; i < ax.size(); ++i)
+      axy += static_cast<double>(ax[i]) * y[i];
+    for (std::size_t i = 0; i < aty.size(); ++i)
+      xaty += static_cast<double>(x[i]) * aty[i];
+    EXPECT_NEAR(axy, xaty, 1e-4 * std::max(std::abs(axy), 1.0));
 
-      // Linearity: A(x1 + 2·x2) == A·x1 + 2·A·x2 to fp32 rounding.
-      const auto x2 = testutil::random_vector(op.num_cols(), 63);
-      AlignedVector<real> combo(x.size());
-      for (std::size_t i = 0; i < x.size(); ++i) combo[i] = x[i] + 2.0f * x2[i];
-      AlignedVector<real> a_combo(ax.size()), ax2(ax.size());
-      op.apply(combo, a_combo);
-      op.apply(x2, ax2);
-      AlignedVector<real> expected(ax.size());
-      for (std::size_t i = 0; i < ax.size(); ++i)
-        expected[i] = ax[i] + 2.0f * ax2[i];
-      EXPECT_LT(testutil::rel_error(a_combo, expected), 1e-5);
-    }
+    // Linearity: A(x1 + 2·x2) == A·x1 + 2·A·x2 to fp32 rounding.
+    const auto x2 = testutil::random_vector(op.num_cols(), 63);
+    AlignedVector<real> combo(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) combo[i] = x[i] + 2.0f * x2[i];
+    AlignedVector<real> a_combo(ax.size()), ax2(ax.size());
+    op.apply(combo, a_combo);
+    op.apply(x2, ax2);
+    AlignedVector<real> expected(ax.size());
+    for (std::size_t i = 0; i < ax.size(); ++i)
+      expected[i] = ax[i] + 2.0f * ax2[i];
+    EXPECT_LT(testutil::rel_error(a_combo, expected), 1e-5);
   }
 }
 
@@ -476,7 +439,8 @@ TEST(CompressedOperator, BlockApplyMatchesSingleApply) {
 }
 
 TEST(CompressedOperator, RejectsUnsupportedKernels) {
-  for (const KernelKind kind : {KernelKind::EllBlock, KernelKind::Library}) {
+  for (const KernelKind kind :
+       {KernelKind::Baseline, KernelKind::EllBlock, KernelKind::Library}) {
     auto a = small_projection();
     EXPECT_THROW(MemXCTOperator(std::move(a), kind, {16, 64}, 64,
                                 ScheduleKind::StaticPlan,
@@ -550,81 +514,53 @@ TEST(CompressedCache, RoundTripsBitwiseAndSurvivesCorruption) {
   ScratchDir dir("ccache");
   const auto spec = phantom::dataset("ADS1").scaled_by(16);
   const auto data = phantom::generate(spec, 9);
-  Config config;
-  config.iterations = 5;
-  config.precision = sparse::ValueStorage::Bf16;
-  config.cache_dir = dir.path();
+  Config fp32;
+  fp32.iterations = 5;
+  fp32.cache_dir = dir.path();
+  Config bf16 = fp32;
+  bf16.precision = sparse::ValueStorage::Bf16;
+  Config uncached = bf16;
+  uncached.cache_dir.clear();
+  const auto miss = Reconstructor(data.geometry, uncached)
+                        .reconstruct(data.sinogram);
 
-  const Reconstructor first(data.geometry, config);
+  // An fp32 run writes the one exact `.csr` entry every precision shares.
+  const Reconstructor first(data.geometry, fp32);
   EXPECT_FALSE(first.preprocess_report().cache_hit);
-  const auto miss = first.reconstruct(data.sinogram);
+  std::vector<fs::path> entries;
+  for (const auto& e : fs::directory_iterator(dir.path()))
+    entries.push_back(e.path());
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].extension(), ".csr");
 
-  const Reconstructor second(data.geometry, config);
+  // A bf16 run hits it and quantizes during its build: bitwise the
+  // operator a bf16 miss builds from the traced matrix.
+  const Reconstructor second(data.geometry, bf16);
   EXPECT_TRUE(second.preprocess_report().cache_hit);
   const auto hit = second.reconstruct(data.sinogram);
-
-  // Quantization idempotence: the operator rebuilt from the quantized
-  // cache is bitwise the operator built from scratch.
   ASSERT_EQ(miss.image.size(), hit.image.size());
   EXPECT_EQ(std::memcmp(miss.image.data(), hit.image.data(),
                         miss.image.size() * sizeof(real)),
             0);
 
-  // The compressed cache keys a distinct file from the fp32 cache.
-  bool saw_ccsr = false;
-  for (const auto& e : fs::directory_iterator(dir.path()))
-    if (e.path().string().find("-vbf16.ccsr") != std::string::npos) {
-      saw_ccsr = true;
-      // Flip one payload byte: the next build must detect the damage and
-      // fall back to retracing instead of crashing or loading garbage.
-      std::fstream f(e.path(), std::ios::in | std::ios::out |
-                                    std::ios::binary);
-      f.seekp(-1, std::ios::end);
-      char c;
-      f.seekg(-1, std::ios::end);
-      f.get(c);
-      f.seekp(-1, std::ios::end);
-      f.put(static_cast<char>(c ^ 0x5a));
-    }
-  EXPECT_TRUE(saw_ccsr);
-
-  const Reconstructor third(data.geometry, config);
+  // Flip one payload byte: the next build must detect the damage and fall
+  // back to retracing instead of crashing or loading garbage.
+  {
+    std::fstream f(entries[0], std::ios::in | std::ios::out |
+                                   std::ios::binary);
+    char c;
+    f.seekg(-1, std::ios::end);
+    f.get(c);
+    f.seekp(-1, std::ios::end);
+    f.put(static_cast<char>(c ^ 0x5a));
+  }
+  const Reconstructor third(data.geometry, bf16);
   EXPECT_FALSE(third.preprocess_report().cache_hit);  // graceful rebuild
+  EXPECT_TRUE(third.preprocess_report().cache_corrupt);
   const auto rebuilt = third.reconstruct(data.sinogram);
   EXPECT_EQ(std::memcmp(miss.image.data(), rebuilt.image.data(),
                         miss.image.size() * sizeof(real)),
             0);
-}
-
-TEST(CompressedCache, CheckedIoRoundTripsAndRejectsCorruption) {
-  ScratchDir dir("ccsrio");
-  const sparse::CsrMatrix a = testutil::random_csr(40, 60, 0.1, 21);
-  const auto c = sparse::compress_csr(a, 8, sparse::ValueStorage::Fp16);
-  const std::string path = dir.path() + "/op.ccsr";
-  resil::save_compressed_csr_checked(path, c);
-
-  const auto back = resil::load_compressed_csr_checked(path);
-  EXPECT_EQ(back.num_rows, c.num_rows);
-  EXPECT_EQ(back.partsize, c.partsize);
-  EXPECT_EQ(back.storage, c.storage);
-  ASSERT_EQ(back.ind_bytes.size(), c.ind_bytes.size());
-  EXPECT_EQ(std::memcmp(back.ind_bytes.data(), c.ind_bytes.data(),
-                        c.ind_bytes.size()),
-            0);
-  ASSERT_EQ(back.val16.size(), c.val16.size());
-  EXPECT_EQ(std::memcmp(back.val16.data(), c.val16.data(),
-                        c.val16.size() * sizeof(std::uint16_t)),
-            0);
-
-  // Kind confusion is rejected: a compressed payload is not a CsrMatrix.
-  EXPECT_THROW((void)resil::load_csr_checked(path), IoError);
-
-  // Any flipped payload byte fails the CRC.
-  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekp(48, std::ios::beg);
-  f.put('\x7f');
-  f.close();
-  EXPECT_THROW((void)resil::load_compressed_csr_checked(path), IoError);
 }
 
 TEST(CompressedConfig, DistributedPathRejectsReducedPrecision) {

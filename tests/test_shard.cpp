@@ -627,6 +627,24 @@ TEST(UnsupportedConfig, ShardedPlusReducedPrecisionIsTyped) {
   }
 }
 
+TEST(UnsupportedConfig, BaselinePlusReducedPrecisionIsTyped) {
+  // Reduced precision is Buffered-only.
+  const EndToEnd e;
+  for (const auto precision :
+       {sparse::ValueStorage::Bf16, sparse::ValueStorage::Fp16}) {
+    core::Config config;
+    config.kernel = core::KernelKind::Baseline;
+    config.precision = precision;
+    try {
+      const core::Reconstructor recon(e.g, config);
+      FAIL() << "expected UnsupportedConfigError";
+    } catch (const UnsupportedConfigError& err) {
+      EXPECT_EQ(err.flag_a(), "--kernel");
+      EXPECT_EQ(err.flag_b(), "--precision");
+    }
+  }
+}
+
 TEST(UnsupportedConfig, ShardedPlusDistributedIsTyped) {
   const EndToEnd e;
   core::Config config;
@@ -671,6 +689,20 @@ TEST(UnsupportedConfig, ServeAdmissionRejectsConflictsBeforeQueueing) {
   } catch (const UnsupportedConfigError& err) {
     EXPECT_EQ(err.flag_a(), "--shards");
     EXPECT_EQ(err.flag_b(), "--precision");
+  }
+
+  for (const auto precision :
+       {sparse::ValueStorage::Bf16, sparse::ValueStorage::Fp16}) {
+    core::Config baseline_reduced = config;
+    baseline_reduced.kernel = core::KernelKind::Baseline;
+    baseline_reduced.precision = precision;
+    try {
+      (void)server.submit(e.g, baseline_reduced, e.sino);
+      FAIL() << "expected UnsupportedConfigError";
+    } catch (const UnsupportedConfigError& err) {
+      EXPECT_EQ(err.flag_a(), "--kernel");
+      EXPECT_EQ(err.flag_b(), "--precision");
+    }
   }
 
   // Nothing entered the pipeline: no submissions, no rejections counted.

@@ -17,7 +17,6 @@
 #include "phantom/phantom.hpp"
 #include "solve/block.hpp"
 #include "sparse/buffered.hpp"
-#include "sparse/compressed.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/plan.hpp"
 #include "sparse/spmm.hpp"
@@ -256,35 +255,14 @@ TEST(Spmm, EveryFamilyMatchesSerialReference) {
              sparse::spmm_buffered(buf, k, x, y);
          },
          [&](auto x, auto y) { testutil::reference_apply(buf, x, y); }});
-    std::vector<sparse::CompressedCsr> ccsr;
     std::vector<sparse::BufferedMatrix> cbuf;
     const std::vector<ValueStorage> storages = {ValueStorage::Bf16,
                                                 ValueStorage::Fp16};
-    for (const ValueStorage storage : storages) {
-      ccsr.push_back(sparse::compress_csr(m, sparse::kCsrPartsize, storage));
+    for (const ValueStorage storage : storages)
       cbuf.push_back(sparse::compress_buffered(buf, storage));
-    }
     for (std::size_t i = 0; i < storages.size(); ++i) {
       const ValueStorage storage = storages[i];
-      const sparse::CompressedCsr& c = ccsr[i];
       const sparse::BufferedMatrix& cb = cbuf[i];
-      families.push_back(
-          {std::string("ccsr-") + sparse::to_string(storage),
-           [&](bool planned, auto x, auto y) {
-             if (planned)
-               sparse::spmv_ccsr_planned(c, csr_plan, x, y);
-             else
-               sparse::spmv_ccsr(c, x, y);
-           },
-           [&](bool planned, idx_t k, auto x, auto y) {
-             if (planned)
-               sparse::spmm_ccsr_planned(c, csr_plan, k, x, y);
-             else
-               sparse::spmm_ccsr(c, k, x, y);
-           },
-           [&m, storage](auto x, auto y) {
-             testutil::reference_apply(m, x, y, storage);
-           }});
       families.push_back(
           {std::string("buffered-") + sparse::to_string(storage),
            [&](bool planned, auto x, auto y) {

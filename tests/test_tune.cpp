@@ -132,6 +132,20 @@ TEST(ValidateConfig, PairwiseConflictsNameTheFlags) {
       EXPECT_EQ(e.flag_b(), "--precision");
     }
   }
+  // Reduced precision is Buffered-only: Baseline has no 16-bit storage.
+  for (const auto precision :
+       {sparse::ValueStorage::Bf16, sparse::ValueStorage::Fp16}) {
+    core::Config config;
+    config.kernel = core::KernelKind::Baseline;
+    config.precision = precision;
+    try {
+      core::validate_config(config);
+      FAIL() << "expected UnsupportedConfigError";
+    } catch (const UnsupportedConfigError& e) {
+      EXPECT_EQ(e.flag_a(), "--kernel");
+      EXPECT_EQ(e.flag_b(), "--precision");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -165,8 +179,7 @@ TEST(TuneCandidates, ReducedPrecisionPrunesEllBlock) {
   const auto candidates = tune::enumerate_candidates(base);
   ASSERT_FALSE(candidates.empty());
   for (const auto& c : candidates)
-    EXPECT_TRUE(c.kernel == core::KernelKind::Buffered ||
-                c.kernel == core::KernelKind::Baseline)
+    EXPECT_EQ(c.kernel, core::KernelKind::Buffered)
         << "illegal kernel survived pruning at bf16";
 }
 

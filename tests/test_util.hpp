@@ -165,18 +165,16 @@ inline void expect_same_buffered(const sparse::BufferedMatrix& got,
 }
 
 /// Serial reference apply of a CSR matrix: y[r] sums row r's entries from
-/// zero in stored (strict j) order in fp32, each value decoded through
-/// `storage`. No partitions, no OpenMP: the arithmetic every CSR-layout
-/// kernel, plain or compressed, must reproduce bit for bit. Compiled without
-/// FP contraction, like memxct_sparse, so mul and add round separately.
+/// zero in stored (strict j) order in fp32. No partitions, no OpenMP: the
+/// arithmetic every CSR-layout kernel must reproduce bit for bit. Compiled
+/// without FP contraction, like memxct_sparse, so mul and add round
+/// separately.
 [[gnu::optimize("fp-contract=off")]] inline void reference_apply(
-    const sparse::CsrMatrix& a, std::span<const real> x, std::span<real> y,
-    sparse::ValueStorage storage = sparse::ValueStorage::Fp32) {
+    const sparse::CsrMatrix& a, std::span<const real> x, std::span<real> y) {
   for (idx_t r = 0; r < a.num_rows; ++r) {
     real acc = 0;
     for (nnz_t j = a.displ[r]; j < a.displ[r + 1]; ++j)
-      acc += x[static_cast<std::size_t>(a.ind[j])] *
-             sparse::quantize(a.val[j], storage);
+      acc += x[static_cast<std::size_t>(a.ind[j])] * a.val[j];
     y[static_cast<std::size_t>(r)] = acc;
   }
 }
