@@ -2,30 +2,34 @@
 // communication matrix, pairwise traffic of rank 7, and per-rank totals.
 //
 // Each entry (p, q) counts partial-sinogram elements rank p sends to rank q
-// during one forward projection; the pseudo-Hilbert partition locality is
-// what keeps the matrix sparse (each rank talks to a handful of
-// neighbours, not all 15 others).
+// during one forward projection of the paper's A = R·C·A_p, counted by
+// shard::reduce_traffic; the pseudo-Hilbert partition locality is what
+// keeps the matrix sparse (each rank talks to a handful of neighbours, not
+// all 15 others).
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/reconstructor.hpp"
+#include "dist/partition.hpp"
 #include "io/table.hpp"
+#include "shard/plan.hpp"
 
 int main() {
   using namespace memxct;
   const int ranks = 16;
   const auto spec = bench::spec_for("ADS3", 1);
-  const auto data = phantom::generate(spec, 4);
+  const auto g = spec.geometry();
   std::printf("ADS3 analog (%d x %d), %d ranks\n", spec.angles, spec.channels,
               ranks);
 
-  core::Config config;
-  config.num_ranks = ranks;
-  config.iterations = 1;  // one CG iteration = fwd + bwd + step projection
-  const core::Reconstructor recon(data.geometry, config);
-  (void)recon.reconstruct(data.sinogram);
-  const auto* op = recon.dist_op();
-  const auto& matrix = op->traffic_matrix();
+  const hilbert::Ordering sino(g.sinogram_extent(),
+                               hilbert::CurveKind::Hilbert);
+  const hilbert::Ordering tomo(g.tomogram_extent(),
+                               hilbert::CurveKind::Hilbert);
+  const auto traffic = shard::reduce_traffic(
+      geometry::build_projection_matrix(g, sino, tomo),
+      dist::partition_by_tiles(sino, ranks),
+      dist::partition_by_tiles(tomo, ranks));
+  const auto& matrix = traffic.traffic;
 
   // Communication matrix (forward-direction element counts, KiB).
   std::printf("\n== Fig 7(c): communication matrix (KiB sent p->q) ==\n    ");
@@ -74,7 +78,7 @@ int main() {
   io::TablePrinter totals("Fig 7(e): total communication per process");
   totals.header({"process", "send", "recv"});
   for (int p = 0; p < ranks; ++p) {
-    const auto& stats = op->rank_comm_stats(p);
+    const auto stats = traffic.rank_stats(p);
     totals.row({std::to_string(p),
                 io::TablePrinter::bytes(
                     static_cast<double>(stats.bytes_sent)),

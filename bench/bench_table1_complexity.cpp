@@ -4,18 +4,20 @@
 //            R) O(MN·√P) total, i.e. footprint doubles when P quadruples;
 //   Trace:   duplicated-domain allreduce costs O(N² log P).
 //
-// The bench measures nnz(C) = total partial sinogram rows over a rank
-// sweep, fits the growth exponent (expected ~0.5), and compares modeled
-// communication times of the two strategies.
+// The bench counts nnz(C) = total partial sinogram rows over a rank sweep
+// (shard::reduce_traffic, one forward apply of the paper's reduce
+// direction), fits the growth exponent (expected ~0.5), and compares
+// modeled communication times of the two strategies.
 #include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "dist/dist_compxct.hpp"
-#include "dist/dist_operator.hpp"
+#include "dist/partition.hpp"
 #include "io/table.hpp"
 #include "perf/network_model.hpp"
+#include "shard/plan.hpp"
 
 int main() {
   using namespace memxct;
@@ -42,24 +44,23 @@ int main() {
   for (const int p : {1, 4, 16, 64}) {
     const auto sino_part = dist::partition_by_tiles(sino, p);
     const auto tomo_part = dist::partition_by_tiles(tomo, p);
-    const dist::DistOperator op(a, sino_part, tomo_part, theta);
-
-    AlignedVector<real> x(static_cast<std::size_t>(a.num_cols), 1.0f);
-    AlignedVector<real> y(static_cast<std::size_t>(a.num_rows));
-    op.apply(x, y);
+    const auto traffic = shard::reduce_traffic(a, sino_part, tomo_part);
 
     std::int64_t max_mem = 0, memxct_bytes = 0;
     for (int r = 0; r < p; ++r) {
-      max_mem = std::max(max_mem, op.rank_memory_bytes(r));
-      memxct_bytes =
-          std::max(memxct_bytes, op.rank_comm_stats(r).bytes_sent);
+      max_mem = std::max(
+          max_mem, traffic.rank_memory_bytes[static_cast<std::size_t>(r)]);
+      memxct_bytes = std::max(memxct_bytes, traffic.rank_stats(r).bytes_sent);
     }
 
     // Trace's strategy executed over the same runtime: one backprojection
-    // with replicas + ring allreduce, measured bytes per rank.
+    // with replicas + ring allreduce, measured bytes per rank (the byte
+    // count depends on the vector sizes only, not their values).
     std::int64_t trace_bytes = 0;
     {
       const dist::DistCompXctOperator trace_op(g, p, theta);
+      const AlignedVector<real> y(static_cast<std::size_t>(a.num_rows),
+                                  real{0});
       AlignedVector<real> xt(static_cast<std::size_t>(a.num_cols));
       trace_op.apply_transpose(y, xt);
       trace_bytes = trace_op.rank_bytes_sent(0);
@@ -67,10 +68,11 @@ int main() {
 
     if (p > 1) {
       log_p.push_back(std::log(static_cast<double>(p)));
-      log_c.push_back(std::log(static_cast<double>(op.total_partial_rows())));
+      log_c.push_back(
+          std::log(static_cast<double>(traffic.total_partial_rows())));
     }
     table.row(
-        {std::to_string(p), std::to_string(op.total_partial_rows()),
+        {std::to_string(p), std::to_string(traffic.total_partial_rows()),
          io::TablePrinter::num(mn * std::sqrt(static_cast<double>(p)), 0),
          io::TablePrinter::bytes(static_cast<double>(max_mem)),
          io::TablePrinter::bytes(static_cast<double>(memxct_bytes)),

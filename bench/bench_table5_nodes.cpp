@@ -2,12 +2,13 @@
 // machines, with preprocessing/reconstruction speedups and the all-slices
 // projection.
 //
-// The distributed solve is *executed* at working scale so communication
-// volumes and load balance are real; kernel and network times are then
-// modeled at PAPER scale (1501x2048) on each Table 2 machine, because the
-// paper's headline effect — super-linear speedup when the per-node matrix
-// drops into 16 GB MCDRAM — only exists at paper-scale footprints
-// (RDS1's matrix is 2x56 GB). Extrapolation factors: nonzeros scale with
+// Communication volumes are *counted* at working scale from the traced
+// matrix (shard::reduce_traffic, one forward apply of the paper's
+// A = R·C·A_p); kernel and network times are then modeled at PAPER scale
+// (1501x2048) on each Table 2 machine, because the paper's headline
+// effect — super-linear speedup when the per-node matrix drops into 16 GB
+// MCDRAM — only exists at paper-scale footprints (RDS1's matrix is
+// 2x56 GB). Extrapolation factors: nonzeros scale with
 // M·N² (measured density is geometric), communication volume with M·N·√P
 // (validated by bench_table1), preprocessing with nonzeros and is
 // ray-parallel across nodes (Section 3.5).
@@ -16,8 +17,10 @@
 
 #include "bench_util.hpp"
 #include "core/reconstructor.hpp"
+#include "dist/partition.hpp"
 #include "io/table.hpp"
 #include "perf/network_model.hpp"
+#include "shard/plan.hpp"
 
 int main() {
   using namespace memxct;
@@ -32,6 +35,8 @@ int main() {
   const double preproc_host = t.seconds();
   const double work_nnz =
       static_cast<double>(serial.preprocess_report().nnz);
+  const auto a = geometry::build_projection_matrix(
+      data.geometry, serial.sinogram_ordering(), serial.tomogram_ordering());
 
   // Paper-scale extrapolation.
   const double paper_m = spec.paper_angles, paper_n = spec.paper_channels;
@@ -60,20 +65,15 @@ int main() {
     const auto& machine = perf::machine(row.machine);
     const int devices = row.nodes * machine.devices_per_node;
 
-    // Execute the working-scale distributed solve for real comm volumes.
-    core::Config config;
-    config.num_ranks = devices;
-    config.force_distributed = true;
-    config.machine = row.machine;
-    config.iterations = 1;
-    const core::Reconstructor recon(data.geometry, config);
-    (void)recon.reconstruct(data.sinogram);
-    std::int64_t measured_bytes = 0, measured_msgs = 0;
+    // Working-scale comm volumes of one forward apply over `devices` ranks.
+    const auto traffic = shard::reduce_traffic(
+        a, dist::partition_by_tiles(serial.sinogram_ordering(), devices),
+        dist::partition_by_tiles(serial.tomogram_ordering(), devices));
+    std::int64_t counted_bytes = 0, counted_msgs = 0;
     for (int r = 0; r < devices; ++r) {
-      measured_bytes = std::max(
-          measured_bytes, recon.dist_op()->rank_comm_stats(r).bytes_sent);
-      measured_msgs = std::max(
-          measured_msgs, recon.dist_op()->rank_comm_stats(r).messages_sent);
+      const auto rank = traffic.rank_stats(r);
+      counted_bytes = std::max(counted_bytes, rank.bytes_sent);
+      counted_msgs = std::max(counted_msgs, rank.messages_sent);
     }
 
     // Paper-scale per-device kernel model.
@@ -87,14 +87,13 @@ int main() {
     const double kernel_s = perf::modeled_kernel_seconds(
         machine, work, perf::OptLevel::MultiStageBuffered, fits);
 
-    // Paper-scale communication: measured volumes scaled by the M·N ratio.
+    // Paper-scale communication: counted volumes scaled by the M·N ratio.
     perf::CommStats stats;
     stats.bytes_sent = static_cast<std::int64_t>(
-        static_cast<double>(measured_bytes) * comm_scale /
-        recon.dist_op()->kernel_times().applies);
+        static_cast<double>(counted_bytes) * comm_scale);
     stats.bytes_received = stats.bytes_sent;
-    stats.messages_sent = measured_msgs;
-    stats.messages_received = measured_msgs;
+    stats.messages_sent = counted_msgs;
+    stats.messages_received = counted_msgs;
     const double comm_s = perf::alltoallv_seconds(machine, stats);
 
     const double recon_s = iterations * 2.0 * (kernel_s + comm_s);

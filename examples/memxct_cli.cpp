@@ -26,10 +26,9 @@
 //   --precision fp32|bf16|fp16 operator value storage      (default fp32;
 //                              bf16/fp16 store 16-bit values beside the
 //                              16-bit slots, buffered kernel only)
-//   --ranks P                  simulated distributed ranks (default 1)
-//   --shards P                 shard the operator across P simulated ranks
-//                              behind the serving stack (bitwise identical
-//                              to P=1; fp32 buffered/baseline only)
+//   --shards P                 partition the operator across P simulated
+//                              ranks (bitwise identical to P=1; fp32
+//                              buffered/baseline, full-pass solvers only)
 //   --shard-groups G           group size for the hierarchical two-level
 //                              shard exchange (default 1 = flat)
 //   --shard-tiles T            pipeline tiles per sharded apply (default 0
@@ -101,7 +100,7 @@ using namespace memxct;
                "morton] [--kernel buffered|baseline|ell|library] "
                "[--schedule static|dynamic] [--partsize N] [--buffsize N] "
                "[--precision fp32|bf16|fp16] [--autotune off|cached|force] "
-               "[--autotune-json FILE] [--ranks P] [--shards P] "
+               "[--autotune-json FILE] [--shards P] "
                "[--shard-groups G] [--shard-tiles T] "
                "[--noise I0] [--ingest passthrough|reject|sanitize] "
                "[--cache DIR] [--checkpoint FILE] [--checkpoint-interval K] "
@@ -174,7 +173,6 @@ int run(int argc, char** argv) {
     else if (arg == "--subsets") config.num_subsets = std::atoi(next());
     else if (arg == "--stream-chunk") config.stream_chunk = std::atoi(next());
     else if (arg == "--lambda") config.tikhonov_lambda = std::atof(next());
-    else if (arg == "--ranks") config.num_ranks = std::atoi(next());
     else if (arg == "--shards") config.num_shards = std::atoi(next());
     else if (arg == "--shard-groups")
       config.shard_group_size = std::atoi(next());

@@ -97,11 +97,6 @@ BatchReconstructor::BatchReconstructor(const core::Reconstructor& recon,
     throw InvalidArgument("batch: workers must be >= 1");
   const core::MemXCTOperator* serial = recon_.serial_op();
   const shard::ShardedOperator* sharded = recon_.shard_op();
-  if (serial == nullptr && sharded == nullptr)
-    throw InvalidArgument(
-        "batch: BatchReconstructor requires a viewable operator (the serial "
-        "path or the sharded path; the distributed simmpi operator has no "
-        "per-worker views)");
   if (options_.block_width < 1 ||
       options_.block_width > sparse::kMaxBlockWidth)
     throw InvalidArgument("batch: block_width must be in [1, " +

@@ -155,14 +155,11 @@ struct BatchReport {
 
 /// Fixed worker pool driving slices through one preprocessed operator.
 ///
-/// The wrapped Reconstructor must outlive the engine and must be on the
-/// serial path (num_ranks == 1, not force_distributed) or the sharded path
-/// (num_shards > 1): both expose per-worker views sharing the immutable
-/// preprocessed storage. The simulated dist::DistOperator has no views —
-/// its per-apply exchange state cannot be shared across workers — and is
-/// rejected. On-disk solver checkpointing is disabled inside the batch (a
-/// shared checkpoint file across concurrent slices would corrupt;
-/// in-memory divergence rollback still applies per slice).
+/// The wrapped Reconstructor must outlive the engine. Its operator, serial
+/// (num_shards == 1) or sharded, exposes per-worker views sharing the
+/// immutable preprocessed storage. On-disk solver checkpointing is disabled
+/// inside the batch (a shared checkpoint file across concurrent slices would
+/// corrupt; in-memory divergence rollback still applies per slice).
 ///
 /// Thread safety: submit() and wait_all() are producer-side calls and may
 /// be used from one thread at a time; workers run internally. The engine is

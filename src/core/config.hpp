@@ -123,13 +123,13 @@ struct Config {
   std::string checkpoint_path;
   int checkpoint_interval = 10;
 
-  /// >1 shards the operator across this many simulated ranks behind the
-  /// serving stack (shard/sharded_operator.hpp): per-shard row slices of A
-  /// and A^T with precomputed halo-exchange plans and a comm/compute
-  /// overlap pipeline, bitwise identical to num_shards == 1 for any value.
-  /// Part of the operator identity (opkey suffix "-sh<P>" when > 1).
-  /// Supported for the Baseline/Buffered kernels at Fp32. Mutually
-  /// exclusive with num_ranks > 1 / force_distributed.
+  /// >1 partitions the operator across this many simulated ranks
+  /// (shard/sharded_operator.hpp): per-shard row slices of A and A^T with
+  /// precomputed halo-exchange plans and a comm/compute overlap pipeline,
+  /// bitwise identical to num_shards == 1 for any value. The library's one
+  /// partitioned operator. Part of the operator identity (opkey suffix
+  /// "-sh<P>" when > 1). Supported for the Baseline/Buffered kernels at
+  /// Fp32 with the full-pass solvers (no subset views).
   int num_shards = 1;
   /// Shard group size for the hierarchical two-level exchange; <= 1 keeps
   /// the flat single-round exchange. Only meaningful when num_shards > 1.
@@ -137,20 +137,14 @@ struct Config {
   /// Pipeline tiles per sharded apply (exchange for tile t+1 posted while
   /// tile t computes); 0 = auto.
   int shard_pipeline_tiles = 0;
-
-  /// >1 runs the distributed R·C·A_p path over simmpi with this many ranks.
-  int num_ranks = 1;
-  /// Use the distributed path even at num_ranks == 1 (for scaling studies
-  /// that need the A_p/C/R breakdown at the P=1 root point).
-  bool force_distributed = false;
   /// Machine whose interconnect models communication time (Table 2 name).
   std::string machine = "Theta";
 };
 
 /// Single source of truth for configuration-combination support: throws
 /// InvalidArgument for out-of-range scalar fields and the typed
-/// UnsupportedConfigError for pairwise flag conflicts (shards+ranks,
-/// shards+precision, ranks+precision, shards+kernel, kernel+precision).
+/// UnsupportedConfigError for pairwise flag conflicts (shards+precision,
+/// shards+kernel, kernel+precision, solver+shards, solver+kernel).
 /// Called by the Reconstructor build path, serve admission, and the
 /// autotuner's candidate pruning, so all three agree on what is legal.
 void validate_config(const Config& config);

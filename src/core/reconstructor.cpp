@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "dist/partition.hpp"
 #include "geometry/projector.hpp"
 #include "perf/timer.hpp"
 #include "resil/checked_io.hpp"
@@ -70,9 +69,9 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
                              const Config& config)
     : geometry_(geometry), config_(config) {
   geometry_.validate();
-  // One gate for every illegal field combination (shards+ranks,
-  // shards/ranks+precision, kernel conflicts): the same call serve
-  // admission and the tuner's candidate pruning make.
+  // One gate for every illegal field combination (shards+precision,
+  // kernel and solver conflicts): the same call serve admission and the
+  // tuner's candidate pruning make.
   validate_config(config_);
   perf::WallTimer total;
   perf::WallTimer phase;
@@ -117,38 +116,16 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
 
   // Operator-build autotuning (src/tune): resolve kernel/schedule/buffer
   // from measurements on the traced matrix before anything is built from
-  // it. Serial operator path only — the sharded/distributed families have
-  // their own layout constraints and ignore the flag.
-  if (config_.autotune != AutotuneMode::Off && config_.num_ranks == 1 &&
-      !config_.force_distributed && config_.num_shards == 1) {
+  // it. Serial operator path only — the sharded family has its own layout
+  // constraints and ignores the flag.
+  if (config_.autotune != AutotuneMode::Off && config_.num_shards == 1) {
     phase.reset();
     tune_report_ = tune::autotune_operator(geometry_, config_, a);
     report_.tune_seconds = phase.seconds();
   }
 
-  if (config_.num_ranks > 1 || config_.force_distributed) {
-    // Distributed path: steps 3-4 (transposition + plans) happen inside
-    // DistOperator per rank (validate_config already rejected reduced
-    // precision here — the rank-local kernels are fp32 only).
-    phase.reset();
-    const auto sino_part =
-        dist::partition_by_tiles(*sino_order_, config_.num_ranks);
-    const auto tomo_part =
-        dist::partition_by_tiles(*tomo_order_, config_.num_ranks);
-    dist_op_ = std::make_unique<dist::DistOperator>(
-        a, sino_part, tomo_part, perf::machine(config_.machine),
-        config_.kernel == KernelKind::Buffered
-            ? dist::LocalKernel::Buffered
-            : dist::LocalKernel::BaselineCsr,
-        config_.buffer);
-    report_.partition_seconds = phase.seconds();
-    std::int64_t bytes = 0;
-    for (int r = 0; r < config_.num_ranks; ++r)
-      bytes += dist_op_->rank_memory_bytes(r);
-    report_.regular_bytes = bytes;
-    active_op_ = dist_op_.get();
-  } else if (config_.num_shards > 1) {
-    // Sharded serving path: per-shard row slices of A and A^T with
+  if (config_.num_shards > 1) {
+    // Sharded path: per-shard row slices of A and A^T with
     // precomputed halo-exchange plans (shard/sharded_operator.hpp). The
     // shard slices are fp32 row copies of the traced matrix (validate_config
     // already rejected reduced precision and non-Baseline/Buffered kernels
@@ -262,13 +239,11 @@ ReconstructionResult reconstruct_slice(const solve::LinearOperator& op,
       ingest_and_order(geometry, config, sino_order, sinogram, ws);
   std::span<const real> y = ws.ordered;
 
-  // Per-solve metric scopes: the distributed/sharded operators accumulate
-  // apply-side statistics since construction, which would fold registry
-  // warm-up applies (and earlier requests on a cached operator) into this
+  // Per-solve metric scope: the sharded operator accumulates apply-side
+  // statistics since construction, which would fold registry warm-up
+  // applies (and earlier requests on a cached operator) into this
   // request's serve metrics. Zero them so the post-solve snapshot covers
   // exactly this solve.
-  if (const auto* dop = dynamic_cast<const dist::DistOperator*>(&op))
-    dop->reset_kernel_times();
   if (const auto* sop = dynamic_cast<const shard::ShardedOperator*>(&op))
     sop->reset_stats();
 
@@ -312,13 +287,14 @@ ReconstructionResult reconstruct_slice(const solve::LinearOperator& op,
     case SolverKind::OsSirt:
     case SolverKind::OsSart: {
       // The OS sweep needs row-range views of the memoized storage; only
-      // the serial operator exposes them (subset_view). Distributed and
-      // other wrapper operators cannot be sliced this way.
+      // the serial operator exposes them (subset_view). validate_config
+      // rejects the sharded configs up front; this guards callers that
+      // hand in some other operator directly.
       const auto* mem = dynamic_cast<const MemXCTOperator*>(&op);
       if (mem == nullptr)
         throw InvalidArgument(
             "ordered-subsets solvers require the serial memoized operator "
-            "(distributed and wrapper operators have no subset views)");
+            "(sharded and wrapper operators have no subset views)");
       const std::vector<std::unique_ptr<SubsetOperatorView>> views =
           make_subset_views(*mem, config.num_subsets);
       std::vector<solve::OsSubset> subs;

@@ -17,7 +17,6 @@
 
 #include "core/config.hpp"
 #include "core/operator.hpp"
-#include "dist/dist_operator.hpp"
 #include "geometry/geometry.hpp"
 #include "hilbert/ordering.hpp"
 #include "shard/sharded_operator.hpp"
@@ -36,9 +35,8 @@ struct PreprocessReport {
   /// straight from it (no CSR transpose); for the other kernels the scan
   /// transpose and both derived-format builds.
   double transpose_seconds = 0.0;
-  /// Partitioned paths: the whole DistOperator or ShardedOperator build,
-  /// transpose, row slices and exchange plans included (transpose_seconds
-  /// stays 0 there).
+  /// Sharded path: the whole ShardedOperator build, row slices, tiles and
+  /// exchange plans included (transpose_seconds stays 0 there).
   double partition_seconds = 0.0;
   double tune_seconds = 0.0;  ///< Autotune step wall time (replay or
                               ///< measurement; 0 when autotune is Off).
@@ -120,8 +118,9 @@ struct SolveExtras {
 /// completed iteration for watchdog monitoring. `extras` (optional) carries
 /// warm-start / partial-data inputs for the ordered-subsets solvers; the
 /// OS solvers additionally require `op` to be a serial MemXCTOperator
-/// (subset views need the memoized storage — the distributed operator
-/// throws InvalidArgument).
+/// (subset views need the memoized storage; any other operator throws
+/// InvalidArgument, though validate_config already rejects the configs
+/// that would build one).
 [[nodiscard]] ReconstructionResult reconstruct_slice(
     const solve::LinearOperator& op, const geometry::Geometry& geometry,
     const Config& config, const hilbert::Ordering& sino_order,
@@ -179,18 +178,14 @@ class Reconstructor {
   [[nodiscard]] const hilbert::Ordering& tomogram_ordering() const noexcept {
     return *tomo_order_;
   }
-  /// The operator actually used (serial MemXCTOperator or DistOperator).
+  /// The operator actually used (MemXCTOperator or ShardedOperator).
   [[nodiscard]] const solve::LinearOperator& op() const noexcept {
     return *active_op_;
   }
-  /// Non-null only on the serial path (num_ranks == 1, not forced
-  /// distributed). The batch engine builds per-worker views from it.
+  /// Non-null only on the serial path (num_shards == 1). The batch engine
+  /// builds per-worker views from it.
   [[nodiscard]] const MemXCTOperator* serial_op() const noexcept {
     return serial_op_.get();
-  }
-  /// Non-null only on the distributed path.
-  [[nodiscard]] const dist::DistOperator* dist_op() const noexcept {
-    return dist_op_.get();
   }
   /// Non-null only on the sharded path (num_shards > 1). The batch engine
   /// and the serve workers build per-worker views from it, exactly as they
@@ -207,7 +202,6 @@ class Reconstructor {
   std::unique_ptr<hilbert::Ordering> sino_order_;
   std::unique_ptr<hilbert::Ordering> tomo_order_;
   std::unique_ptr<MemXCTOperator> serial_op_;
-  std::unique_ptr<dist::DistOperator> dist_op_;
   std::unique_ptr<shard::ShardedOperator> shard_op_;
   solve::LinearOperator* active_op_ = nullptr;
 };

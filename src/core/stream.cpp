@@ -16,7 +16,7 @@ StreamingReconstructor::StreamingReconstructor(const Reconstructor& recon)
   if (recon.serial_op() == nullptr)
     throw InvalidArgument(
         "streaming ingest requires the serial memoized operator "
-        "(num_ranks == 1, not force_distributed)");
+        "(num_shards == 1)");
   const auto& g = recon.geometry();
   sino_.assign(static_cast<std::size_t>(g.sinogram_extent().size()), real{0});
   mask_.assign(static_cast<std::size_t>(g.num_angles), real{0});

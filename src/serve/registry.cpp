@@ -17,14 +17,6 @@ OperatorRegistry::OperatorRegistry(RegistryOptions options)
 
 OperatorRegistry::Lease OperatorRegistry::acquire(
     const geometry::Geometry& geometry, const core::Config& config) {
-  // The serial and sharded paths both expose viewable operators with byte
-  // accounting; only the simulated distributed path (whose operator has no
-  // per-worker views) is unservable.
-  if (config.num_ranks != 1 || config.force_distributed)
-    throw InvalidArgument(
-        "registry: serving requires a viewable operator path "
-        "(num_ranks == 1 and not force_distributed; --shards is supported)");
-
   Lease lease;
 
   // Autotuned requests resolve BEFORE keying whenever a prior decision is
@@ -137,9 +129,6 @@ OperatorRegistry::Lease OperatorRegistry::acquire(
     else
       breaker_.record_success();
   }
-  MEMXCT_CHECK_MSG(
-      recon->serial_op() != nullptr || recon->shard_op() != nullptr,
-      "registry build produced no viewable operator");
   // Sharded operators are accounted at the sum of their per-rank bytes —
   // the registry budget caps total resident memory across the fleet.
   const std::int64_t bytes = recon->serial_op() != nullptr

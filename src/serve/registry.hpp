@@ -122,8 +122,8 @@ class OperatorRegistry {
 
   /// Returns a lease for the operator of (geometry, config), building it on
   /// miss. Thread-safe; concurrent misses on one key are deduplicated to a
-  /// single build. Throws InvalidArgument for configs without a serial
-  /// operator path (num_ranks > 1 / force_distributed).
+  /// single build. Throws InvalidArgument (UnsupportedConfigError for flag
+  /// conflicts) for configs validate_config rejects, before any build.
   ///
   /// Autotuned requests (config.autotune != Off) are keyed by their
   /// RESOLVED config — the measured winner — so a tuned operator and an

@@ -110,10 +110,6 @@ std::int64_t Server::submit(const geometry::Geometry& geometry,
   // candidate pruning use, raised here at admission so an illegal request
   // never occupies a queue slot.
   core::validate_config(config);
-  if (config.num_ranks != 1 || config.force_distributed)
-    throw InvalidArgument(
-        "serve: serving requires a viewable operator path "
-        "(num_ranks == 1 and not force_distributed; --shards is supported)");
   if (options.deadline_seconds < 0.0)
     throw InvalidArgument("serve: deadline_seconds must be >= 0");
   const bool os_solver = config.solver == core::SolverKind::OsSirt ||

@@ -238,4 +238,72 @@ ExchangePlan build_exchange_plan(const dist::DomainPartition& input_owner,
   return plan;
 }
 
+std::int64_t ReduceTraffic::total_partial_rows() const {
+  std::int64_t n = 0;
+  for (const std::int64_t rows : rank_partial_rows) n += rows;
+  return n;
+}
+
+perf::CommStats ReduceTraffic::rank_stats(int rank) const {
+  const std::size_t P = rank_partial_rows.size();
+  const auto r = static_cast<std::size_t>(rank);
+  perf::CommStats s;
+  for (std::size_t q = 0; q < P; ++q) {
+    if (q == r) continue;
+    if (const std::int64_t out = traffic[r * P + q]; out > 0) {
+      s.bytes_sent += out * static_cast<std::int64_t>(sizeof(real));
+      s.messages_sent += 1;
+    }
+    if (const std::int64_t in = traffic[q * P + r]; in > 0) {
+      s.bytes_received += in * static_cast<std::int64_t>(sizeof(real));
+      s.messages_received += 1;
+    }
+  }
+  return s;
+}
+
+ReduceTraffic reduce_traffic(const sparse::CsrMatrix& a,
+                             const dist::DomainPartition& sino,
+                             const dist::DomainPartition& tomo) {
+  MEMXCT_CHECK(sino.num_ranks() == tomo.num_ranks());
+  MEMXCT_CHECK(sino.total() == a.num_rows);
+  MEMXCT_CHECK(tomo.total() == a.num_cols);
+  const auto P = static_cast<std::size_t>(tomo.num_ranks());
+  ReduceTraffic t;
+  t.traffic.assign(P * P, 0);
+  t.rank_nnz.assign(P, 0);
+  t.rank_partial_rows.assign(P, 0);
+  for (idx_t r = 0; r < a.num_rows; ++r) {
+    const auto owner = static_cast<std::size_t>(sino.owner(r));
+    nnz_t k = a.displ[r];
+    while (k < a.displ[r + 1]) {
+      const int p = tomo.owner(a.ind[k]);
+      const idx_t limit = tomo.end(p);
+      const nnz_t run = k;
+      while (k < a.displ[r + 1] && a.ind[k] < limit) ++k;
+      const auto src = static_cast<std::size_t>(p);
+      t.rank_nnz[src] += k - run;
+      t.rank_partial_rows[src] += 1;
+      t.traffic[src * P + owner] += 1;
+    }
+  }
+
+  constexpr auto kEntry =
+      static_cast<std::int64_t>(sizeof(idx_t) + sizeof(real));
+  constexpr auto kDispl = static_cast<std::int64_t>(sizeof(nnz_t));
+  constexpr auto kIndex = static_cast<std::int64_t>(sizeof(idx_t));
+  t.rank_memory_bytes.assign(P, 0);
+  for (std::size_t p = 0; p < P; ++p) {
+    std::int64_t received = 0;
+    for (std::size_t src = 0; src < P; ++src)
+      received += t.traffic[src * P + p];
+    const std::int64_t rows = t.rank_partial_rows[p];
+    const std::int64_t cols = tomo.size(static_cast<int>(p));
+    t.rank_memory_bytes[p] = 2 * t.rank_nnz[p] * kEntry +
+                             (rows + 1 + cols + 1) * kDispl +
+                             (rows + received) * kIndex;
+  }
+  return t;
+}
+
 }  // namespace memxct::shard

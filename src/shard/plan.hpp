@@ -25,6 +25,11 @@
 // order, so rebuilding from the same traced matrix yields a byte-identical
 // plan — `fingerprint()` serializes a plan canonically so tests can assert
 // exactly that.
+//
+// reduce_traffic counts the other way to run C: the paper's reduce
+// direction, where partial sinogram sums cross ranks and R adds them up.
+// Nothing executes it; benches read its counts to model the paper's
+// traffic beside the halo plan's measured one.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +38,8 @@
 
 #include "common/types.hpp"
 #include "dist/partition.hpp"
+#include "perf/network_model.hpp"
+#include "sparse/csr.hpp"
 
 namespace memxct::shard {
 
@@ -109,5 +116,35 @@ struct ExchangePlan {
     const std::vector<std::vector<idx_t>>& footprint,
     const std::vector<std::vector<int>>& first_tile, int tiles,
     int group_size);
+
+/// One forward apply of the paper's A = R·C·A_p (Section 3.4.3), counted.
+/// Tomogram rank p holds A_p: one partial row for every row of A with a
+/// column in p's range. C moves each partial value to the rank owning that
+/// sinogram row, where R sums them. The backprojection's C^T moves the same
+/// counts the other way.
+struct ReduceTraffic {
+  /// Row-major [source * P + owner] over P ranks: partial rows tomogram rank
+  /// `source` computes for sinogram rows rank `owner` holds, i.e. the
+  /// elements C moves between them (the diagonal never leaves its rank).
+  std::vector<std::int64_t> traffic;
+  std::vector<std::int64_t> rank_nnz;           ///< [rank] nnz(A_p).
+  std::vector<std::int64_t> rank_partial_rows;  ///< [rank] rows of A_p.
+  /// [rank] A_p and A_p^T as CSR plus the partial-row and receive maps:
+  /// what the rank holds to run its share of the apply.
+  std::vector<std::int64_t> rank_memory_bytes;
+
+  /// nnz(C) = nnz(R), every rank's partial rows (Table 1's O(MN·√P)).
+  [[nodiscard]] std::int64_t total_partial_rows() const;
+  /// Off-rank fp32 bytes and messages `rank` sends and receives in C.
+  [[nodiscard]] perf::CommStats rank_stats(int rank) const;
+};
+
+/// Counts ReduceTraffic in one sweep over A's rows. A row's sorted columns
+/// make each tomogram rank's entries one contiguous run, and each run is
+/// one partial row. `sino` owns A's rows and `tomo` its columns; both must
+/// have the same rank count.
+[[nodiscard]] ReduceTraffic reduce_traffic(const sparse::CsrMatrix& a,
+                                           const dist::DomainPartition& sino,
+                                           const dist::DomainPartition& tomo);
 
 }  // namespace memxct::shard

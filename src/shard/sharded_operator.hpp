@@ -1,15 +1,16 @@
-// Sharded forward/backprojection: the dual-domain factorization A = R·C·A_p
-// (paper Section 3.4.3, extended per Petascale XCT) behind the serving
-// stack's LinearOperator interface.
+// Sharded forward/backprojection: the library's one partitioned operator,
+// built on the dual-domain factorization A = R·C·A_p (paper Section 3.4.3,
+// extended per Petascale XCT) behind the LinearOperator interface.
 //
 // P simulated shards each own one contiguous sinogram row range and one
-// contiguous tomogram row range. Unlike dist::DistOperator — which computes
-// partial sinogram sums per rank and reduces them at the owner (R·C) — this
-// operator runs owner-computes in BOTH directions: a shard computes every
-// output row it owns, over a column-compacted row slice of A (forward) or
-// A^T (backprojection), and the exchange C moves exact *input copies*
-// (halo duplication, the paper's backprojection strategy) instead of
-// partial sums. Every floating-point accumulation therefore happens wholly
+// contiguous tomogram row range. The paper's forward projection computes
+// partial sinogram sums per rank and reduces them at the owner (R·C);
+// shard::reduce_traffic counts that traffic for the paper benches. This
+// operator instead runs owner-computes in BOTH directions: a shard computes
+// every output row it owns, over a column-compacted row slice of A
+// (forward) or A^T (backprojection), and the exchange C moves exact *input
+// copies* (halo duplication, the paper's backprojection strategy) instead
+// of partial sums. Every floating-point accumulation therefore happens wholly
 // inside one shard, in the serial kernel's order — which is what buys the
 // serving stack bitwise parity with the P=1 operator for any P, kernel
 // family, and SpMM width (reductions of FP partials would reassociate).
@@ -43,9 +44,9 @@
 
 namespace memxct::shard {
 
-/// Local kernel each shard runs on its row slices. Mirrors
-/// dist::LocalKernel; shard/ keeps its own enum so it never depends on
-/// core/ (core constructs ShardedOperator, not the other way around).
+/// Local kernel each shard runs on its row slices. shard/ keeps its own
+/// enum so it never depends on core/ (core constructs ShardedOperator, not
+/// the other way around).
 enum class LocalKernel {
   BaselineCsr,  ///< Listing 2 per shard.
   Buffered,     ///< Listing 3 multi-stage buffering per shard.
@@ -137,8 +138,8 @@ class ShardedOperator final : public solve::LinearOperator {
   }
 
   [[nodiscard]] const ShardApplyStats& stats() const noexcept { return stats_; }
-  /// Const for the same reason as DistOperator::reset_kernel_times: solves
-  /// see `const LinearOperator&`, and stats are apply-side scratch.
+  /// Const because solves see `const LinearOperator&`, and stats are
+  /// apply-side scratch, not operator identity.
   void reset_stats() const noexcept {
     stats_.reset();
     comm_.reset_stats();

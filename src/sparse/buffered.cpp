@@ -1,6 +1,7 @@
 #include "sparse/buffered.hpp"
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -69,10 +70,12 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
   const idx_t buffsize = config.buffsize;
   const idx_t numparts = std::max<idx_t>(1, ceil_div(a.num_rows, partsize));
 
-  // Pass 1 (parallel): per-partition footprint -> stage count and nnz, so
-  // global arrays can be sized and filled without synchronization.
+  // Pass 1 (parallel): per-partition footprint size -> stage count and
+  // nnz, so global arrays can be sized and filled without synchronization.
+  // Only the sizes are kept: pass 2 collects each footprint straight into
+  // its slice of `map`, so the build never holds the columns twice.
   struct PartPlan {
-    std::vector<idx_t> cols;  // sorted distinct columns of the partition
+    idx_t cols = 0;  // distinct columns of the partition
     nnz_t nnz = 0;
   };
   std::vector<PartPlan> plans(static_cast<std::size_t>(numparts));
@@ -85,7 +88,7 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
       const idx_t r0 = p * partsize;
       const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
       plan.nnz = a.displ[r1] - a.displ[r0];
-      plan.cols = footprint.collect(a, r0, r1);
+      plan.cols = footprint.count(a, r0, r1);
     }
   }
 
@@ -96,11 +99,10 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
   nnz_t total_nnz = 0;
   for (idx_t p = 0; p < numparts; ++p) {
     const auto& plan = plans[static_cast<std::size_t>(p)];
-    const idx_t stages = std::max<idx_t>(
-        1, ceil_div(static_cast<idx_t>(plan.cols.size()), buffsize));
+    const idx_t stages = std::max<idx_t>(1, ceil_div(plan.cols, buffsize));
     b.partdispl[static_cast<std::size_t>(p) + 1] =
         b.partdispl[static_cast<std::size_t>(p)] + stages;
-    total_map += static_cast<nnz_t>(plan.cols.size());
+    total_map += plan.cols;
     total_nnz += plan.nnz;
   }
   const idx_t total_stages = b.partdispl.back();
@@ -121,14 +123,13 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
   {
     idx_t s = 0;
     for (idx_t p = 0; p < numparts; ++p) {
-      const auto& plan = plans[static_cast<std::size_t>(p)];
+      const idx_t cols = plans[static_cast<std::size_t>(p)].cols;
       const idx_t stages =
           b.partdispl[static_cast<std::size_t>(p) + 1] -
           b.partdispl[static_cast<std::size_t>(p)];
       for (idx_t k = 0; k < stages; ++k, ++s) {
         const auto lo = static_cast<nnz_t>(k) * buffsize;
-        const auto hi = std::min<nnz_t>(
-            lo + buffsize, static_cast<nnz_t>(plan.cols.size()));
+        const auto hi = std::min<nnz_t>(lo + buffsize, cols);
         b.stagenz[static_cast<std::size_t>(s)] =
             static_cast<idx_t>(hi > lo ? hi - lo : 0);
         b.stagedispl[static_cast<std::size_t>(s) + 1] =
@@ -157,17 +158,19 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
     std::vector<nnz_t> counts;  // per (stage, row) entry counts
 #pragma omp for schedule(dynamic, 4)
     for (idx_t p = 0; p < numparts; ++p) {
-      const auto& plan = plans[static_cast<std::size_t>(p)];
       const idx_t r0 = p * partsize;
       const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
       const idx_t stage0 = b.partdispl[static_cast<std::size_t>(p)];
       const idx_t stages =
           b.partdispl[static_cast<std::size_t>(p) + 1] - stage0;
 
-      // map: the partition's distinct columns, chunked by stage.
-      std::copy(plan.cols.begin(), plan.cols.end(),
-                b.map.begin() + b.stagedispl[static_cast<std::size_t>(stage0)]);
-      footprint.index(plan.cols);
+      // map: the partition's sorted distinct columns, chunked by stage,
+      // collected in place; the slice then indexes the footprint.
+      const std::span<idx_t> map(
+          b.map.data() + b.stagedispl[static_cast<std::size_t>(stage0)],
+          static_cast<std::size_t>(plans[static_cast<std::size_t>(p)].cols));
+      footprint.collect(a, r0, r1, map);
+      footprint.index(map);
 
       counts.assign(static_cast<std::size_t>(stages) * partsize, 0);
       for (idx_t r = r0; r < r1; ++r) {

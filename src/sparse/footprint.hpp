@@ -26,6 +26,10 @@ class FootprintIndex {
   /// Sorted distinct columns touched by rows [r0, r1) of `a`.
   [[nodiscard]] std::vector<idx_t> collect(const CsrMatrix& a, idx_t r0,
                                            idx_t r1);
+  /// Their count, without storing them.
+  [[nodiscard]] idx_t count(const CsrMatrix& a, idx_t r0, idx_t r1);
+  /// Writes them to `out`, whose size must be count(a, r0, r1).
+  void collect(const CsrMatrix& a, idx_t r0, idx_t r1, std::span<idx_t> out);
 
   /// Makes position() answer ranks within `cols` (sorted and distinct).
   void index(std::span<const idx_t> cols);
@@ -37,7 +41,12 @@ class FootprintIndex {
   }
 
  private:
-  std::vector<std::uint32_t> seen_;  ///< Per column: last collect() stamp.
+  /// Calls fn(c) for each distinct column c of rows [r0, r1), in entry
+  /// order.
+  template <class Fn>
+  void for_each_distinct(const CsrMatrix& a, idx_t r0, idx_t r1, Fn&& fn);
+
+  std::vector<std::uint32_t> seen_;  ///< Per column: last walk's stamp.
   std::uint32_t stamp_ = 0;
   std::vector<idx_t> pos_of_;        ///< Per column: rank in the footprint.
 };

@@ -272,14 +272,6 @@ TEST(Batch, RejectsWrongSizeSinogramAtSubmit) {
   EXPECT_EQ(results[0].status, batch::SliceStatus::Ok);
 }
 
-TEST(Batch, RequiresSerialOperatorPath) {
-  auto f = make_fixture(1);
-  f.config.num_ranks = 4;
-  const core::Reconstructor recon(f.g, f.config);
-  EXPECT_THROW(batch::BatchReconstructor(recon, {.workers = 2}),
-               InvalidArgument);
-}
-
 TEST(Batch, RejectsNonPositiveWorkerCount) {
   const auto f = make_fixture(1);
   const core::Reconstructor recon(f.g, f.config);

@@ -68,19 +68,21 @@ TEST(CoreExtra, PreprocessingIsDeterministic) {
 }
 
 TEST(CoreExtra, DistributedBufferedConfigMatchesSerial) {
-  // Config.kernel = Buffered on the distributed path selects the buffered
-  // local kernels; results must match the serial buffered reconstruction.
+  // Config.kernel = Buffered on the partitioned (sharded) path selects the
+  // buffered local kernels; results must equal the serial buffered
+  // reconstruction bit for bit.
   const auto spec = phantom::dataset("ADS1").scaled_by(16);
   const auto data = phantom::generate(spec, 4);
   Config serial_config;
   serial_config.iterations = 6;
   Config dist_config = serial_config;
-  dist_config.num_ranks = 4;
+  dist_config.num_shards = 4;
   const Reconstructor serial(data.geometry, serial_config);
   const Reconstructor dist(data.geometry, dist_config);
+  ASSERT_NE(dist.shard_op(), nullptr);
   const auto r1 = serial.reconstruct(data.sinogram);
   const auto r2 = dist.reconstruct(data.sinogram);
-  EXPECT_LT(testutil::rel_error(r2.image, r1.image), 2e-2);
+  EXPECT_EQ(r2.image, r1.image);
 }
 
 TEST(CoreExtra, TikhonovConfigReducesSolutionNorm) {
@@ -129,9 +131,9 @@ TEST(CoreExtra, MortonOrderingEndToEnd) {
 TEST(CoreExtra, RejectsInvalidRankCount) {
   const auto spec = phantom::dataset("ADS1").scaled_by(16);
   Config config;
-  config.num_ranks = 0;
-  // validate_config classifies a bad rank count as a caller error, not an
-  // internal invariant violation.
+  config.num_shards = 0;
+  // validate_config classifies a bad rank (shard) count as a caller error,
+  // not an internal invariant violation.
   EXPECT_THROW(Reconstructor(spec.geometry(), config), InvalidArgument);
 }
 

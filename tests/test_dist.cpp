@@ -1,10 +1,15 @@
-// Tests for the distributed A = R·C·A_p operator against the serial matrix.
+// Tests for the partitioned projection: the paper's reduce-direction
+// traffic counts (shard::reduce_traffic), the sharded operator across rank
+// counts, and Trace's compute-centric distribution (DistCompXctOperator).
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "dist/dist_compxct.hpp"
-#include "dist/dist_operator.hpp"
+#include "dist/partition.hpp"
 #include "geometry/projector.hpp"
-#include "solve/cgls.hpp"
+#include "shard/plan.hpp"
+#include "shard/sharded_operator.hpp"
 #include "solve/sirt.hpp"
 #include "sparse/spmv.hpp"
 #include "sparse/transpose.hpp"
@@ -31,143 +36,123 @@ DistSetup make_setup(int ranks) {
   return {std::move(a), std::move(sino), std::move(tomo)};
 }
 
+shard::ReduceTraffic count_traffic(const DistSetup& s) {
+  return shard::reduce_traffic(s.a, s.sino, s.tomo);
+}
+
+// The sharded operator at rank counts past the shard suite's {1..4},
+// including P = 16 on this 480-row matrix, where some shards own no rows.
+shard::ShardedOperator make_sharded(const sparse::CsrMatrix& a, int ranks) {
+  shard::ShardedOperator::Options opt;
+  opt.num_shards = ranks;
+  opt.kernel = shard::LocalKernel::BaselineCsr;
+  return shard::ShardedOperator(a, opt);
+}
+
+bool bitwise_equal(std::span<const real> a, std::span<const real> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(real)) == 0;
+}
+
 class RankSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(RankSweep, ForwardMatchesSerial) {
   const auto setup = make_setup(GetParam());
-  const DistOperator op(setup.a, setup.sino, setup.tomo);
+  const auto op = make_sharded(setup.a, GetParam());
   const auto x = testutil::random_vector(setup.a.num_cols, 71);
   AlignedVector<real> y_dist(static_cast<std::size_t>(setup.a.num_rows));
   AlignedVector<real> y_serial(static_cast<std::size_t>(setup.a.num_rows));
   op.apply(x, y_dist);
-  sparse::spmv_reference(setup.a, x, y_serial);
-  EXPECT_LT(testutil::rel_error(y_dist, y_serial), 1e-5);
+  sparse::spmv_csr(setup.a, x, y_serial);
+  EXPECT_TRUE(bitwise_equal(y_dist, y_serial));
 }
 
 TEST_P(RankSweep, TransposeMatchesSerial) {
   const auto setup = make_setup(GetParam());
-  const DistOperator op(setup.a, setup.sino, setup.tomo);
+  const auto op = make_sharded(setup.a, GetParam());
   const auto at = sparse::transpose(setup.a);
   const auto y = testutil::random_vector(setup.a.num_rows, 72);
   AlignedVector<real> x_dist(static_cast<std::size_t>(setup.a.num_cols));
   AlignedVector<real> x_serial(static_cast<std::size_t>(setup.a.num_cols));
   op.apply_transpose(y, x_dist);
-  sparse::spmv_reference(at, y, x_serial);
-  EXPECT_LT(testutil::rel_error(x_dist, x_serial), 1e-5);
+  sparse::spmv_csr(at, y, x_serial);
+  EXPECT_TRUE(bitwise_equal(x_dist, x_serial));
 }
 
-TEST_P(RankSweep, KernelTimesAreRecorded) {
+TEST_P(RankSweep, ApplyStatsAreRecorded) {
   const auto setup = make_setup(GetParam());
-  const DistOperator op(setup.a, setup.sino, setup.tomo);
+  const auto op = make_sharded(setup.a, GetParam());
   const auto x = testutil::random_vector(setup.a.num_cols, 73);
   AlignedVector<real> y(static_cast<std::size_t>(setup.a.num_rows));
   op.apply(x, y);
   op.apply(x, y);
-  const auto& times = op.kernel_times();
-  EXPECT_EQ(times.applies, 2);
-  EXPECT_GT(times.ap_seconds, 0.0);
-  EXPECT_GE(times.ap_sum_seconds, times.ap_seconds);
-  EXPECT_GE(times.reduce_seconds, 0.0);
+  const auto& stats = op.stats();
+  EXPECT_EQ(stats.applies, 2);
+  EXPECT_GT(stats.compute_seconds, 0.0);
+  EXPECT_GE(stats.compute_sum_seconds, stats.compute_seconds);
+  EXPECT_GE(stats.comm_seconds, 0.0);
   if (GetParam() > 1) {
-    EXPECT_GT(times.comm_seconds, 0.0);
+    EXPECT_GT(stats.comm_modeled_seconds, 0.0);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, RankSweep, ::testing::Values(1, 2, 3, 4, 7, 16));
 
-TEST(DistOperator, BufferedLocalKernelMatchesBaseline) {
-  // The paper's full per-node configuration: Listing 3 kernels on each
-  // rank's local blocks must agree with the baseline CSR path.
-  const auto setup = make_setup(5);
-  const DistOperator base(setup.a, setup.sino, setup.tomo);
-  const DistOperator buffered(setup.a, setup.sino, setup.tomo,
-                              perf::machine("Theta"), LocalKernel::Buffered,
-                              {32, 256});
-  const auto x = testutil::random_vector(setup.a.num_cols, 91);
-  const auto y = testutil::random_vector(setup.a.num_rows, 92);
-  AlignedVector<real> y1(static_cast<std::size_t>(setup.a.num_rows));
-  AlignedVector<real> y2(static_cast<std::size_t>(setup.a.num_rows));
-  base.apply(x, y1);
-  buffered.apply(x, y2);
-  EXPECT_LT(testutil::rel_error(y2, y1), 1e-5);
-  AlignedVector<real> x1(static_cast<std::size_t>(setup.a.num_cols));
-  AlignedVector<real> x2(static_cast<std::size_t>(setup.a.num_cols));
-  base.apply_transpose(y, x1);
-  buffered.apply_transpose(y, x2);
-  EXPECT_LT(testutil::rel_error(x2, x1), 1e-5);
+TEST(ReduceTraffic, SingleRankPartialRowsAreTheNonEmptyRows) {
+  // One rank owns every column, so each non-empty row of A is exactly one
+  // partial row, kept on the rank: C moves nothing.
+  const auto s1 = make_setup(1);
+  std::int64_t non_empty = 0;
+  for (idx_t r = 0; r < s1.a.num_rows; ++r)
+    non_empty += s1.a.displ[r + 1] > s1.a.displ[r] ? 1 : 0;
+  const auto t1 = count_traffic(s1);
+  EXPECT_EQ(t1.total_partial_rows(), non_empty);
+  EXPECT_EQ(t1.rank_nnz[0], s1.a.nnz());
+  EXPECT_EQ(t1.rank_stats(0).bytes_sent, 0);
+  EXPECT_EQ(t1.rank_stats(0).messages_received, 0);
 }
 
-TEST(DistOperator, PartialRowsGrowWithRanks) {
+TEST(ReduceTraffic, PartialRowsGrowWithRanks) {
   // Table 1: nnz(C) = total partial rows grows ~ sqrt(P); must be
   // monotone in P and exceed the serial row count for P > 1.
   const auto s1 = make_setup(1);
-  const auto s4 = make_setup(4);
-  const auto s16 = make_setup(16);
-  const DistOperator op1(s1.a, s1.sino, s1.tomo);
-  const DistOperator op4(s4.a, s4.sino, s4.tomo);
-  const DistOperator op16(s16.a, s16.sino, s16.tomo);
-  EXPECT_LE(op1.total_partial_rows(),
+  const auto t1 = count_traffic(s1);
+  const auto t4 = count_traffic(make_setup(4));
+  const auto t16 = count_traffic(make_setup(16));
+  EXPECT_LE(t1.total_partial_rows(),
             static_cast<std::int64_t>(s1.a.num_rows));
-  EXPECT_GT(op4.total_partial_rows(), op1.total_partial_rows());
-  EXPECT_GT(op16.total_partial_rows(), op4.total_partial_rows());
+  EXPECT_GT(t4.total_partial_rows(), t1.total_partial_rows());
+  EXPECT_GT(t16.total_partial_rows(), t4.total_partial_rows());
 }
 
-TEST(DistOperator, PerRankMemoryShrinksWithRanks) {
+TEST(ReduceTraffic, PerRankMemoryShrinksWithRanks) {
   // The memory-scaling headline: per-rank footprint decreases with P.
-  const auto s1 = make_setup(1);
-  const auto s8 = make_setup(8);
-  const DistOperator op1(s1.a, s1.sino, s1.tomo);
-  const DistOperator op8(s8.a, s8.sino, s8.tomo);
+  const auto t1 = count_traffic(make_setup(1));
+  const auto t8 = count_traffic(make_setup(8));
   std::int64_t max8 = 0;
   for (int r = 0; r < 8; ++r)
-    max8 = std::max(max8, op8.rank_memory_bytes(r));
-  EXPECT_LT(max8, op1.rank_memory_bytes(0));
+    max8 = std::max(max8, t8.rank_memory_bytes[static_cast<std::size_t>(r)]);
+  EXPECT_LT(max8, t1.rank_memory_bytes[0]);
 }
 
-TEST(DistOperator, TrafficMatrixConservation) {
-  // Forward exchange: total sent elements == total partial rows.
+TEST(ReduceTraffic, TrafficMatrixConservation) {
+  // Forward exchange: total sent elements == total partial rows, every
+  // rank's A_p nonzeros add up to A's, and off-rank bytes sent equal bytes
+  // received across ranks.
   const auto setup = make_setup(4);
-  const DistOperator op(setup.a, setup.sino, setup.tomo);
-  const auto x = testutil::random_vector(setup.a.num_cols, 74);
-  AlignedVector<real> y(static_cast<std::size_t>(setup.a.num_rows));
-  op.apply(x, y);
+  const auto t = count_traffic(setup);
   std::int64_t total = 0;
-  for (const auto v : op.traffic_matrix()) total += v;
-  EXPECT_EQ(total, op.total_partial_rows());
-}
-
-TEST(DistOperator, SolverRunsUnchangedOnDistributedOperator) {
-  // Plug-and-play: CGLS over the distributed operator equals CGLS over the
-  // serial matrix.
-  const auto setup = make_setup(6);
-  const DistOperator dist_op(setup.a, setup.sino, setup.tomo);
-
-  class SerialOp final : public solve::LinearOperator {
-   public:
-    explicit SerialOp(const sparse::CsrMatrix& a)
-        : a_(a), at_(sparse::transpose(a)) {}
-    idx_t num_rows() const override { return a_.num_rows; }
-    idx_t num_cols() const override { return a_.num_cols; }
-    void apply(std::span<const real> x, std::span<real> y) const override {
-      sparse::spmv_csr(a_, x, y);
-    }
-    void apply_transpose(std::span<const real> y,
-                         std::span<real> x) const override {
-      sparse::spmv_csr(at_, y, x);
-    }
-
-   private:
-    const sparse::CsrMatrix& a_;
-    sparse::CsrMatrix at_;
-  } serial_op(setup.a);
-
-  const auto y = testutil::random_vector(setup.a.num_rows, 75);
-  const auto r_dist = solve::cgls(dist_op, y, {.max_iterations = 8});
-  const auto r_serial = solve::cgls(serial_op, y, {.max_iterations = 8});
-  // CG amplifies float summation-order differences between the distributed
-  // reduction and the serial kernel; a few percent drift after 8 iterations
-  // is the expected envelope, not an algorithmic divergence.
-  EXPECT_LT(testutil::rel_error(r_dist.x, r_serial.x), 2e-2);
+  for (const auto v : t.traffic) total += v;
+  EXPECT_EQ(total, t.total_partial_rows());
+  std::int64_t nnz = 0, sent = 0, received = 0;
+  for (int r = 0; r < 4; ++r) {
+    nnz += t.rank_nnz[static_cast<std::size_t>(r)];
+    sent += t.rank_stats(r).bytes_sent;
+    received += t.rank_stats(r).bytes_received;
+  }
+  EXPECT_EQ(nnz, setup.a.nnz());
+  EXPECT_EQ(sent, received);
+  EXPECT_GT(sent, 0);
 }
 
 class CompXctRankSweep : public ::testing::TestWithParam<int> {};
@@ -257,12 +242,6 @@ TEST(DistCompXct, SolverPlugAndPlay) {
   const auto r_dist = solve::sirt(dist, y, {.max_iterations = 6});
   const auto r_serial = solve::sirt(serial, y, {.max_iterations = 6});
   EXPECT_LT(testutil::rel_error(r_dist.x, r_serial.x), 1e-3);
-}
-
-TEST(DistOperator, RejectsMismatchedPartitions) {
-  const auto setup = make_setup(2);
-  const DomainPartition bad(3, {0, 10, 20, setup.a.num_rows});
-  EXPECT_THROW(DistOperator(setup.a, bad, setup.tomo), InvariantError);
 }
 
 }  // namespace

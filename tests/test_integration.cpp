@@ -81,13 +81,13 @@ TEST(Integration, SerializedMatrixDrivesIdenticalSolve) {
 }
 
 TEST(Integration, DistributedVolumeReconstruction) {
-  // Volume pipeline over the distributed operator: multiple slices, 4
+  // Volume pipeline over the sharded operator: multiple slices, 4
   // simulated ranks, preprocessing shared.
   const auto spec = phantom::dataset("ADS1").scaled_by(16);
   const auto g = spec.geometry();
   core::Config config;
   config.iterations = 6;
-  config.num_ranks = 4;
+  config.num_shards = 4;
   const core::VolumeReconstructor volume(g, config);
   const auto result = volume.reconstruct(2, [&](int s) {
     return phantom::forward_project(g,
@@ -96,9 +96,10 @@ TEST(Integration, DistributedVolumeReconstruction) {
   });
   ASSERT_EQ(result.slices.size(), 2u);
   EXPECT_NE(result.slices[0], result.slices[1]);
-  const auto* dist = volume.slice_reconstructor().dist_op();
-  ASSERT_NE(dist, nullptr);
-  EXPECT_GT(dist->kernel_times().applies, 0);
+  const auto* sharded = volume.slice_reconstructor().shard_op();
+  ASSERT_NE(sharded, nullptr);
+  EXPECT_EQ(sharded->num_shards(), 4);
+  EXPECT_GT(sharded->stats().applies, 0);
 }
 
 TEST(Integration, FbpAndCgAgreeOnEasyData) {

@@ -564,11 +564,12 @@ TEST(CompressedCache, RoundTripsBitwiseAndSurvivesCorruption) {
 }
 
 TEST(CompressedConfig, DistributedPathRejectsReducedPrecision) {
+  // The partitioned (sharded) path keeps fp32 shard slices only.
   const auto spec = phantom::dataset("ADS1").scaled_by(16);
   const auto data = phantom::generate(spec, 4);
   Config config;
   config.iterations = 2;
-  config.num_ranks = 2;
+  config.num_shards = 2;
   config.precision = sparse::ValueStorage::Bf16;
   EXPECT_THROW(Reconstructor(data.geometry, config), InvalidArgument);
 }

@@ -199,15 +199,6 @@ TEST(Registry, EvictedOperatorRebuildsFromDiskTier) {
   EXPECT_EQ(s.disk_tier_hits, 1);
 }
 
-TEST(Registry, RejectsDistributedConfigs) {
-  const auto f = make_fixture(1);
-  serve::OperatorRegistry registry(serve::RegistryOptions{});
-  core::Config distributed = f.config;
-  distributed.num_ranks = 4;
-  EXPECT_THROW((void)registry.acquire(f.geoms[0], distributed),
-               InvalidArgument);
-}
-
 // --- Server -----------------------------------------------------------------
 
 TEST(Serve, ServedImagesMatchReconstructorBitwise) {
@@ -378,9 +369,10 @@ TEST(Serve, SubmitValidatesInput) {
   EXPECT_THROW((void)server.submit(f.geoms[0], f.config, wrong),
                InvalidArgument);
   core::Config distributed = f.config;
-  distributed.num_ranks = 4;
+  distributed.num_shards = 4;
+  distributed.solver = core::SolverKind::OsSirt;
   EXPECT_THROW((void)server.submit(f.geoms[0], distributed, f.sinos[0]),
-               InvalidArgument);
+               UnsupportedConfigError);
   EXPECT_THROW((void)server.submit(f.geoms[0], f.config, f.sinos[0],
                                    {.deadline_seconds = -1.0}),
                InvalidArgument);

@@ -6,6 +6,7 @@
 #include <omp.h>
 
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <set>
 #include <string>
@@ -597,22 +598,6 @@ TEST(ShardedReconstruction, OpkeyDistinguishesShardCounts) {
 // ---------------------------------------------------------------------------
 // Typed unsupported-configuration rejections (Reconstructor + admission).
 
-TEST(UnsupportedConfig, DistributedPlusReducedPrecisionIsTyped) {
-  const EndToEnd e;
-  core::Config config;
-  config.num_ranks = 2;
-  config.precision = sparse::ValueStorage::Bf16;
-  try {
-    const core::Reconstructor recon(e.g, config);
-    FAIL() << "expected UnsupportedConfigError";
-  } catch (const UnsupportedConfigError& err) {
-    EXPECT_EQ(err.flag_a(), "--ranks");
-    EXPECT_EQ(err.flag_b(), "--precision");
-    EXPECT_NE(std::string(err.what()).find("unsupported configuration"),
-              std::string::npos);
-  }
-}
-
 TEST(UnsupportedConfig, ShardedPlusReducedPrecisionIsTyped) {
   const EndToEnd e;
   core::Config config;
@@ -645,12 +630,36 @@ TEST(UnsupportedConfig, BaselinePlusReducedPrecisionIsTyped) {
   }
 }
 
-TEST(UnsupportedConfig, ShardedPlusDistributedIsTyped) {
+TEST(UnsupportedConfig, OrderedSubsetsAreRejectedBeforeAnyBuild) {
+  // OS-SIRT/OS-SART sweep subset views, which neither the sharded operator
+  // nor the EllBlock/Library layouts have. The typed rejection comes from
+  // validate_config at the top of the constructor: the trace never runs,
+  // so the cache directory stays empty.
   const EndToEnd e;
-  core::Config config;
-  config.num_shards = 2;
-  config.num_ranks = 2;
-  EXPECT_THROW(core::Reconstructor(e.g, config), UnsupportedConfigError);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "memxct_shard_os_rejection";
+  std::filesystem::remove_all(dir);
+  core::Config base;
+  base.solver = core::SolverKind::OsSirt;
+  base.cache_dir = dir.string();
+  core::Config sharded = base;
+  sharded.num_shards = 2;
+  core::Config ell = base;
+  ell.kernel = core::KernelKind::EllBlock;
+  core::Config library = base;
+  library.kernel = core::KernelKind::Library;
+  for (const auto& [config, flag_b] :
+       {std::pair{sharded, "--shards"}, std::pair{ell, "--kernel"},
+        std::pair{library, "--kernel"}}) {
+    try {
+      const core::Reconstructor recon(e.g, config);
+      FAIL() << "expected UnsupportedConfigError for " << flag_b;
+    } catch (const UnsupportedConfigError& err) {
+      EXPECT_EQ(err.flag_a(), "--solver");
+      EXPECT_EQ(err.flag_b(), flag_b);
+    }
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir)) << "a rejected config traced";
 }
 
 TEST(UnsupportedConfig, StillCatchableAsInvalidArgument) {
@@ -658,7 +667,7 @@ TEST(UnsupportedConfig, StillCatchableAsInvalidArgument) {
   // typed subclass must not change that.
   const EndToEnd e;
   core::Config config;
-  config.num_ranks = 2;
+  config.num_shards = 2;
   config.precision = sparse::ValueStorage::Bf16;
   EXPECT_THROW(core::Reconstructor(e.g, config), InvalidArgument);
 }
@@ -669,15 +678,29 @@ TEST(UnsupportedConfig, ServeAdmissionRejectsConflictsBeforeQueueing) {
   core::Config config;
   config.iterations = 2;
 
-  core::Config ranks_bf16 = config;
-  ranks_bf16.num_ranks = 2;
-  ranks_bf16.precision = sparse::ValueStorage::Bf16;
+  core::Config os_shards = config;
+  os_shards.solver = core::SolverKind::OsSirt;
+  os_shards.num_shards = 2;
   try {
-    (void)server.submit(e.g, ranks_bf16, e.sino);
+    (void)server.submit(e.g, os_shards, e.sino);
     FAIL() << "expected UnsupportedConfigError";
   } catch (const UnsupportedConfigError& err) {
-    EXPECT_EQ(err.flag_a(), "--ranks");
-    EXPECT_EQ(err.flag_b(), "--precision");
+    EXPECT_EQ(err.flag_a(), "--solver");
+    EXPECT_EQ(err.flag_b(), "--shards");
+  }
+
+  for (const auto kernel :
+       {core::KernelKind::EllBlock, core::KernelKind::Library}) {
+    core::Config os_viewless = config;
+    os_viewless.solver = core::SolverKind::OsSart;
+    os_viewless.kernel = kernel;
+    try {
+      (void)server.submit(e.g, os_viewless, e.sino);
+      FAIL() << "expected UnsupportedConfigError";
+    } catch (const UnsupportedConfigError& err) {
+      EXPECT_EQ(err.flag_a(), "--solver");
+      EXPECT_EQ(err.flag_b(), "--kernel");
+    }
   }
 
   core::Config shards_bf16 = config;
@@ -764,26 +787,6 @@ TEST(ShardedServe, RegistryCachesShardedOperatorsWithByteAccounting) {
   const auto stats = registry.stats();
   EXPECT_EQ(stats.resident_operators, 1);
   EXPECT_EQ(stats.resident_bytes, lease1.recon->shard_op()->bytes());
-}
-
-// ---------------------------------------------------------------------------
-// Satellite: per-solve kernel-time reset on the distributed operator.
-
-TEST(DistKernelTimes, ResetClearsAccumulatedTimes) {
-  const auto a = make_matrix();
-  const dist::DomainPartition sino(2, {0, a.num_rows / 2, a.num_rows});
-  const dist::DomainPartition tomo(2, {0, a.num_cols / 2, a.num_cols});
-  const dist::DistOperator op(a, sino, tomo);
-  const auto x = testutil::random_vector(a.num_cols, 90);
-  AlignedVector<real> y(static_cast<std::size_t>(a.num_rows));
-  op.apply(x, y);
-  EXPECT_EQ(op.kernel_times().applies, 1);
-  EXPECT_GT(op.kernel_times().ap_seconds, 0.0);
-  op.reset_kernel_times();
-  EXPECT_EQ(op.kernel_times().applies, 0);
-  EXPECT_EQ(op.kernel_times().ap_seconds, 0.0);
-  op.apply(x, y);
-  EXPECT_EQ(op.kernel_times().applies, 1);
 }
 
 TEST(ShardedReconstruction, SolverRunsPlugAndPlay) {

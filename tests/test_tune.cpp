@@ -67,9 +67,8 @@ TEST(ValidateConfig, DefaultConfigPasses) {
 
 TEST(ValidateConfig, ScalarRangeChecks) {
   core::Config config;
-  config.num_ranks = 0;
+  config.num_shards = 0;
   EXPECT_THROW(core::validate_config(config), InvalidArgument);
-  config = core::Config{};
   config.num_shards = -1;
   EXPECT_THROW(core::validate_config(config), InvalidArgument);
 }
@@ -96,28 +95,30 @@ TEST(ValidateConfig, BufferRangeChecks) {
 }
 
 TEST(ValidateConfig, PairwiseConflictsNameTheFlags) {
-  {
+  // Ordered subsets need subset views: unsharded Baseline/Buffered only.
+  for (const auto solver :
+       {core::SolverKind::OsSirt, core::SolverKind::OsSart}) {
     core::Config config;
+    config.solver = solver;
     config.num_shards = 2;
-    config.num_ranks = 2;
     try {
       core::validate_config(config);
       FAIL() << "expected UnsupportedConfigError";
     } catch (const UnsupportedConfigError& e) {
-      EXPECT_EQ(e.flag_a(), "--shards");
-      EXPECT_EQ(e.flag_b(), "--ranks");
+      EXPECT_EQ(e.flag_a(), "--solver");
+      EXPECT_EQ(e.flag_b(), "--shards");
     }
-  }
-  {
-    core::Config config;
-    config.num_ranks = 2;
-    config.precision = sparse::ValueStorage::Bf16;
-    try {
-      core::validate_config(config);
-      FAIL() << "expected UnsupportedConfigError";
-    } catch (const UnsupportedConfigError& e) {
-      EXPECT_EQ(e.flag_a(), "--ranks");
-      EXPECT_EQ(e.flag_b(), "--precision");
+    for (const auto kernel :
+         {core::KernelKind::EllBlock, core::KernelKind::Library}) {
+      config.num_shards = 1;
+      config.kernel = kernel;
+      try {
+        core::validate_config(config);
+        FAIL() << "expected UnsupportedConfigError";
+      } catch (const UnsupportedConfigError& e) {
+        EXPECT_EQ(e.flag_a(), "--solver");
+        EXPECT_EQ(e.flag_b(), "--kernel");
+      }
     }
   }
   {
@@ -181,6 +182,17 @@ TEST(TuneCandidates, ReducedPrecisionPrunesEllBlock) {
   for (const auto& c : candidates)
     EXPECT_EQ(c.kernel, core::KernelKind::Buffered)
         << "illegal kernel survived pruning at bf16";
+}
+
+TEST(TuneCandidates, OrderedSubsetsPruneViewlessKernels) {
+  core::Config base;
+  base.solver = core::SolverKind::OsSirt;
+  const auto candidates = tune::enumerate_candidates(base);
+  ASSERT_FALSE(candidates.empty());
+  for (const auto& c : candidates)
+    EXPECT_TRUE(c.kernel == core::KernelKind::Buffered ||
+                c.kernel == core::KernelKind::Baseline)
+        << "kernel without subset views survived pruning for OS-SIRT";
 }
 
 TEST(TuneCandidates, QuickGridIsSmaller) {
