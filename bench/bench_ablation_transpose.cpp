@@ -6,14 +6,17 @@
 // (1) breaks the sortedness the buffered-matrix builder requires and
 // (2) degrades the gather locality of the plain CSR backprojection.
 //
-// A second table times the Buffered operator's backward build: the scan
-// transpose followed by build_buffered, against build_buffered_transpose
-// reading the buffered forward (DESIGN.md §23), with the matrix bytes each
-// holds beyond the forward and the finished backward.
+// Two more tables time the Buffered operator's build (DESIGN.md §23), with
+// the matrix bytes each step holds: the forward, traced to CSR and staged by
+// build_buffered against traced straight into the staged layout
+// (geometry::build_projection_buffered, the default Reconstructor build),
+// and the backward, the scan transpose followed by build_buffered against
+// build_buffered_transpose reading the buffered forward.
 #include <cstdio>
 #include <cstring>
 
 #include "bench_util.hpp"
+#include "geometry/projector.hpp"
 #include "cachesim/spmv_trace.hpp"
 #include "io/table.hpp"
 #include "perf/timer.hpp"
@@ -25,7 +28,12 @@ int main() {
   using namespace memxct;
   const auto spec = bench::spec_paper_over("ADS2", 2);
   std::printf("ADS2 analog: %d x %d\n", spec.angles, spec.channels);
-  const auto a = bench::build_matrix(spec, hilbert::CurveKind::Hilbert);
+  const auto g = spec.geometry();
+  const hilbert::Ordering sino(g.sinogram_extent(),
+                               hilbert::CurveKind::Hilbert);
+  const hilbert::Ordering tomo(g.tomogram_extent(),
+                               hilbert::CurveKind::Hilbert);
+  const auto a = geometry::build_projection_matrix(g, sino, tomo);
 
   perf::WallTimer t;
   const auto scan = sparse::transpose(a);
@@ -76,50 +84,86 @@ int main() {
       "interleaving randomizes rows and the buffered builder would reject\n"
       "them (it requires sorted rows).\n");
 
-  // The backward staged layout, both ways, from the same buffered forward.
+  // The forward and backward staged layouts, each built both ways.
   const sparse::BufferConfig config{};
-  const sparse::BufferedMatrix fwd = sparse::build_buffered(a, config);
   MatrixByteCounter& counter = matrix_byte_counter();
-  // Matrix bytes held at the peak of build() beyond what was alive before
-  // it and the backward it returns.
-  const auto measure = [&](auto&& build, double& seconds,
-                           std::int64_t& transient) {
+  // Runs build(), recording its time and the matrix bytes it held at its
+  // peak beyond what was alive before it (`high`) and beyond that plus the
+  // matrix it returns (`transient`).
+  struct Cost {
+    double seconds = 0;
+    std::int64_t high = 0, transient = 0;
+  };
+  const auto measure = [&](auto&& build, Cost& cost) {
+    const std::int64_t before = counter.live();
     counter.reset_high_water();
     t.reset();
     sparse::BufferedMatrix b = build();
-    seconds = t.seconds();
-    transient = counter.high_water() - counter.live();
+    cost.seconds = t.seconds();
+    cost.high = counter.high_water() - before;
+    cost.transient = counter.high_water() - counter.live();
     return b;
   };
-  double t_csr = 0, t_staged = 0;
-  std::int64_t held_csr = 0, held_staged = 0;
+  const auto same = [](const sparse::BufferedMatrix& x,
+                       const sparse::BufferedMatrix& y) {
+    const auto eq = [](const auto& u, const auto& v) {
+      return u.size() == v.size() &&
+             std::memcmp(u.data(), v.data(),
+                         u.size() * sizeof(*u.data())) == 0;
+    };
+    return eq(x.partdispl, y.partdispl) && eq(x.stagedispl, y.stagedispl) &&
+           eq(x.stagenz, y.stagenz) && eq(x.map, y.map) &&
+           eq(x.displ, y.displ) && eq(x.ind, y.ind) && eq(x.val, y.val);
+  };
+
+  Cost via_csr_fwd, direct_fwd;
+  const auto fwd_csr = measure(
+      [&] {
+        return sparse::build_buffered(
+            geometry::build_projection_matrix(g, sino, tomo), config);
+      },
+      via_csr_fwd);
+  const auto fwd = measure(
+      [&] {
+        return geometry::build_projection_buffered(g, sino, tomo, config);
+      },
+      direct_fwd);
+  const bool fwd_equal = same(fwd, fwd_csr);
+  io::TablePrinter fwd_table(
+      "Forward buffered build: trace to CSR vs trace into the staged layout");
+  fwd_table.header({"path", "build time", "matrix bytes high-water",
+                    "bitwise equal"});
+  fwd_table.row({"trace -> CSR -> build_buffered",
+                 io::TablePrinter::time_s(via_csr_fwd.seconds),
+                 io::TablePrinter::bytes(static_cast<double>(via_csr_fwd.high)),
+                 "-"});
+  fwd_table.row({"build_projection_buffered (MemXCT op)",
+                 io::TablePrinter::time_s(direct_fwd.seconds),
+                 io::TablePrinter::bytes(static_cast<double>(direct_fwd.high)),
+                 fwd_equal ? "yes" : "NO"});
+  fwd_table.print();
+
+  Cost via_csr_bwd, staged_bwd;
   const auto via_csr = measure(
       [&] { return sparse::build_buffered(sparse::transpose(a), config); },
-      t_csr, held_csr);
+      via_csr_bwd);
   const auto staged = measure(
       [&] { return sparse::build_buffered_transpose(fwd, config); },
-      t_staged, held_staged);
-  const bool equal =
-      staged.ind.size() == via_csr.ind.size() &&
-      std::memcmp(staged.ind.data(), via_csr.ind.data(),
-                  staged.ind.size() * sizeof(buf_idx_t)) == 0 &&
-      std::memcmp(staged.val.data(), via_csr.val.data(),
-                  staged.val.size() * sizeof(real)) == 0 &&
-      std::memcmp(staged.displ.data(), via_csr.displ.data(),
-                  staged.displ.size() * sizeof(nnz_t)) == 0 &&
-      std::memcmp(staged.map.data(), via_csr.map.data(),
-                  staged.map.size() * sizeof(idx_t)) == 0;
+      staged_bwd);
+  const bool bwd_equal = same(staged, via_csr);
   io::TablePrinter build(
       "Backward buffered build: CSR transpose vs staged transpose");
   build.header({"path", "build time", "transient matrix bytes",
                 "bitwise equal"});
   build.row({"scan transpose + build_buffered",
-             io::TablePrinter::time_s(t_csr),
-             io::TablePrinter::bytes(static_cast<double>(held_csr)), "-"});
+             io::TablePrinter::time_s(via_csr_bwd.seconds),
+             io::TablePrinter::bytes(
+                 static_cast<double>(via_csr_bwd.transient)),
+             "-"});
   build.row({"build_buffered_transpose (MemXCT op)",
-             io::TablePrinter::time_s(t_staged),
-             io::TablePrinter::bytes(static_cast<double>(held_staged)),
-             equal ? "yes" : "NO"});
+             io::TablePrinter::time_s(staged_bwd.seconds),
+             io::TablePrinter::bytes(static_cast<double>(staged_bwd.transient)),
+             bwd_equal ? "yes" : "NO"});
   build.print();
-  return equal ? 0 : 1;
+  return fwd_equal && bwd_equal ? 0 : 1;
 }

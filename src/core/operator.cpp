@@ -124,59 +124,87 @@ struct MemXCTOperator::Storage {
 MemXCTOperator::MemXCTOperator(sparse::CsrMatrix a, KernelKind kind,
                                const sparse::BufferConfig& buffer,
                                idx_t ell_block_rows, ScheduleKind schedule,
-                               sparse::ValueStorage precision) {
+                               sparse::ValueStorage precision)
+    : MemXCTOperator(build_storage(std::move(a), kind, buffer, ell_block_rows,
+                                   schedule, precision)) {}
+
+MemXCTOperator::MemXCTOperator(sparse::BufferedMatrix fwd,
+                               ScheduleKind schedule,
+                               sparse::ValueStorage precision)
+    : MemXCTOperator(build_storage(std::move(fwd), schedule, precision)) {}
+
+std::shared_ptr<const MemXCTOperator::Storage> MemXCTOperator::build_storage(
+    sparse::CsrMatrix a, KernelKind kind, const sparse::BufferConfig& buffer,
+    idx_t ell_block_rows, ScheduleKind schedule,
+    sparse::ValueStorage precision) {
   if (precision != sparse::ValueStorage::Fp32 && kind != KernelKind::Buffered)
     throw InvalidArgument(std::string("reduced precision ") +
                           sparse::to_string(precision) +
                           " is only supported for the buffered kernel, not " +
                           to_string(kind));
+  if (kind == KernelKind::Buffered) {
+    // A is released before the backward exists: the build holds A and the
+    // forward, then the forward and the backward (DESIGN.md §23).
+    sparse::BufferedMatrix fwd = sparse::build_buffered(a, buffer);
+    a = {};
+    return build_storage(std::move(fwd), schedule, precision);
+  }
   auto s = std::make_shared<Storage>();
   s->kind = kind;
   s->schedule = schedule;
-  s->precision = precision;
   s->num_rows = a.num_rows;
   s->num_cols = a.num_cols;
   s->nnz = a.nnz();
-  if (kind == KernelKind::Buffered) {
-    // The backward is written straight from the fp32 buffered forward, in
-    // its final precision, once A is released: the build holds A and the
-    // forward, then the forward and the backward, never a CSR A^T
-    // (DESIGN.md §23).
-    sparse::BufferedMatrix fwd = sparse::build_buffered(a, buffer);
-    a = {};
-    s->bwd.matrix = sparse::build_buffered_transpose(fwd, buffer, precision);
-    s->fwd.matrix = sparse::compress_buffered(std::move(fwd), precision);
-  } else {
-    // Each CSR is consumed by its conversion.
-    const auto convert = [&](sparse::CsrMatrix m) -> StoredMatrix {
-      if (kind == KernelKind::EllBlock)
-        return sparse::to_ell_block(m, ell_block_rows);
-      return m;
-    };
-    sparse::CsrMatrix at = sparse::transpose(a);
-    s->fwd.matrix = convert(std::move(a));
-    s->bwd.matrix = convert(std::move(at));
-  }
-  for (const Storage::Direction* d : {&s->fwd, &s->bwd})
-    s->regular_bytes += std::visit(
+  // Each CSR is consumed by its conversion.
+  const auto convert = [&](sparse::CsrMatrix m) -> StoredMatrix {
+    if (kind == KernelKind::EllBlock)
+      return sparse::to_ell_block(m, ell_block_rows);
+    return m;
+  };
+  sparse::CsrMatrix at = sparse::transpose(a);
+  s->fwd.matrix = convert(std::move(a));
+  s->bwd.matrix = convert(std::move(at));
+  finish_storage(*s);
+  return s;
+}
+
+std::shared_ptr<const MemXCTOperator::Storage> MemXCTOperator::build_storage(
+    sparse::BufferedMatrix fwd, ScheduleKind schedule,
+    sparse::ValueStorage precision) {
+  auto s = std::make_shared<Storage>();
+  s->kind = KernelKind::Buffered;
+  s->schedule = schedule;
+  s->precision = precision;
+  s->num_rows = fwd.num_rows;
+  s->num_cols = fwd.num_cols;
+  s->nnz = fwd.nnz();
+  // The backward is written straight from the fp32 forward, in its final
+  // precision, and only then is the forward compressed: the build never
+  // holds a CSR A^T (DESIGN.md §23).
+  s->bwd.matrix = sparse::build_buffered_transpose(fwd, fwd.config, precision);
+  s->fwd.matrix = sparse::compress_buffered(std::move(fwd), precision);
+  finish_storage(*s);
+  return s;
+}
+
+void MemXCTOperator::finish_storage(Storage& s) {
+  for (const Storage::Direction* d : {&s.fwd, &s.bwd})
+    s.regular_bytes += std::visit(
         [](const auto& m) { return matrix_bytes(m); }, d->matrix);
 
   // The general-library stand-in keeps its untuned schedule by design.
-  if (schedule == ScheduleKind::StaticPlan && kind != KernelKind::Library) {
+  if (s.schedule == ScheduleKind::StaticPlan && s.kind != KernelKind::Library) {
     // nnz-balanced partition → thread assignments for both directions. The
     // slot count is fixed here once; applies (from any view, under any
     // thread count) execute the same slots in the same order, which is what
     // makes output bitwise-deterministic.
     const int slots = omp_get_max_threads();
-    for (Storage::Direction* d : {&s->fwd, &s->bwd})
+    for (Storage::Direction* d : {&s.fwd, &s.bwd})
       d->plan = sparse::ApplyPlan::build(
           std::visit([](const auto& m) { return sparse::partition_nnz(m); },
                      d->matrix),
           slots);
   }
-  store_ = std::move(s);
-  ws_fwd_ = make_workspace(false, 1);
-  ws_bwd_ = make_workspace(true, 1);
 }
 
 MemXCTOperator::MemXCTOperator(std::shared_ptr<const Storage> storage)

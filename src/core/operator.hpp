@@ -75,6 +75,16 @@ class MemXCTOperator final : public solve::LinearOperator {
                  idx_t ell_block_rows = 64,
                  ScheduleKind schedule = ScheduleKind::StaticPlan,
                  sparse::ValueStorage precision = sparse::ValueStorage::Fp32);
+  /// A Buffered operator from its fp32 buffered forward (as
+  /// geometry::build_projection_buffered traces it, or build_buffered
+  /// stages it): the backward is staged from it in its final precision, in
+  /// the forward's BufferConfig, and the forward is then compressed to
+  /// `precision`. The CSR constructor's Buffered branch is build_buffered
+  /// followed by this one.
+  explicit MemXCTOperator(
+      sparse::BufferedMatrix fwd,
+      ScheduleKind schedule = ScheduleKind::StaticPlan,
+      sparse::ValueStorage precision = sparse::ValueStorage::Fp32);
   ~MemXCTOperator() override;
 
   // Movable (storage is shared, workspaces transfer); not copyable — use
@@ -162,6 +172,17 @@ class MemXCTOperator final : public solve::LinearOperator {
   struct Storage;
 
   explicit MemXCTOperator(std::shared_ptr<const Storage> storage);
+  /// Storage of each public constructor.
+  static std::shared_ptr<const Storage> build_storage(
+      sparse::CsrMatrix a, KernelKind kind, const sparse::BufferConfig& buffer,
+      idx_t ell_block_rows, ScheduleKind schedule,
+      sparse::ValueStorage precision);
+  static std::shared_ptr<const Storage> build_storage(
+      sparse::BufferedMatrix fwd, ScheduleKind schedule,
+      sparse::ValueStorage precision);
+  /// Sums the matrix bytes and builds the static plans of a Storage whose
+  /// matrices are in place.
+  static void finish_storage(Storage& s);
   /// The planned-kernel buffers of one direction at width k (empty unless
   /// the schedule is StaticPlan and the kernel stages or accumulates).
   [[nodiscard]] sparse::Workspace make_workspace(bool transpose,

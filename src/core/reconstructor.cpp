@@ -83,18 +83,30 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
       geometry_.tomogram_extent(), config_.ordering, config_.tile_size);
   report_.ordering_seconds = phase.seconds();
 
-  // Step 2: memoized ray tracing into the ordered projection matrix —
-  // loaded from the checked cache when one is configured and intact, else
-  // recomputed (and the cache repopulated with an atomic write).
+  // Step 2: memoized ray tracing. When nothing but the buffered operator
+  // reads the traced matrix — no trace cache, no tuner measuring it, no
+  // shard slices — the rays are traced straight into the buffered forward
+  // and the CSR A never exists (DESIGN.md §23). Every other config traces
+  // the ordered CSR A, loaded from the checked cache when one is configured
+  // and intact, else recomputed (and the cache repopulated with an atomic
+  // write).
   phase.reset();
-  sparse::CsrMatrix a;
+  const bool direct = config_.kernel == KernelKind::Buffered &&
+                      config_.num_shards == 1 &&
+                      config_.autotune == AutotuneMode::Off &&
+                      config_.cache_dir.empty();
+  sparse::BufferedMatrix fwd;  // the direct route's traced forward
+  sparse::CsrMatrix a;         // every other route's traced A
   std::string cache_path;
   if (!config_.cache_dir.empty()) {
     cache_path = config_.cache_dir + "/" + cache_file_name(geometry_, config_);
     report_.cache_hit =
         try_load_cache(cache_path, geometry_, a, &report_.cache_corrupt);
   }
-  if (!report_.cache_hit) {
+  if (direct) {
+    fwd = geometry::build_projection_buffered(geometry_, *sino_order_,
+                                              *tomo_order_, config_.buffer);
+  } else if (!report_.cache_hit) {
     a = geometry::build_projection_matrix(geometry_, *sino_order_,
                                           *tomo_order_);
     if (!cache_path.empty()) {
@@ -109,10 +121,10 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
     }
   }
   report_.trace_seconds = phase.seconds();
-  report_.nnz = a.nnz();
-  report_.irregular_bytes =
-      (static_cast<std::int64_t>(a.num_rows) + a.num_cols) *
-      static_cast<std::int64_t>(sizeof(real));
+  report_.nnz = direct ? fwd.nnz() : a.nnz();
+  report_.irregular_bytes = (geometry_.sinogram_extent().size() +
+                             geometry_.tomogram_extent().size()) *
+                            static_cast<std::int64_t>(sizeof(real));
 
   // Operator-build autotuning (src/tune): resolve kernel/schedule/buffer
   // from measurements on the traced matrix before anything is built from
@@ -145,11 +157,15 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
     report_.regular_bytes = shard_op_->bytes();
     active_op_ = shard_op_.get();
   } else {
-    // Steps 3-4: scan transposition and kernel-specific structures.
+    // Steps 3-4: transposition and kernel-specific structures.
     phase.reset();
-    serial_op_ = std::make_unique<MemXCTOperator>(
-        std::move(a), config_.kernel, config_.buffer, config_.ell_block_rows,
-        config_.schedule, config_.precision);
+    serial_op_ =
+        direct ? std::make_unique<MemXCTOperator>(
+                     std::move(fwd), config_.schedule, config_.precision)
+               : std::make_unique<MemXCTOperator>(
+                     std::move(a), config_.kernel, config_.buffer,
+                     config_.ell_block_rows, config_.schedule,
+                     config_.precision);
     report_.transpose_seconds = phase.seconds();
     report_.regular_bytes = serial_op_->regular_bytes();
     active_op_ = serial_op_.get();

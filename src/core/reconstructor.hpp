@@ -29,11 +29,16 @@ namespace memxct::core {
 /// column broken down).
 struct PreprocessReport {
   double ordering_seconds = 0.0;
-  double trace_seconds = 0.0;      ///< Ray tracing / matrix construction.
-  /// Serial path: the whole MemXCTOperator build after the trace. For
-  /// Buffered that is the buffered forward and the backward staged
-  /// straight from it (no CSR transpose); for the other kernels the scan
-  /// transpose and both derived-format builds.
+  /// Ray tracing / matrix construction. On the direct route (Buffered,
+  /// one shard, autotune Off, no trace cache) the rays are traced straight
+  /// into the buffered forward, so this covers the trace plus the forward's
+  /// staging; elsewhere it is the CSR trace or cache load.
+  double trace_seconds = 0.0;
+  /// Serial path: the whole MemXCTOperator build after the trace. On the
+  /// direct route that is the backward staged from the traced forward plus
+  /// both plans; on the other Buffered routes also the buffered forward
+  /// built from the CSR A (no CSR transpose either way); for the other
+  /// kernels the scan transpose and both derived-format builds.
   double transpose_seconds = 0.0;
   /// Sharded path: the whole ShardedOperator build, row slices, tiles and
   /// exchange plans included (transpose_seconds stays 0 there).

@@ -1,5 +1,7 @@
 #include "shard/sharded_operator.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -118,11 +120,13 @@ ShardedOperator::Side ShardedOperator::build_side(
   // One parallel region: footprints per shard, then one loop over the
   // P × tiles blocks. Every block writes only its own arrays, so the bytes
   // do not depend on which thread builds which block; the only shared
-  // output, first_tile, is a minimum and so is order-independent too. A
-  // lone block has no one to share the region with, so it stays inactive
-  // and the block's buffered build gets the threads.
+  // output, first_tile, is a minimum and so is order-independent too. With
+  // fewer blocks than threads, a block per thread would leave threads idle
+  // while each nested buffered build runs on one: the region then stays
+  // inactive, the blocks run in sequence, and each block's buffered build
+  // gets the whole team.
   const int num_blocks = P * tiles;
-#pragma omp parallel if (num_blocks > 1)
+#pragma omp parallel if (num_blocks >= omp_get_max_threads())
   {
     sparse::FootprintIndex footprint(m.num_cols);
 #pragma omp for schedule(dynamic, 1)
@@ -157,15 +161,18 @@ ShardedOperator::Side ShardedOperator::build_side(
         const nnz_t block_nnz = local.displ.back();
         local.ind.resize(static_cast<std::size_t>(block_nnz));
         local.val.resize(static_cast<std::size_t>(block_nnz));
-        std::copy(m.val.begin() + base, m.val.begin() + base + block_nnz,
-                  local.val.begin());
+        // Like the buffered build below, the copy runs on this thread in an
+        // active region and on the team in an inactive one.
+#pragma omp parallel for schedule(static)
         for (nnz_t j = 0; j < block_nnz; ++j) {
           const idx_t pos = footprint.position(m.ind[base + j]);
           local.ind[static_cast<std::size_t>(j)] = pos;
+          local.val[static_cast<std::size_t>(j)] = m.val[base + j];
           atomic_min(ft[static_cast<std::size_t>(pos)], t);
         }
         if (opt.kernel == LocalKernel::Buffered && block.rows > 0) {
-          // Nested in this region, the buffered build runs on this thread.
+          // Nested in an active region, the buffered build runs on this
+          // thread; in an inactive one it gets the team.
           block.buffered = sparse::build_buffered(local, opt.buffer);
           // The buffered structure is self-contained; the CSR slice it was
           // staged from is dead weight — drop it so each shard's residency

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/grid.hpp"
-#include "sparse/footprint.hpp"
 #include "sparse/spmm.hpp"
 
 namespace memxct::sparse {
@@ -57,165 +57,181 @@ void BufferedMatrix::validate_slots() const {
                        "slot outside its stage's staged footprint");
 }
 
-BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
+idx_t StagedBuilder::num_partitions(idx_t num_rows,
+                                    const BufferConfig& config) {
   MEMXCT_CHECK(config.partsize >= 1);
   MEMXCT_CHECK_MSG(config.buffsize >= 1 && config.buffsize <= 65536,
                    "16-bit buffer addressing limits buffsize to 65536");
-  BufferedMatrix b;
-  b.num_rows = a.num_rows;
-  b.num_cols = a.num_cols;
-  b.config = config;
+  return std::max<idx_t>(1, ceil_div(num_rows, config.partsize));
+}
 
+StagedBuilder::StagedBuilder(idx_t num_rows, idx_t num_cols,
+                             const BufferConfig& config,
+                             std::span<const PartitionSize> parts) {
+  const idx_t numparts = num_partitions(num_rows, config);
+  MEMXCT_CHECK(static_cast<idx_t>(parts.size()) == numparts);
+  b_.num_rows = num_rows;
+  b_.num_cols = num_cols;
+  b_.config = config;
   const idx_t partsize = config.partsize;
   const idx_t buffsize = config.buffsize;
-  const idx_t numparts = std::max<idx_t>(1, ceil_div(a.num_rows, partsize));
 
-  // Pass 1 (parallel): per-partition footprint size -> stage count and
-  // nnz, so global arrays can be sized and filled without synchronization.
-  // Only the sizes are kept: pass 2 collects each footprint straight into
-  // its slice of `map`, so the build never holds the columns twice.
-  struct PartPlan {
-    idx_t cols = 0;  // distinct columns of the partition
-    nnz_t nnz = 0;
-  };
-  std::vector<PartPlan> plans(static_cast<std::size_t>(numparts));
-#pragma omp parallel
-  {
-    FootprintIndex footprint(a.num_cols);
-#pragma omp for schedule(dynamic, 4)
-    for (idx_t p = 0; p < numparts; ++p) {
-      auto& plan = plans[static_cast<std::size_t>(p)];
-      const idx_t r0 = p * partsize;
-      const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
-      plan.nnz = a.displ[r1] - a.displ[r0];
-      plan.cols = footprint.count(a, r0, r1);
-    }
-  }
-
-  // Prefix sums over partitions: stage counts, map sizes, nnz.
-  b.partdispl.resize(static_cast<std::size_t>(numparts) + 1);
-  b.partdispl[0] = 0;
+  // Prefix sums over partitions: stage counts, map sizes, nnz starts (the
+  // stage-major layout groups each partition's stages contiguously, so a
+  // partition's entries are one run).
+  b_.partdispl.resize(static_cast<std::size_t>(numparts) + 1);
+  b_.partdispl[0] = 0;
+  first_.resize(static_cast<std::size_t>(numparts) + 1);
+  first_[0] = 0;
   nnz_t total_map = 0;
-  nnz_t total_nnz = 0;
   for (idx_t p = 0; p < numparts; ++p) {
-    const auto& plan = plans[static_cast<std::size_t>(p)];
-    const idx_t stages = std::max<idx_t>(1, ceil_div(plan.cols, buffsize));
-    b.partdispl[static_cast<std::size_t>(p) + 1] =
-        b.partdispl[static_cast<std::size_t>(p)] + stages;
-    total_map += plan.cols;
-    total_nnz += plan.nnz;
+    const auto& part = parts[static_cast<std::size_t>(p)];
+    const idx_t stages = std::max<idx_t>(1, ceil_div(part.cols, buffsize));
+    b_.partdispl[static_cast<std::size_t>(p) + 1] =
+        b_.partdispl[static_cast<std::size_t>(p)] + stages;
+    first_[static_cast<std::size_t>(p) + 1] =
+        first_[static_cast<std::size_t>(p)] + part.nnz;
+    total_map += part.cols;
   }
-  const idx_t total_stages = b.partdispl.back();
+  const idx_t total_stages = b_.partdispl.back();
+  const nnz_t total_nnz = first_.back();
 
-  b.stagedispl.resize(static_cast<std::size_t>(total_stages) + 1);
-  b.stagenz.resize(static_cast<std::size_t>(total_stages));
-  // map, displ, ind and val are written in full by pass 2 (displ[0] here),
+  b_.stagedispl.resize(static_cast<std::size_t>(total_stages) + 1);
+  b_.stagenz.resize(static_cast<std::size_t>(total_stages));
+  // map, displ, ind and val are written in full by place() (displ[0] here),
   // so they are left unfilled until the thread of each partition writes it.
-  b.map.resize(static_cast<std::size_t>(total_map));
-  b.displ.resize(static_cast<std::size_t>(total_stages) * partsize + 1);
-  b.displ[0] = 0;
-  b.ind.resize(static_cast<std::size_t>(total_nnz));
-  b.val.resize(static_cast<std::size_t>(total_nnz));
+  b_.map.resize(static_cast<std::size_t>(total_map));
+  b_.displ.resize(static_cast<std::size_t>(total_stages) * partsize + 1);
+  b_.displ[0] = 0;
+  b_.ind.resize(static_cast<std::size_t>(total_nnz));
+  b_.val.resize(static_cast<std::size_t>(total_nnz));
 
   // Stage starts into map: stage s of partition p holds the s-th buffsize
   // chunk of the partition's distinct columns.
-  b.stagedispl[0] = 0;
-  {
-    idx_t s = 0;
-    for (idx_t p = 0; p < numparts; ++p) {
-      const idx_t cols = plans[static_cast<std::size_t>(p)].cols;
-      const idx_t stages =
-          b.partdispl[static_cast<std::size_t>(p) + 1] -
-          b.partdispl[static_cast<std::size_t>(p)];
-      for (idx_t k = 0; k < stages; ++k, ++s) {
-        const auto lo = static_cast<nnz_t>(k) * buffsize;
-        const auto hi = std::min<nnz_t>(lo + buffsize, cols);
-        b.stagenz[static_cast<std::size_t>(s)] =
-            static_cast<idx_t>(hi > lo ? hi - lo : 0);
-        b.stagedispl[static_cast<std::size_t>(s) + 1] =
-            b.stagedispl[static_cast<std::size_t>(s)] +
-            b.stagenz[static_cast<std::size_t>(s)];
-      }
+  b_.stagedispl[0] = 0;
+  idx_t s = 0;
+  for (idx_t p = 0; p < numparts; ++p) {
+    const idx_t cols = parts[static_cast<std::size_t>(p)].cols;
+    const idx_t stages = b_.partdispl[static_cast<std::size_t>(p) + 1] -
+                         b_.partdispl[static_cast<std::size_t>(p)];
+    for (idx_t k = 0; k < stages; ++k, ++s) {
+      const auto lo = static_cast<nnz_t>(k) * buffsize;
+      const auto hi = std::min<nnz_t>(lo + buffsize, cols);
+      b_.stagenz[static_cast<std::size_t>(s)] =
+          static_cast<idx_t>(hi > lo ? hi - lo : 0);
+      b_.stagedispl[static_cast<std::size_t>(s) + 1] =
+          b_.stagedispl[static_cast<std::size_t>(s)] +
+          b_.stagenz[static_cast<std::size_t>(s)];
     }
-    MEMXCT_CHECK(s == total_stages);
+  }
+  MEMXCT_CHECK(s == total_stages);
+}
+
+void StagedBuilder::place(idx_t p, const CsrMatrix& rows, idx_t r0,
+                          Scratch& scratch) {
+  BufferedMatrix& b = b_;
+  const idx_t partsize = b.config.partsize;
+  const idx_t buffsize = b.config.buffsize;
+  const idx_t r1 = r0 + std::min<idx_t>(partsize, b.num_rows - p * partsize);
+  const idx_t stage0 = b.partdispl[static_cast<std::size_t>(p)];
+  const idx_t stages = b.partdispl[static_cast<std::size_t>(p) + 1] - stage0;
+  FootprintIndex& footprint = scratch.footprint;
+  std::vector<nnz_t>& counts = scratch.counts;
+  MEMXCT_CHECK(rows.displ[r1] - rows.displ[r0] ==
+               first_[static_cast<std::size_t>(p) + 1] -
+                   first_[static_cast<std::size_t>(p)]);
+
+  // map: the partition's sorted distinct columns, chunked by stage,
+  // collected in place; the slice then indexes the footprint.
+  const std::span<idx_t> map(
+      b.map.data() + b.stagedispl[static_cast<std::size_t>(stage0)],
+      static_cast<std::size_t>(
+          b.stagedispl[static_cast<std::size_t>(stage0 + stages)] -
+          b.stagedispl[static_cast<std::size_t>(stage0)]));
+  footprint.collect(rows, r0, r1, map);
+  footprint.index(map);
+
+  // An entry's position in the partition's sorted distinct columns gives its
+  // stage (position / buffsize) and 16-bit slot (position % buffsize); a
+  // counting pass then lays the entries out stage-major.
+  counts.assign(static_cast<std::size_t>(stages) * partsize, 0);
+  for (idx_t r = r0; r < r1; ++r) {
+    const idx_t j = r - r0;
+    for (nnz_t k = rows.displ[r]; k < rows.displ[r + 1]; ++k) {
+      const idx_t stage = footprint.position(rows.ind[k]) / buffsize;
+      ++counts[static_cast<std::size_t>(stage) * partsize + j];
+    }
   }
 
-  // Per-partition nnz starts (stage-major global layout groups each
-  // partition's stages contiguously, so a partition's entries are one run).
-  std::vector<nnz_t> part_nnz_start(static_cast<std::size_t>(numparts) + 1, 0);
-  for (idx_t p = 0; p < numparts; ++p)
-    part_nnz_start[static_cast<std::size_t>(p) + 1] =
-        part_nnz_start[static_cast<std::size_t>(p)] +
-        plans[static_cast<std::size_t>(p)].nnz;
+  // Stage-major prefix sum -> displ for every (stage, row) cell, plus
+  // per-cell cursors for placement. displ[0] = 0 by construction, and every
+  // other start is the previous cell's end, so the array is consistent
+  // across partition boundaries.
+  nnz_t cursor = first_[static_cast<std::size_t>(p)];
+  const auto cell0 = static_cast<std::size_t>(stage0) * partsize;
+  for (std::size_t cell = 0; cell < counts.size(); ++cell) {
+    const nnz_t count = counts[cell];
+    counts[cell] = cursor;
+    cursor += count;
+    b.displ[cell0 + cell + 1] = cursor;
+  }
+  MEMXCT_CHECK(cursor == first_[static_cast<std::size_t>(p) + 1]);
 
-  // Pass 2 (parallel): fill map, displ, ind, val per partition. An entry's
-  // position in the partition's sorted distinct columns gives its stage
-  // (position / buffsize) and 16-bit slot (position % buffsize); a counting
-  // pass then lays the entries out stage-major.
+  // Placement: rows are column-sorted, so entries of one (stage, row) cell
+  // arrive in ascending slot order.
+  for (idx_t r = r0; r < r1; ++r) {
+    const idx_t j = r - r0;
+    for (nnz_t k = rows.displ[r]; k < rows.displ[r + 1]; ++k) {
+      const idx_t pos = footprint.position(rows.ind[k]);
+      nnz_t& cur =
+          counts[static_cast<std::size_t>(pos / buffsize) * partsize + j];
+      b.ind[static_cast<std::size_t>(cur)] =
+          static_cast<buf_idx_t>(pos % buffsize);
+      b.val[static_cast<std::size_t>(cur)] = rows.val[k];
+      ++cur;
+    }
+  }
+}
+
+BufferedMatrix StagedBuilder::finish() && {
+  b_.validate();
+  return std::move(b_);
+}
+
+BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
+  const idx_t numparts = StagedBuilder::num_partitions(a.num_rows, config);
+  const idx_t partsize = config.partsize;
+  const auto rows_of = [&](idx_t p) {
+    const idx_t r0 = p * partsize;
+    return std::pair{r0, std::min<idx_t>(r0 + partsize, a.num_rows)};
+  };
+
+  // Pass 1 (parallel): per-partition footprint size and nnz, so the arrays
+  // can be sized and filled without synchronization. Only the sizes are
+  // kept: place() collects each footprint straight into its slice of `map`,
+  // so the build never holds the columns twice.
+  std::vector<PartitionSize> parts(static_cast<std::size_t>(numparts));
 #pragma omp parallel
   {
     FootprintIndex footprint(a.num_cols);
-    std::vector<nnz_t> counts;  // per (stage, row) entry counts
 #pragma omp for schedule(dynamic, 4)
     for (idx_t p = 0; p < numparts; ++p) {
-      const idx_t r0 = p * partsize;
-      const idx_t r1 = std::min<idx_t>(r0 + partsize, a.num_rows);
-      const idx_t stage0 = b.partdispl[static_cast<std::size_t>(p)];
-      const idx_t stages =
-          b.partdispl[static_cast<std::size_t>(p) + 1] - stage0;
-
-      // map: the partition's sorted distinct columns, chunked by stage,
-      // collected in place; the slice then indexes the footprint.
-      const std::span<idx_t> map(
-          b.map.data() + b.stagedispl[static_cast<std::size_t>(stage0)],
-          static_cast<std::size_t>(plans[static_cast<std::size_t>(p)].cols));
-      footprint.collect(a, r0, r1, map);
-      footprint.index(map);
-
-      counts.assign(static_cast<std::size_t>(stages) * partsize, 0);
-      for (idx_t r = r0; r < r1; ++r) {
-        const idx_t j = r - r0;
-        for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
-          const idx_t stage = footprint.position(a.ind[k]) / buffsize;
-          ++counts[static_cast<std::size_t>(stage) * partsize + j];
-        }
-      }
-
-      // Stage-major prefix sum -> displ for every (stage, row) cell, plus
-      // per-cell cursors for placement.
-      nnz_t cursor = part_nnz_start[static_cast<std::size_t>(p)];
-      for (idx_t s = 0; s < stages; ++s)
-        for (idx_t j = 0; j < partsize; ++j) {
-          const auto cell = static_cast<std::size_t>(stage0 + s) * partsize + j;
-          const nnz_t count = counts[static_cast<std::size_t>(s) * partsize + j];
-          counts[static_cast<std::size_t>(s) * partsize + j] = cursor;
-          cursor += count;
-          b.displ[cell + 1] = cursor;
-        }
-      MEMXCT_CHECK(cursor == part_nnz_start[static_cast<std::size_t>(p) + 1]);
-
-      // Placement: CSR rows are column-sorted, so entries of one (stage,
-      // row) cell arrive in ascending slot order.
-      for (idx_t r = r0; r < r1; ++r) {
-        const idx_t j = r - r0;
-        for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
-          const idx_t pos = footprint.position(a.ind[k]);
-          nnz_t& cur =
-              counts[static_cast<std::size_t>(pos / buffsize) * partsize + j];
-          b.ind[static_cast<std::size_t>(cur)] =
-              static_cast<buf_idx_t>(pos % buffsize);
-          b.val[static_cast<std::size_t>(cur)] = a.val[k];
-          ++cur;
-        }
-      }
+      const auto [r0, r1] = rows_of(p);
+      parts[static_cast<std::size_t>(p)] = {footprint.count(a, r0, r1),
+                                            a.displ[r1] - a.displ[r0]};
     }
   }
 
-  // Stitch displ starts across partition boundaries: displ[cell+1] was set
-  // everywhere; displ[0] = 0 by construction, and every other start is the
-  // previous cell's end, so the array is already consistent.
-  b.validate();
-  return b;
+  // Pass 2 (parallel): fill map, displ, ind, val per partition.
+  StagedBuilder build(a.num_rows, a.num_cols, config, parts);
+#pragma omp parallel
+  {
+    StagedBuilder::Scratch scratch(a.num_cols);
+#pragma omp for schedule(dynamic, 4)
+    for (idx_t p = 0; p < numparts; ++p)
+      build.place(p, a, rows_of(p).first, scratch);
+  }
+  return std::move(build).finish();
 }
 
 void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,

@@ -22,6 +22,7 @@
 
 #include "perf/counters.hpp"
 #include "sparse/csr.hpp"
+#include "sparse/footprint.hpp"
 #include "sparse/precision.hpp"
 
 namespace memxct::sparse {
@@ -118,6 +119,47 @@ inline void for_each_in_run(const buf_idx_t* ind, const V* val, nnz_t nnz,
 /// buffer addressing) and partsize >= 1. OpenMP-parallel over partitions.
 [[nodiscard]] BufferedMatrix build_buffered(const CsrMatrix& a,
                                             const BufferConfig& config = {});
+
+/// Footprint size and nonzero count of one partition: what the first pass
+/// of a staged build measures.
+struct PartitionSize {
+  idx_t cols = 0;  ///< Distinct columns of the partition's rows.
+  nnz_t nnz = 0;
+};
+
+/// The second pass of a staged build, shared by build_buffered (rows from a
+/// CSR matrix) and geometry::build_projection_buffered (rows traced one
+/// partition at a time). Construction sizes every array from the first
+/// pass's per-partition sizes and lays out the stages; place() then fills
+/// one partition. Distinct partitions may be placed concurrently, and the
+/// thread placing a partition first-touches its slices.
+class StagedBuilder {
+ public:
+  /// Partition count of a num_rows-row matrix; checks `config` first.
+  [[nodiscard]] static idx_t num_partitions(idx_t num_rows,
+                                            const BufferConfig& config);
+
+  StagedBuilder(idx_t num_rows, idx_t num_cols, const BufferConfig& config,
+                std::span<const PartitionSize> parts);
+
+  /// Per-thread scratch of place().
+  struct Scratch {
+    explicit Scratch(idx_t num_cols) : footprint(num_cols) {}
+    FootprintIndex footprint;
+    std::vector<nnz_t> counts;  ///< Per (stage, row) entry counts.
+  };
+
+  /// Fills partition p from rows [r0, r0 + its row count) of `rows`, which
+  /// hold its columns sorted within each row: map, displ, ind and val.
+  void place(idx_t p, const CsrMatrix& rows, idx_t r0, Scratch& scratch);
+
+  /// The validated matrix, once every partition is placed.
+  [[nodiscard]] BufferedMatrix finish() &&;
+
+ private:
+  BufferedMatrix b_;
+  std::vector<nnz_t> first_;  ///< Per partition: its first nonzero.
+};
 
 /// y = A·x with the multi-stage buffered kernel (Listing 3), dynamic
 /// schedule: the width-1 instance of the staged apply in sparse/spmm.hpp.

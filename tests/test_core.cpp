@@ -2,7 +2,11 @@
 // end-to-end Reconstructor pipeline.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <string>
 
 #include "core/reconstructor.hpp"
 #include "geometry/projector.hpp"
@@ -67,10 +71,12 @@ std::int64_t matrix_bytes_of(const sparse::BufferedMatrix& m) {
 }
 
 TEST(OperatorBuild, BufferedBuildHoldsAtMostTwoMatrices) {
-  // A Buffered build holds A and the fp32 forward, then the forward and
-  // the backward: never a CSR A^T beside them (DESIGN.md §23). The bound
-  // counts fp32 forms; in 16 bits the backward is written compressed, so
-  // the forward's 16-bit copy fits in the room its fp32 values would take.
+  // The CSR constructor's Buffered build holds A and the fp32 forward, then
+  // the forward and the backward: never a CSR A^T beside them (DESIGN.md
+  // §23). The bound counts fp32 forms; in 16 bits the backward is written
+  // compressed, so the forward's 16-bit copy fits in the room its fp32
+  // values would take. A default Reconstructor traces straight into the
+  // forward and never holds A: its build peaks at forward + backward.
   const auto g = geometry::make_geometry(48, 40);
   const hilbert::Ordering sino(g.sinogram_extent(),
                                hilbert::CurveKind::Hilbert, 4);
@@ -101,6 +107,19 @@ TEST(OperatorBuild, BufferedBuildHoldsAtMostTwoMatrices) {
     EXPECT_GE(held, a_bytes + fwd);
     EXPECT_LE(held, bound);
   }
+
+  Config config;
+  config.ordering = hilbert::CurveKind::Hilbert;
+  config.tile_size = 4;
+  config.buffer = buffer;
+  const std::int64_t a_bytes = matrix_bytes_of(a);
+  const std::int64_t others = counter.live();
+  counter.reset_high_water();
+  const Reconstructor recon(g, config);
+  const std::int64_t held = counter.high_water() - others;
+  EXPECT_GE(held, fwd + bwd);
+  EXPECT_LE(held, fwd + bwd);
+  EXPECT_LT(held, a_bytes + fwd);
 }
 
 // The Buffered operator of the CSR transpose path: both directions built by
@@ -153,6 +172,45 @@ TEST(Reconstructor, BufferedBackwardMatchesCsrTransposePathBitwise) {
                           recon.tomogram_ordering(), sinogram);
     EXPECT_TRUE(testutil::same_bytes(got.image, want.image));
   }
+}
+
+TEST(Reconstructor, DirectTraceMatchesCsrRouteBitwise) {
+  // A default config traces straight into the buffered forward; a trace
+  // cache keeps the CSR route (trace, save, build_buffered). Both give the
+  // same images, byte for byte, at every precision, and the cache hit that
+  // a second CSR-route build makes does too.
+  const auto g = geometry::make_geometry(37, 29);
+  const auto sinogram = phantom::analytic_sinogram(
+      g, phantom::shepp_logan_ellipses(g.num_channels));
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("memxct_test_direct_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  for (const auto precision :
+       {sparse::ValueStorage::Fp32, sparse::ValueStorage::Bf16,
+        sparse::ValueStorage::Fp16}) {
+    SCOPED_TRACE(sparse::to_string(precision));
+    Config direct;
+    direct.iterations = 8;
+    direct.buffer = {32, 64};
+    direct.precision = precision;
+    Config csr = direct;
+    csr.cache_dir = dir.string();
+    const Reconstructor want_recon(g, csr);
+    const Reconstructor hit_recon(g, csr);
+    const Reconstructor got_recon(g, direct);
+    EXPECT_TRUE(hit_recon.preprocess_report().cache_hit);
+    EXPECT_FALSE(got_recon.preprocess_report().cache_hit);
+    EXPECT_EQ(got_recon.preprocess_report().nnz,
+              want_recon.preprocess_report().nnz);
+    EXPECT_EQ(got_recon.preprocess_report().regular_bytes,
+              want_recon.preprocess_report().regular_bytes);
+    const auto want = want_recon.reconstruct(sinogram);
+    EXPECT_TRUE(testutil::same_bytes(got_recon.reconstruct(sinogram).image,
+                                     want.image));
+    EXPECT_TRUE(testutil::same_bytes(hit_recon.reconstruct(sinogram).image,
+                                     want.image));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Reconstructor, RecoversPhantomFromCleanData) {

@@ -1,13 +1,16 @@
 // Tests for projection-matrix construction in ordered index spaces.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "geometry/projector.hpp"
 #include "geometry/siddon.hpp"
+#include "sparse/buffered.hpp"
 #include "sparse/spmv.hpp"
 #include "sparse/transpose.hpp"
 #include "test_util.hpp"
@@ -169,6 +172,55 @@ TEST(Projector, RadixSortedRowsMatchComparisonSortBitwise) {
         EXPECT_TRUE(testutil::same_bytes(got.ind, want.ind));
         EXPECT_TRUE(testutil::same_bytes(got.val, want.val));
       }
+}
+
+TEST(Projector, BufferedTraceMatchesBuildBufferedBytewise) {
+  // Tracing partition by partition into the buffered forward gives the
+  // forward build_buffered stages from the traced CSR, on every array:
+  // square, odd and ragged row counts (1024, 1073 and 960 rows against
+  // partsizes 128, 32 and 7), buffsize 64 forcing multi-stage partitions,
+  // both orderings, 1/3/4 threads and a build nested in a parallel region.
+  // The sanitizer builds fill fresh matrix arrays with 0xFF, so a slot the
+  // direct route leaves unwritten shows up there.
+  const std::vector<Geometry> geometries = {
+      make_geometry(32, 32), make_geometry(37, 29), make_geometry(24, 40)};
+  const int saved = omp_get_max_threads();
+  bool saw_multi_stage = false;
+  for (const Geometry& g : geometries)
+    for (const auto kind :
+         {hilbert::CurveKind::Hilbert, hilbert::CurveKind::RowMajor})
+      for (const sparse::BufferConfig config :
+           {sparse::BufferConfig{128, 4096}, sparse::BufferConfig{32, 64},
+            sparse::BufferConfig{7, 64}}) {
+        const hilbert::Ordering sino(g.sinogram_extent(), kind);
+        const hilbert::Ordering tomo(g.tomogram_extent(), kind);
+        SCOPED_TRACE(testing::Message()
+                     << g.num_angles << "x" << g.num_channels << " "
+                     << hilbert::to_string(kind) << " partsize "
+                     << config.partsize << " buffsize " << config.buffsize);
+        omp_set_num_threads(1);
+        const sparse::BufferedMatrix want = sparse::build_buffered(
+            build_projection_matrix(g, sino, tomo), config);
+        saw_multi_stage |= want.num_stages() > want.num_partitions();
+        for (const int threads : {1, 3, 4}) {
+          omp_set_num_threads(threads);
+          SCOPED_TRACE(testing::Message() << threads << " threads");
+          testutil::expect_same_buffered(
+              build_projection_buffered(g, sino, tomo, config), want);
+        }
+        // A batch or serve worker builds from inside its own region.
+        omp_set_num_threads(4);
+        std::optional<sparse::BufferedMatrix> nested;
+#pragma omp parallel num_threads(2)
+        {
+#pragma omp single
+          nested = build_projection_buffered(g, sino, tomo, config);
+        }
+        SCOPED_TRACE("nested in a parallel region");
+        testutil::expect_same_buffered(*nested, want);
+      }
+  omp_set_num_threads(saved);
+  EXPECT_TRUE(saw_multi_stage);
 }
 
 TEST(Projector, MismatchedOrderingExtentsRejected) {
