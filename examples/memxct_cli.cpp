@@ -149,6 +149,7 @@ int run(int argc, char** argv) {
   idx_t angles = 0, channels = 0, size = 128;
   double noise = 0.0;
   int slices = 1;
+  int stream_chunk = 0;
   batch::BatchOptions batch_opt;
   double deadline_ms = 0.0;
   bool degrade = false;
@@ -171,7 +172,7 @@ int run(int argc, char** argv) {
       channels = static_cast<idx_t>(std::atoi(next()));
     else if (arg == "--iterations") config.iterations = std::atoi(next());
     else if (arg == "--subsets") config.num_subsets = std::atoi(next());
-    else if (arg == "--stream-chunk") config.stream_chunk = std::atoi(next());
+    else if (arg == "--stream-chunk") stream_chunk = std::atoi(next());
     else if (arg == "--lambda") config.tikhonov_lambda = std::atof(next());
     else if (arg == "--shards") config.num_shards = std::atoi(next());
     else if (arg == "--shard-groups")
@@ -422,12 +423,12 @@ int run(int argc, char** argv) {
     return results[0].status == batch::SliceStatus::Ok ? 0 : 3;
   }
 
-  if (config.stream_chunk > 0) {
+  if (stream_chunk > 0) {
     // Streaming-ingest path: the sinogram is fed chunk-by-chunk as if the
     // detector were delivering it live; each chunk's preview warm-starts
     // the next. The final preview covers every angle.
     const auto previews =
-        core::reconstruct_stream(recon, sinogram, config.stream_chunk);
+        core::reconstruct_stream(recon, sinogram, stream_chunk);
     for (std::size_t c = 0; c < previews.size(); ++c) {
       const auto& p = previews[c].solve;
       std::printf("chunk %zu/%zu: %d sweeps in %.2f s, residual %.4g\n",

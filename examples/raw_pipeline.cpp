@@ -11,10 +11,11 @@
 #include <cstdlib>
 #include <sys/stat.h>
 
-#include "core/volume.hpp"
+#include "core/reconstructor.hpp"
 #include "geometry/projector.hpp"
 #include "io/pgm.hpp"
 #include "io/serialize.hpp"
+#include "perf/timer.hpp"
 #include "phantom/phantom.hpp"
 #include "pre/normalize.hpp"
 
@@ -80,27 +81,33 @@ int main(int argc, char** argv) {
               "(ground truth %.2f)\n",
               offset, true_center_offset);
 
-  // --- Warm-started volume reconstruction.
+  // --- Warm-started volume reconstruction: preprocessing is paid once, then
+  // each slice's CG starts from its neighbour's image.
   core::Config config;
   config.iterations = 20;
-  const core::VolumeReconstructor volume(g, config);
-  const auto result = volume.reconstruct(
-      num_slices,
-      [&](int slice) {
-        const auto raw = acquire_raw(slice);
-        const auto sino = pre::normalize_transmission(g, raw, flat, dark);
-        return pre::shift_sinogram(g, sino, -offset);
-      },
-      {.warm_start = true});
-
-  std::printf("preprocessing %.2f s; %d slices in %.2f s:\n",
-              result.preprocess_seconds, num_slices, result.total_seconds);
-  for (const auto& s : result.stats)
-    std::printf("  slice %d: %d iterations, %.1f ms, residual %.3f\n",
-                s.slice, s.iterations, s.seconds * 1e3, s.residual_norm);
+  const core::Reconstructor recon(g, config);
+  perf::WallTimer total;
+  std::vector<std::vector<real>> slices;
+  for (int slice = 0; slice < num_slices; ++slice) {
+    const auto raw = acquire_raw(slice);
+    const auto sino = pre::normalize_transmission(g, raw, flat, dark);
+    const auto shifted = pre::shift_sinogram(g, sino, -offset);
+    core::SolveExtras extras;
+    if (!slices.empty()) extras.warm_start_image = slices.back();
+    auto r = recon.reconstruct(shifted, &extras);
+    std::printf("  slice %d: %d iterations, %.1f ms, residual %.3f\n", slice,
+                r.solve.iterations, r.solve.seconds * 1e3,
+                r.solve.history.empty() ? 0.0
+                                        : r.solve.history.back().residual_norm);
+    slices.push_back(std::move(r.image));
+  }
+  std::printf("preprocessing %.2f s; %d slices in %.2f s\n",
+              recon.preprocess_report().total_seconds, num_slices,
+              total.seconds());
+  if (slices.empty()) return 0;
 
   io::write_pgm_autoscale("raw_pipeline_slice0.pgm", g.tomogram_extent(),
-                          result.slices.front());
+                          slices.front());
   std::printf("wrote raw_pipeline_slice0.pgm\n");
   return 0;
 }

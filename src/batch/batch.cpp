@@ -294,15 +294,10 @@ std::vector<SliceResult> BatchReconstructor::solve_wave(
   }
   if (lanes.empty()) return wave;
 
-  solve::BlockCglsOptions opt;
-  opt.max_iterations = config_.iterations;
-  opt.early_stop = config_.early_stop;
-  opt.early_stop_tol = config_.early_stop_tol;
-  opt.tikhonov_lambda = config_.tikhonov_lambda;
   try {
     solve::BlockSolveResult solved = solve::cgls_block(
         op, std::span<const real>(y_slab).first(lanes.size() * m),
-        static_cast<idx_t>(lanes.size()), opt);
+        static_cast<idx_t>(lanes.size()), core::cgls_options(config_));
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       SliceResult& res = wave[lanes[l]];
       if (options_.keep_images) {

@@ -104,8 +104,7 @@ struct SliceResult {
 /// `keep_image` is false the pixels are dropped after the solve.
 /// `progress` (optional) receives the solver's per-iteration heartbeat so
 /// the serve layer's watchdog can detect stuck workers. `extras` (optional)
-/// forwards ordered-subsets warm-start / partial-data inputs (streaming
-/// preview requests through the serve layer).
+/// forwards core::SolveExtras (the serve layer's warm starts and masks).
 [[nodiscard]] SliceResult run_isolated_slice(
     const solve::LinearOperator& op, const geometry::Geometry& geometry,
     const core::Config& config, const hilbert::Ordering& sino_order,

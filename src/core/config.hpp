@@ -81,7 +81,7 @@ struct Config {
   /// Operator-build autotuning (src/tune): Off keeps the fields above as
   /// given; Cached/Force let the in-process tuner resolve kernel, schedule,
   /// and buffer from measurements on the traced matrix (serial operator
-  /// path only — sharded/distributed builds ignore it). NOT part of the
+  /// path only — sharded builds ignore it). NOT part of the
   /// operator identity: the registry and the Reconstructor key operators by
   /// the RESOLVED config, so a tuned operator and an explicitly-configured
   /// twin share one cache entry.
@@ -92,11 +92,6 @@ struct Config {
   /// Subset count for the ordered-subsets solvers; ignored by the others.
   /// Clamped to the operator's row-partition count at solve time.
   int num_subsets = 8;
-  /// Streaming ingest chunk size in angles (core/stream.hpp's
-  /// reconstruct_stream): projections arrive `stream_chunk` angles at a
-  /// time, each chunk warm-starting an OS solve from the previous preview.
-  /// 0 disables streaming (batch reconstruction).
-  int stream_chunk = 0;
   bool early_stop = false;  ///< Heuristic termination at the L-curve knee.
   /// Relative-improvement tolerance for early_stop (CGLS and the OS
   /// solvers, which evaluate it on full-sweep boundaries only). Larger

@@ -9,10 +9,8 @@
 #include "geometry/projector.hpp"
 #include "perf/timer.hpp"
 #include "resil/checked_io.hpp"
-#include "sparse/spmv.hpp"
 #include "core/subset.hpp"
 #include "solve/block.hpp"
-#include "solve/cgls.hpp"
 #include "solve/gd.hpp"
 #include "solve/os.hpp"
 #include "solve/sirt.hpp"
@@ -226,6 +224,37 @@ void depermute_image(const hilbert::Ordering& tomo_order,
     image[static_cast<std::size_t>(tomo_to_grid[i])] = solved_x[i];
 }
 
+namespace {
+
+/// Gathers a natural-layout tomogram image into ordered space: the inverse
+/// of depermute_image.
+AlignedVector<real> order_image(const hilbert::Ordering& tomo_order,
+                                std::span<const real> image) {
+  const auto& tomo_to_grid = tomo_order.to_grid();
+  AlignedVector<real> x(tomo_to_grid.size());
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = image[static_cast<std::size_t>(tomo_to_grid[i])];
+  return x;
+}
+
+}  // namespace
+
+solve::CglsOptions cgls_options(const Config& config,
+                                const solve::CancelToken* cancel,
+                                solve::ProgressSink* progress) {
+  solve::CglsOptions opt;
+  opt.max_iterations = config.iterations;
+  opt.early_stop = config.early_stop;
+  opt.early_stop_tol = config.early_stop_tol;
+  opt.tikhonov_lambda = config.tikhonov_lambda;
+  opt.checkpoint.path = config.checkpoint_path;
+  if (!config.checkpoint_path.empty())
+    opt.checkpoint.interval = config.checkpoint_interval;
+  opt.cancel = cancel;
+  opt.progress = progress;
+  return opt;
+}
+
 ReconstructionResult reconstruct_slice(const solve::LinearOperator& op,
                                        const geometry::Geometry& geometry,
                                        const Config& config,
@@ -242,14 +271,7 @@ ReconstructionResult reconstruct_slice(const solve::LinearOperator& op,
   SliceWorkspace local;
   SliceWorkspace& ws = workspace != nullptr ? *workspace : local;
 
-  const bool os_solver = config.solver == SolverKind::OsSirt ||
-                         config.solver == SolverKind::OsSart;
-  if (extras != nullptr &&
-      (!extras->warm_start_image.empty() || !extras->angle_mask.empty()) &&
-      !os_solver)
-    throw InvalidArgument(
-        "warm-start / angle-mask extras require an ordered-subsets solver "
-        "(--solver os-sirt or os-sart)");
+  if (extras != nullptr) validate_extras(geometry, config, *extras);
 
   resil::IngestReport ingest =
       ingest_and_order(geometry, config, sino_order, sinogram, ws);
@@ -263,23 +285,37 @@ ReconstructionResult reconstruct_slice(const solve::LinearOperator& op,
   if (const auto* sop = dynamic_cast<const shard::ShardedOperator*>(&op))
     sop->reset_stats();
 
-  solve::CheckpointOptions checkpoint;
-  checkpoint.path = config.checkpoint_path;
-  if (!config.checkpoint_path.empty())
-    checkpoint.interval = config.checkpoint_interval;
+  // The CGLS mapping; the other solvers share its checkpoint policy.
+  const solve::CglsOptions cgls_opt = cgls_options(config, cancel, progress);
+  const solve::CheckpointOptions& checkpoint = cgls_opt.checkpoint;
+
+  // Extras arrive in natural layout; the solvers work in ordered space.
+  AlignedVector<real> x0;
+  if (extras != nullptr && !extras->warm_start_image.empty())
+    x0 = order_image(tomo_order, extras->warm_start_image);
 
   solve::SolveResult solved;
   switch (config.solver) {
     case SolverKind::CGLS: {
-      solve::CglsOptions opt;
-      opt.max_iterations = config.iterations;
-      opt.early_stop = config.early_stop;
-      opt.early_stop_tol = config.early_stop_tol;
-      opt.tikhonov_lambda = config.tikhonov_lambda;
-      opt.checkpoint = checkpoint;
-      opt.cancel = cancel;
-      opt.progress = progress;
-      solved = solve::cgls(op, y, opt);
+      solve::CglsOptions opt = cgls_opt;
+      // A prior substitutes d = x - x_prev: min ||A d - (y - A x_prev)||² +
+      // λ_z²||d||² is plain damped CGLS on the shifted data (a warm start
+      // x0 seeds d0 = x0 - x_prev).
+      AlignedVector<real> previous, shifted;
+      if (extras != nullptr && extras->prior_lambda > 0.0 &&
+          !extras->prior_image.empty()) {
+        previous = order_image(tomo_order, extras->prior_image);
+        shifted.resize(y.size());
+        op.apply(previous, shifted);
+        for (std::size_t i = 0; i < y.size(); ++i)
+          shifted[i] = y[i] - shifted[i];
+        for (std::size_t i = 0; i < x0.size(); ++i) x0[i] -= previous[i];
+        opt.tikhonov_lambda = extras->prior_lambda;
+        y = shifted;
+      }
+      solved = solve::cgls_warm(op, y, x0, opt);
+      for (std::size_t i = 0; i < previous.size(); ++i)
+        solved.x[i] += previous[i];
       break;
     }
     case SolverKind::SIRT: {
@@ -327,23 +363,11 @@ ReconstructionResult reconstruct_slice(const solve::LinearOperator& op,
       opt.cancel = cancel;
       opt.progress = progress;
 
-      // Extras arrive in natural layout; the solver works in ordered space.
-      // Warm start permutes exactly like depermute_image's inverse; the
-      // per-angle mask expands to per-row through the sinogram ordering
-      // (natural sinogram index = angle · num_channels + channel).
-      AlignedVector<real> x0, row_mask;
-      if (extras != nullptr && !extras->warm_start_image.empty()) {
-        const auto& tomo_to_grid = tomo_order.to_grid();
-        MEMXCT_CHECK(extras->warm_start_image.size() == tomo_to_grid.size());
-        x0.resize(tomo_to_grid.size());
-        for (std::size_t i = 0; i < x0.size(); ++i)
-          x0[i] = extras->warm_start_image[static_cast<std::size_t>(
-              tomo_to_grid[i])];
-        opt.x0 = x0;
-      }
+      // The per-angle mask expands to per-row through the sinogram
+      // ordering (natural sinogram index = angle · num_channels + channel).
+      AlignedVector<real> row_mask;
+      opt.x0 = x0;
       if (extras != nullptr && !extras->angle_mask.empty()) {
-        MEMXCT_CHECK(static_cast<std::int64_t>(extras->angle_mask.size()) ==
-                     geometry.num_angles);
         const auto& sino_to_grid = sino_order.to_grid();
         row_mask.resize(sino_to_grid.size());
         for (std::size_t i = 0; i < row_mask.size(); ++i) {
@@ -381,7 +405,6 @@ std::vector<ReconstructionResult> reconstruct_block(
         "reconstruct_block requires the CGLS solver (block_width > 1 is a "
         "lockstep CGLS path)");
 
-  const auto k = static_cast<idx_t>(sinograms.size());
   const auto m = static_cast<std::size_t>(geometry.sinogram_extent().size());
   const auto n = static_cast<std::size_t>(geometry.tomogram_extent().size());
 
@@ -398,13 +421,9 @@ std::vector<ReconstructionResult> reconstruct_block(
               y_slab.begin() + static_cast<std::ptrdiff_t>(s * m));
   }
 
-  solve::BlockCglsOptions opt;
-  opt.max_iterations = config.iterations;
-  opt.early_stop = config.early_stop;
-  opt.early_stop_tol = config.early_stop_tol;
-  opt.tikhonov_lambda = config.tikhonov_lambda;
-  opt.cancel = cancel;
-  solve::BlockSolveResult solved = solve::cgls_block(op, y_slab, k, opt);
+  solve::BlockSolveResult solved = solve::cgls_block(
+      op, y_slab, static_cast<idx_t>(sinograms.size()),
+      cgls_options(config, cancel));
 
   for (std::size_t s = 0; s < results.size(); ++s) {
     results[s].image.resize(n);
@@ -415,9 +434,10 @@ std::vector<ReconstructionResult> reconstruct_block(
 }
 
 ReconstructionResult Reconstructor::reconstruct(
-    std::span<const real> sinogram) const {
+    std::span<const real> sinogram, const SolveExtras* extras) const {
   return reconstruct_slice(*active_op_, geometry_, config_, *sino_order_,
-                           *tomo_order_, sinogram);
+                           *tomo_order_, sinogram, nullptr, nullptr, nullptr,
+                           extras);
 }
 
 }  // namespace memxct::core

@@ -20,6 +20,7 @@
 #include "geometry/geometry.hpp"
 #include "hilbert/ordering.hpp"
 #include "shard/sharded_operator.hpp"
+#include "solve/cgls.hpp"
 #include "solve/solver.hpp"
 #include "tune/tune.hpp"
 
@@ -94,22 +95,38 @@ resil::IngestReport ingest_and_order(const geometry::Geometry& geometry,
 void depermute_image(const hilbert::Ordering& tomo_order,
                      std::span<const real> solved_x, std::span<real> image);
 
-/// Optional solver inputs for the ordered-subsets path (streaming ingest,
-/// core/stream.hpp). Both spans are in *natural* layout — the caller-facing
-/// coordinate system — and are converted to ordered space inside
-/// reconstruct_slice, so callers never touch the Hilbert permutations.
-/// Passing a non-empty extras field with a non-OS solver throws
-/// InvalidArgument (the full-pass solvers have no partial-data semantics).
+/// Optional solver inputs beyond the sinogram. Every span is in *natural*
+/// layout — the caller-facing coordinate system — and is converted to
+/// ordered space inside reconstruct_slice, so callers never touch the
+/// Hilbert permutations. validate_extras says which solver takes which.
 struct SolveExtras {
-  /// Warm start: previous iterate as a natural row-major tomogram image
-  /// (length = tomogram extent). Empty = zero start.
+  /// Warm start as a natural row-major tomogram image, e.g. a stream's last
+  /// preview or a volume's neighbouring slice. Empty = zero start.
   std::span<const real> warm_start_image;
   /// 0/1 per projection angle (length = geometry.num_angles); 0 marks angles
   /// whose measurements have not arrived yet — their sinogram rows are
   /// excluded from corrections, normalizations, and residual norms. Empty =
   /// all angles present.
   std::span<const real> angle_mask;
+  /// Inter-slice prior (empty or prior_lambda == 0 disables):
+  /// min ||A x - y||² + prior_lambda² ||x - prior_image||² in place of the
+  /// config's Tikhonov term — the paper's Eq. 1 R(x) pulling a slice toward
+  /// its z-neighbour, which suppresses per-slice noise.
+  std::span<const real> prior_image;
+  double prior_lambda = 0.0;
 };
+
+/// The one extras rule, applied by reconstruct_slice and serve admission:
+/// angle_mask needs an OS solver, prior_image CGLS, warm_start_image either;
+/// spans must fit the geometry. Throws InvalidArgument otherwise.
+void validate_extras(const geometry::Geometry& geometry, const Config& config,
+                     const SolveExtras& extras);
+
+/// The one Config → CGLS options mapping (reconstruct_slice,
+/// reconstruct_block and the batch engine's waves).
+[[nodiscard]] solve::CglsOptions cgls_options(
+    const Config& config, const solve::CancelToken* cancel = nullptr,
+    solve::ProgressSink* progress = nullptr);
 
 /// One-slice reconstruction against an explicit operator: ingest gate,
 /// permutation into ordered space, solve, de-permutation. This is the slice
@@ -121,8 +138,8 @@ struct SolveExtras {
 /// on cancellation the result carries solve.cancelled and the last
 /// completed iterate. `progress` (optional) receives a heartbeat per
 /// completed iteration for watchdog monitoring. `extras` (optional) carries
-/// warm-start / partial-data inputs for the ordered-subsets solvers; the
-/// OS solvers additionally require `op` to be a serial MemXCTOperator
+/// warm-start, partial-data and prior inputs (checked by validate_extras);
+/// the OS solvers additionally require `op` to be a serial MemXCTOperator
 /// (subset views need the memoized storage; any other operator throws
 /// InvalidArgument, though validate_config already rejects the configs
 /// that would build one).
@@ -140,11 +157,10 @@ struct SolveExtras {
 /// matrix stream per iteration for all slices — the SpMM amortization),
 /// and de-permuted individually. Per-slice results are bitwise identical
 /// to reconstruct_slice on the same operator (solve/block.hpp's parity
-/// contract). Requires config.solver == CGLS (throws InvalidArgument
-/// otherwise); on-disk checkpointing is ignored on this path (divergence
-/// detection still applies per slice). The Reject ingest policy throws for
-/// the whole call on the first bad slice — callers needing per-slice
-/// isolation (the batch engine) gate each slice themselves first.
+/// contract). Throws InvalidArgument unless config.solver == CGLS, for a
+/// checkpoint path with more than one slice (one file holds one slice), and
+/// under the Reject ingest policy on the first bad slice — the batch engine
+/// gates each slice itself for per-slice isolation.
 [[nodiscard]] std::vector<ReconstructionResult> reconstruct_block(
     const solve::LinearOperator& op, const geometry::Geometry& geometry,
     const Config& config, const hilbert::Ordering& sino_order,
@@ -158,8 +174,11 @@ class Reconstructor {
   ~Reconstructor();
 
   /// Reconstructs one slice from a natural-layout sinogram (angles-major).
+  /// A volume is a loop over slices passing each image to the next as
+  /// warm start or prior (SolveExtras).
   [[nodiscard]] ReconstructionResult reconstruct(
-      std::span<const real> sinogram) const;
+      std::span<const real> sinogram,
+      const SolveExtras* extras = nullptr) const;
 
   [[nodiscard]] const PreprocessReport& preprocess_report() const noexcept {
     return report_;

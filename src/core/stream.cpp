@@ -6,63 +6,62 @@
 
 namespace memxct::core {
 
+AngleAccumulator::AngleAccumulator(const geometry::Geometry& geometry)
+    : num_channels_(geometry.num_channels) {
+  geometry.validate();
+  sino_.assign(static_cast<std::size_t>(geometry.sinogram_extent().size()),
+               real{0});
+  mask_.assign(static_cast<std::size_t>(geometry.num_angles), real{0});
+}
+
+void AngleAccumulator::add(int first_angle, int count,
+                           std::span<const real> rows) {
+  MEMXCT_CHECK_MSG(count >= 1, "push_chunk: empty chunk");
+  MEMXCT_CHECK_MSG(
+      first_angle >= 0 &&
+          count <= static_cast<int>(mask_.size()) - first_angle,
+      "push_chunk: angle range outside the geometry");
+  MEMXCT_CHECK_MSG(static_cast<std::int64_t>(rows.size()) ==
+                       static_cast<std::int64_t>(count) * num_channels_,
+                   "push_chunk: row data size does not match the range");
+  std::copy(rows.begin(), rows.end(),
+            sino_.begin() + static_cast<std::ptrdiff_t>(first_angle) *
+                                num_channels_);
+  std::fill_n(mask_.begin() + first_angle, count, real{1});
+}
+
 StreamingReconstructor::StreamingReconstructor(const Reconstructor& recon)
-    : recon_(&recon) {
+    : recon_(&recon), arrived_(recon.geometry()) {
   const Config& c = recon.config();
   if (c.solver != SolverKind::OsSirt && c.solver != SolverKind::OsSart)
     throw InvalidArgument(
         "streaming ingest requires an ordered-subsets solver "
         "(--solver os-sirt or os-sart)");
-  if (recon.serial_op() == nullptr)
-    throw InvalidArgument(
-        "streaming ingest requires the serial memoized operator "
-        "(num_shards == 1)");
-  const auto& g = recon.geometry();
-  sino_.assign(static_cast<std::size_t>(g.sinogram_extent().size()), real{0});
-  mask_.assign(static_cast<std::size_t>(g.num_angles), real{0});
 }
 
 ReconstructionResult StreamingReconstructor::push_chunk(
     int first_angle, int count, std::span<const real> rows,
     const solve::CancelToken* cancel, solve::ProgressSink* progress) {
-  const auto& g = recon_->geometry();
-  MEMXCT_CHECK_MSG(count >= 1, "push_chunk: empty chunk");
-  MEMXCT_CHECK_MSG(first_angle >= 0 && first_angle + count <= g.num_angles,
-                   "push_chunk: angle range outside the geometry");
-  MEMXCT_CHECK_MSG(static_cast<std::int64_t>(rows.size()) ==
-                       static_cast<std::int64_t>(count) * g.num_channels,
-                   "push_chunk: row data size does not match the range");
-
   // Accumulate first, solve second: the sinogram buffer and mask describe
   // the arrived set regardless of whether the solve below succeeds, and
   // overwriting an already arrived range with the same data is a no-op —
   // that idempotence is what makes a post-fault retry bitwise-identical.
-  std::copy(rows.begin(), rows.end(),
-            sino_.begin() + static_cast<std::ptrdiff_t>(first_angle) *
-                                g.num_channels);
-  for (int a = first_angle; a < first_angle + count; ++a) {
-    if (mask_[static_cast<std::size_t>(a)] == real{0}) ++angles_received_;
-    mask_[static_cast<std::size_t>(a)] = real{1};
-  }
+  arrived_.add(first_angle, count, rows);
 
   SolveExtras extras;
-  extras.angle_mask = mask_;
+  extras.angle_mask = arrived_.angle_mask();
   if (!preview_.empty()) extras.warm_start_image = preview_;
 
   ReconstructionResult result = reconstruct_slice(
-      recon_->op(), g, recon_->config(), recon_->sinogram_ordering(),
-      recon_->tomogram_ordering(), sino_, &ws_, cancel, progress, &extras);
+      recon_->op(), recon_->geometry(), recon_->config(),
+      recon_->sinogram_ordering(), recon_->tomogram_ordering(),
+      arrived_.sinogram(), &ws_, cancel, progress, &extras);
 
   // Only a completed solve advances the warm start; a cancelled preview is
   // still usable (best-so-far iterate) but a thrown solve leaves the
   // previous state intact for the retry.
   preview_ = result.image;
   return result;
-}
-
-bool StreamingReconstructor::complete() const noexcept {
-  return angles_received_ ==
-         static_cast<int>(recon_->geometry().num_angles);
 }
 
 std::vector<ReconstructionResult> reconstruct_stream(

@@ -5,9 +5,8 @@
 // is meant to reclaim. StreamingReconstructor ingests angles in chunks and
 // reconstructs after every chunk:
 //
-//   - arrived measurements accumulate in a natural-layout sinogram buffer
-//     (absent angles stay zero and are excluded from the solve through the
-//     per-angle mask — see SolveExtras);
+//   - arrived measurements accumulate in an AngleAccumulator (absent
+//     angles stay zero and are masked out of the solve, SolveExtras);
 //   - each chunk's solve warm-starts from the previous preview image, so
 //     the work already spent refining earlier angles is never thrown away;
 //   - the solver is one of the ordered-subsets pair (OS-SIRT / OS-SART),
@@ -21,6 +20,7 @@
 // bitwise-identical previews and final image (tests/test_os.cpp pins this).
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -28,51 +28,63 @@
 
 namespace memxct::core {
 
-/// Incremental reconstruction session over one slice. Holds the accumulated
-/// sinogram, the per-angle arrival mask, and the latest preview iterate.
-/// Not thread-safe; one session per slice (the serve layer wraps sessions
-/// behind its scheduler, serve/stream.hpp).
-class StreamingReconstructor {
+/// The arrived angles of one streamed slice, shared by
+/// StreamingReconstructor and serve::StreamSession: the natural-layout
+/// sinogram (zero where an angle has not arrived) and the 0/1 angle mask.
+class AngleAccumulator {
  public:
-  /// `recon` must be configured with an OS solver on the serial path
-  /// (throws InvalidArgument otherwise) and must outlive the session.
-  explicit StreamingReconstructor(const Reconstructor& recon);
+  /// Validates the geometry; no angle has arrived.
+  explicit AngleAccumulator(const geometry::Geometry& geometry);
 
-  /// Ingests `count` angles starting at `first_angle` (`rows` holds
-  /// count × num_channels samples in natural angle-major layout), then
-  /// solves warm-started from the previous preview. Returns the preview
-  /// reconstruction over all angles arrived so far. Re-pushing an already
-  /// arrived range overwrites it (idempotent retry).
-  ReconstructionResult push_chunk(int first_angle, int count,
-                                  std::span<const real> rows,
-                                  const solve::CancelToken* cancel = nullptr,
-                                  solve::ProgressSink* progress = nullptr);
+  /// Copies `count` angles from `first_angle` on (`rows`: count ×
+  /// num_channels natural angle-major samples) and marks them arrived.
+  /// Re-adding a range overwrites it, so a retry is bitwise idempotent.
+  /// Throws InvariantError for an empty or out-of-range chunk.
+  void add(int first_angle, int count, std::span<const real> rows);
 
-  /// Angles with arrived measurements (counts each angle once).
-  [[nodiscard]] int angles_received() const noexcept {
-    return angles_received_;
+  [[nodiscard]] bool complete() const noexcept {
+    return std::find(mask_.begin(), mask_.end(), real{0}) == mask_.end();
   }
-  /// True once every angle of the geometry has arrived.
-  [[nodiscard]] bool complete() const noexcept;
-  /// Latest preview image (natural layout); empty before the first chunk.
-  [[nodiscard]] const std::vector<real>& preview() const noexcept {
-    return preview_;
-  }
-  /// Accumulated natural-layout sinogram (zeros where not yet arrived).
   [[nodiscard]] std::span<const real> sinogram() const noexcept {
     return sino_;
   }
-  /// Per-angle 0/1 arrival mask.
   [[nodiscard]] std::span<const real> angle_mask() const noexcept {
     return mask_;
   }
 
  private:
+  idx_t num_channels_;
+  std::vector<real> sino_;
+  std::vector<real> mask_;
+};
+
+/// Incremental reconstruction session over one slice: the arrived angles
+/// and the latest preview. Not thread-safe; one session per slice.
+class StreamingReconstructor {
+ public:
+  /// `recon` must use an OS solver (throws InvalidArgument otherwise;
+  /// validate_config keeps those unsharded) and outlive the session.
+  explicit StreamingReconstructor(const Reconstructor& recon);
+
+  /// Adds `count` angles from `first_angle` on (AngleAccumulator::add), then
+  /// solves warm-started from the previous preview. Returns the preview
+  /// reconstruction over all angles arrived so far.
+  ReconstructionResult push_chunk(int first_angle, int count,
+                                  std::span<const real> rows,
+                                  const solve::CancelToken* cancel = nullptr,
+                                  solve::ProgressSink* progress = nullptr);
+
+  /// True once every angle of the geometry has arrived.
+  [[nodiscard]] bool complete() const noexcept { return arrived_.complete(); }
+  /// Latest preview image (natural layout); empty before the first chunk.
+  [[nodiscard]] const std::vector<real>& preview() const noexcept {
+    return preview_;
+  }
+
+ private:
   const Reconstructor* recon_;
-  std::vector<real> sino_;     ///< Natural layout; zero until arrival.
-  std::vector<real> mask_;     ///< 0/1 per angle.
+  AngleAccumulator arrived_;
   std::vector<real> preview_;  ///< Warm start for the next chunk.
-  int angles_received_ = 0;
   SliceWorkspace ws_;
 };
 

@@ -2,9 +2,13 @@
 // combinations the pipeline supports. The Reconstructor ctor, serve
 // admission (Server::submit), and the autotuner's candidate pruning all call
 // this one function, so a combination is either legal everywhere or rejected
-// everywhere with the same typed error.
+// everywhere with the same typed error. validate_extras is the same gate for
+// the per-slice solver extras.
+#include <cmath>
+#include <string>
+
 #include "common/error.hpp"
-#include "core/config.hpp"
+#include "core/reconstructor.hpp"
 
 namespace memxct::core {
 
@@ -51,6 +55,34 @@ void validate_config(const Config& config) {
         "ordered-subsets solvers need subset views, which exist for the "
         "baseline and buffered kernels only; use --kernel buffered or a "
         "full-pass solver");
+}
+
+void validate_extras(const geometry::Geometry& geometry, const Config& config,
+                     const SolveExtras& extras) {
+  const bool cgls = config.solver == SolverKind::CGLS;
+  const bool os_solver = config.solver == SolverKind::OsSirt ||
+                         config.solver == SolverKind::OsSart;
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw InvalidArgument(std::string("extras: ") + what);
+  };
+  const auto fits = [](std::span<const real> v, std::int64_t size) {
+    return v.empty() || static_cast<std::int64_t>(v.size()) == size;
+  };
+  const auto tomogram = geometry.tomogram_extent().size();
+  require(extras.warm_start_image.empty() || cgls || os_solver,
+          "warm_start_image requires the CGLS or an ordered-subsets solver");
+  require(fits(extras.warm_start_image, tomogram),
+          "warm_start_image size does not match the tomogram");
+  require(extras.angle_mask.empty() || os_solver,
+          "angle_mask requires an ordered-subsets solver (os-sirt, os-sart)");
+  require(fits(extras.angle_mask, geometry.num_angles),
+          "angle_mask size does not match the angle count");
+  require(extras.prior_image.empty() || cgls,
+          "prior_image requires the CGLS solver");
+  require(fits(extras.prior_image, tomogram),
+          "prior_image size does not match the tomogram");
+  require(std::isfinite(extras.prior_lambda) && extras.prior_lambda >= 0.0,
+          "prior_lambda must be finite and >= 0");
 }
 
 }  // namespace memxct::core

@@ -58,11 +58,10 @@ struct RequestOptions {
   /// for r > 0. The admission gate may step FURTHER down from here (never
   /// up) when the deadline is infeasible at the requested rung.
   int rung = 0;
-  /// Streaming extras for ordered-subsets requests (core::SolveExtras
-  /// semantics, both natural layout, both copied at submit): warm-start
-  /// image from the previous preview, and the per-angle 0/1 arrival mask
-  /// for partial sinograms. Non-empty values require an OS solver in the
-  /// request config (rejected with InvalidArgument otherwise).
+  /// Solver extras (core::SolveExtras semantics, both natural layout, both
+  /// copied at submit): a warm-start image (CGLS or OS), e.g. the previous
+  /// preview, and the per-angle 0/1 arrival mask for partial sinograms (OS
+  /// only). core::validate_extras rejects the rest with InvalidArgument.
   std::span<const real> warm_start_image;
   std::span<const real> angle_mask;
 };

@@ -112,23 +112,11 @@ std::int64_t Server::submit(const geometry::Geometry& geometry,
   core::validate_config(config);
   if (options.deadline_seconds < 0.0)
     throw InvalidArgument("serve: deadline_seconds must be >= 0");
-  const bool os_solver = config.solver == core::SolverKind::OsSirt ||
-                         config.solver == core::SolverKind::OsSart;
-  if ((!options.warm_start_image.empty() || !options.angle_mask.empty()) &&
-      !os_solver)
-    throw InvalidArgument(
-        "serve: warm_start_image / angle_mask require an ordered-subsets "
-        "solver in the request config");
-  if (!options.warm_start_image.empty() &&
-      static_cast<std::int64_t>(options.warm_start_image.size()) !=
-          geometry.tomogram_extent().size())
-    throw InvalidArgument(
-        "serve: warm_start_image size does not match the tomogram");
-  if (!options.angle_mask.empty() &&
-      static_cast<std::int64_t>(options.angle_mask.size()) !=
-          geometry.num_angles)
-    throw InvalidArgument(
-        "serve: angle_mask size does not match the angle count");
+  // The same extras rule reconstruct_slice applies, raised at admission.
+  core::SolveExtras extras;
+  extras.warm_start_image = options.warm_start_image;
+  extras.angle_mask = options.angle_mask;
+  core::validate_extras(geometry, config, extras);
 
   auto state = std::make_shared<RequestState>();
   state->geometry = geometry;
@@ -459,15 +447,13 @@ void Server::worker_main() {
     core::SolveExtras extras;
     extras.warm_start_image = state->warm_start;
     extras.angle_mask = state->angle_mask;
-    const bool has_extras =
-        !state->warm_start.empty() || !state->angle_mask.empty();
 
     batch::SliceResult res = batch::run_isolated_slice(
         *view, lease.recon->geometry(), config,
         lease.recon->sinogram_ordering(), lease.recon->tomogram_ordering(),
         state->sinogram, &slice_ws, &state->token,
         state->options.keep_image, &state->progress,
-        has_extras ? &extras : nullptr);
+        &extras);
     state->sinogram.clear();  // measurements are consumed; free early
     state->warm_start.clear();
     state->angle_mask.clear();

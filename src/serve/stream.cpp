@@ -1,7 +1,5 @@
 #include "serve/stream.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 
 namespace memxct::serve {
@@ -13,44 +11,27 @@ StreamSession::StreamSession(Server& server,
     : server_(&server),
       geometry_(geometry),
       config_(config),
-      options_(options) {
-  geometry_.validate();
+      options_(options),
+      arrived_(geometry) {
   if (config.solver != core::SolverKind::OsSirt &&
       config.solver != core::SolverKind::OsSart)
     throw InvalidArgument(
         "serve: streaming sessions require an ordered-subsets solver "
         "(os-sirt or os-sart)");
-  sino_.assign(static_cast<std::size_t>(geometry_.sinogram_extent().size()),
-               real{0});
-  mask_.assign(static_cast<std::size_t>(geometry_.num_angles), real{0});
 }
 
 RequestResult StreamSession::push_chunk(int first_angle, int count,
                                         std::span<const real> rows) {
-  MEMXCT_CHECK_MSG(count >= 1, "push_chunk: empty chunk");
-  MEMXCT_CHECK_MSG(
-      first_angle >= 0 && first_angle + count <= geometry_.num_angles,
-      "push_chunk: angle range outside the geometry");
-  MEMXCT_CHECK_MSG(static_cast<std::int64_t>(rows.size()) ==
-                       static_cast<std::int64_t>(count) *
-                           geometry_.num_channels,
-                   "push_chunk: row data size does not match the range");
-
-  std::copy(rows.begin(), rows.end(),
-            sino_.begin() + static_cast<std::ptrdiff_t>(first_angle) *
-                                geometry_.num_channels);
-  for (int a = first_angle; a < first_angle + count; ++a) {
-    if (mask_[static_cast<std::size_t>(a)] == real{0}) ++angles_received_;
-    mask_[static_cast<std::size_t>(a)] = real{1};
-  }
+  arrived_.add(first_angle, count, rows);
 
   RequestOptions opt;
   opt.priority = options_.priority;
   opt.deadline_seconds = options_.deadline_seconds;
-  opt.angle_mask = mask_;
+  opt.angle_mask = arrived_.angle_mask();
   if (!preview_.empty()) opt.warm_start_image = preview_;
 
-  const std::int64_t id = server_->submit(geometry_, config_, sino_, opt);
+  const std::int64_t id =
+      server_->submit(geometry_, config_, arrived_.sinogram(), opt);
   RequestResult result = server_->wait(id);
 
   // Only usable images advance the warm start: a degraded or salvaged
@@ -61,10 +42,6 @@ RequestResult StreamSession::push_chunk(int first_angle, int count,
                                 result.status == RequestStatus::Diverged))
     preview_ = result.image;
   return result;
-}
-
-bool StreamSession::complete() const noexcept {
-  return angles_received_ == static_cast<int>(geometry_.num_angles);
 }
 
 }  // namespace memxct::serve

@@ -7,18 +7,18 @@
 // deadlines even under bulk load, and inheriting the degradation ladder,
 // retry, and watchdog machinery for free.
 //
-// A StreamSession accumulates arriving angles exactly like the core session
+// A StreamSession accumulates arriving angles in a core::AngleAccumulator
 // and, per chunk, submits one request carrying the partial sinogram, the
-// per-angle arrival mask, and the previous preview as warm start
-// (RequestOptions::warm_start_image / angle_mask). The preview advances
-// only on a usable terminal status (Ok / Degraded / Diverged-with-image),
-// so a failed or rejected request leaves the session state untouched and
-// re-pushing the chunk is a bitwise-identical retry.
+// arrival mask, and the previous preview as warm start. The preview
+// advances only on a usable terminal status (Ok / Degraded /
+// Diverged-with-image), so re-pushing a failed chunk is a bitwise-identical
+// retry.
 #pragma once
 
 #include <span>
 #include <vector>
 
+#include "core/stream.hpp"
 #include "serve/server.hpp"
 
 namespace memxct::serve {
@@ -34,23 +34,18 @@ struct StreamSessionOptions {
 
 class StreamSession {
  public:
-  /// `server` must outlive the session. The config must use an OS solver
-  /// (throws InvalidArgument otherwise — the mask/warm-start semantics
-  /// require it, same rule as core::StreamingReconstructor).
+  /// `server` must outlive the session. The config must use an OS solver,
+  /// as for core::StreamingReconstructor (throws InvalidArgument otherwise).
   StreamSession(Server& server, const geometry::Geometry& geometry,
                 const core::Config& config, StreamSessionOptions options = {});
 
-  /// Ingests `count` angles starting at `first_angle` (`rows`:
-  /// count × num_channels natural angle-major samples), submits one preview
-  /// request over all angles arrived so far, and blocks for its result.
-  /// Overwriting an arrived range is idempotent (retry semantics).
+  /// Adds `count` angles from `first_angle` on (core::AngleAccumulator::add),
+  /// submits one preview request over all angles arrived so far, and blocks
+  /// for its result.
   RequestResult push_chunk(int first_angle, int count,
                            std::span<const real> rows);
 
-  [[nodiscard]] int angles_received() const noexcept {
-    return angles_received_;
-  }
-  [[nodiscard]] bool complete() const noexcept;
+  [[nodiscard]] bool complete() const noexcept { return arrived_.complete(); }
   /// Latest usable preview (natural layout); empty before one exists.
   [[nodiscard]] const std::vector<real>& preview() const noexcept {
     return preview_;
@@ -61,10 +56,8 @@ class StreamSession {
   geometry::Geometry geometry_;
   core::Config config_;
   StreamSessionOptions options_;
-  std::vector<real> sino_;
-  std::vector<real> mask_;
+  core::AngleAccumulator arrived_;
   std::vector<real> preview_;
-  int angles_received_ = 0;
 };
 
 }  // namespace memxct::serve

@@ -1,51 +1,33 @@
-// Lockstep block CGLS: K independent CGLS instances advanced together so
-// the operator streams its matrix once per iteration for all K slices
-// (LinearOperator::apply_block).
+// Lockstep CGLS over k lanes: k independent CGLS instances advanced
+// together so the operator streams its matrix once per iteration for all k
+// slices (LinearOperator::apply_block). cgls(), cgls_warm() and cgls_block()
+// are all this one recursion; at k = 1 it calls apply/apply_transpose.
 //
-// Parity contract: lane s of a block solve is bitwise identical to an
-// independent cgls() run on slice s with the same options. Three facts
-// make that exact, not approximate:
+// Parity contract: lane s of a k-lane solve is bitwise identical to a
+// one-lane solve of slice s with the same options, because
 //   * the block applies keep every slice's SpMV accumulation order
 //     (sparse/spmm.hpp contract);
-//   * each lane's vectors live in contiguous per-slice slabs, and every
-//     scalar recursion step (dot, axpy2, xpby_norm, ...) calls the SAME
-//     deterministic vector kernels on the SAME contiguous data an
-//     independent run would;
-//   * convergence masking freezes a finished lane by SKIPPING its updates
-//     — never by arithmetic (no multiply-by-zero, which could flip signed
-//     zeros or spread NaN). A frozen lane's direction still occupies its
-//     interleaved SpMM lane, and lanes are arithmetically independent
-//     there, so live lanes' arithmetic is unchanged.
+//   * each lane's vectors are contiguous slabs, so every scalar step (dot,
+//     axpy2, xpby_norm, ...) runs the same deterministic kernel on the same
+//     data a one-lane solve would;
+//   * a finished lane is frozen by SKIPPING its updates, never by
+//     arithmetic (a multiply-by-zero could flip signed zeros or spread NaN);
+//     its direction still occupies its SpMM lane, where lanes are
+//     independent.
 //
-// Lanes stop individually for exactly the reasons cgls() stops: exact
-// solution (gamma == 0), stalled step (qq == 0), divergence, the
-// early-stop heuristic, or the iteration budget; a cancel token stops all
-// live lanes at the next round boundary. On-disk checkpointing is not
-// supported on the block path (K slices sharing one file would corrupt);
-// divergence detection still applies per lane, without rollback — the
-// same semantics as a single solve with no checkpoint configured.
+// Lanes stop individually (gamma == 0, qq == 0, divergence, early stop, or
+// the budget); a cancel token stops every live lane at the next round.
+// Snapshot rollback is per lane. A checkpoint file holds one lane, so a
+// checkpoint path with k > 1 throws InvalidArgument.
 #pragma once
 
 #include <vector>
 
-#include "solve/operator.hpp"
-#include "solve/solver.hpp"
+#include "solve/cgls.hpp"
 
 namespace memxct::solve {
 
-/// Options mirroring CglsOptions minus checkpoint/restart (unsupported on
-/// the lockstep path) with the divergence threshold kept.
-struct BlockCglsOptions {
-  int max_iterations = 30;
-  bool early_stop = false;
-  double early_stop_tol = 1e-3;
-  bool record_history = true;
-  double tikhonov_lambda = 0.0;
-  /// Residual > factor × best-seen counts as divergence for that lane; 0
-  /// disables the explosion check (matches CheckpointOptions default).
-  double divergence_factor = 1e6;
-  const CancelToken* cancel = nullptr;
-};
+using BlockCglsOptions = CglsOptions;
 
 struct BlockSolveResult {
   /// Per-slice results, index-aligned with the input slices. Each carries
@@ -57,9 +39,16 @@ struct BlockSolveResult {
   double seconds = 0.0;
 };
 
-/// Runs k CGLS instances in lockstep from x = 0. `y_slab` holds the k
-/// ordered measurement slices contiguously (slice s at
-/// y_slab[s·num_rows(), (s+1)·num_rows())).
+/// Runs k CGLS instances in lockstep. `y_slab` holds the k ordered
+/// measurement slices contiguously (slice s at
+/// y_slab[s·num_rows(), (s+1)·num_rows())); `x0_slab` is empty (cold start)
+/// or holds k starting iterates in the same layout over num_cols().
+[[nodiscard]] BlockSolveResult cgls_lanes(const LinearOperator& op,
+                                          std::span<const real> y_slab,
+                                          std::span<const real> x0_slab,
+                                          idx_t k, const CglsOptions& options);
+
+/// cgls_lanes from x = 0.
 [[nodiscard]] BlockSolveResult cgls_block(const LinearOperator& op,
                                           std::span<const real> y_slab,
                                           idx_t k,

@@ -4,7 +4,8 @@
 // one forward projection and one backprojection per iteration, with the
 // step size found analytically (the extra forward projection the paper
 // mentions is the A·p product whose norm gives alpha) and search directions
-// kept conjugate by the three-term recursion.
+// kept conjugate by the three-term recursion. One recursion serves one
+// slice and k lockstep slices alike (cgls_lanes in solve/block.hpp).
 #pragma once
 
 #include "solve/operator.hpp"
@@ -22,7 +23,8 @@ struct CglsOptions {
   /// CGLS recursion. 0 = unregularized.
   double tikhonov_lambda = 0.0;
   /// Checkpoint/restart and divergence recovery; a resumed solve is
-  /// bitwise-identical to an uninterrupted one.
+  /// bitwise-identical to an uninterrupted one. The divergence threshold
+  /// (checkpoint.divergence_factor, 1e6) applies to every lane.
   CheckpointOptions checkpoint;
   /// Cooperative cancellation/deadline, polled at iteration granularity
   /// (nullptr = never cancelled). The token outlives the solve.
@@ -39,8 +41,8 @@ struct CglsOptions {
 
 /// Runs CGLS from the given starting iterate (warm start). Adjacent slices
 /// of a 3D volume are nearly identical, so seeding each slice with its
-/// neighbour's solution cuts iterations substantially (used by the
-/// VolumeReconstructor). Pass an empty span for a cold start.
+/// neighbour's solution cuts iterations substantially (core::SolveExtras'
+/// warm_start_image). Pass an empty span for a cold start.
 [[nodiscard]] SolveResult cgls_warm(const LinearOperator& op,
                                     std::span<const real> y,
                                     std::span<const real> x0,

@@ -2,8 +2,8 @@
 //
 // Solvers (CGLS, SIRT, GD) are written against this interface so the same
 // algorithm runs on the serial memoized operator, the buffered-kernel
-// operator, the compute-centric on-the-fly operator, and the distributed
-// R·C·A_p operator — the "plug-and-play" property of Section 3.5.2.
+// operator, the compute-centric on-the-fly operator, and the sharded
+// operator — the "plug-and-play" property of Section 3.5.2.
 #pragma once
 
 #include <span>

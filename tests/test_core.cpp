@@ -335,6 +335,53 @@ TEST(Reconstructor, PreprocessingReusedAcrossSlices) {
   EXPECT_NE(ra.image, rb.image);  // different slices, same preprocessing
 }
 
+TEST(Reconstructor, ExtrasFollowOneRule) {
+  // validate_extras: angle_mask is OS only, prior_* is CGLS only, a warm
+  // start is CGLS or OS; every span must match the geometry.
+  const auto g = geometry::make_geometry(24, 16);
+  const std::vector<real> image(
+      static_cast<std::size_t>(g.tomogram_extent().size()), real{0});
+  const std::vector<real> mask(static_cast<std::size_t>(g.num_angles),
+                               real{1});
+  const std::vector<real> short_image(7, real{0});
+  Config cgls, sirt, os;
+  sirt.solver = SolverKind::SIRT;
+  os.solver = SolverKind::OsSirt;
+
+  SolveExtras warm;
+  warm.warm_start_image = image;
+  EXPECT_NO_THROW(validate_extras(g, cgls, warm));
+  EXPECT_NO_THROW(validate_extras(g, os, warm));
+  EXPECT_THROW(validate_extras(g, sirt, warm), InvalidArgument);
+  SolveExtras masked;
+  masked.angle_mask = mask;
+  EXPECT_NO_THROW(validate_extras(g, os, masked));
+  EXPECT_THROW(validate_extras(g, cgls, masked), InvalidArgument);
+  SolveExtras prior;
+  prior.prior_image = image;
+  prior.prior_lambda = 2.0;
+  EXPECT_NO_THROW(validate_extras(g, cgls, prior));
+  EXPECT_THROW(validate_extras(g, os, prior), InvalidArgument);
+  EXPECT_THROW(validate_extras(g, sirt, prior), InvalidArgument);
+
+  SolveExtras bad;
+  bad.warm_start_image = short_image;
+  EXPECT_THROW(validate_extras(g, cgls, bad), InvalidArgument);
+  bad = {};
+  bad.prior_image = short_image;
+  EXPECT_THROW(validate_extras(g, cgls, bad), InvalidArgument);
+  bad = prior;
+  bad.prior_lambda = -1.0;
+  EXPECT_THROW(validate_extras(g, cgls, bad), InvalidArgument);
+
+  // reconstruct_slice applies the same rule before any work.
+  sirt.iterations = 2;
+  const Reconstructor recon(g, sirt);
+  const AlignedVector<real> sino(
+      static_cast<std::size_t>(g.sinogram_extent().size()), real{1});
+  EXPECT_THROW((void)recon.reconstruct(sino, &warm), InvalidArgument);
+}
+
 TEST(Reconstructor, RejectsWrongSinogramSize) {
   const auto spec = phantom::dataset("ADS1").scaled_by(16);
   const auto data = phantom::generate(spec, 15);

@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/volume.hpp"
+#include "core/reconstructor.hpp"
 #include "geometry/projector.hpp"
 #include "io/pgm.hpp"
 #include "io/serialize.hpp"
@@ -88,15 +88,16 @@ TEST(Integration, DistributedVolumeReconstruction) {
   core::Config config;
   config.iterations = 6;
   config.num_shards = 4;
-  const core::VolumeReconstructor volume(g, config);
-  const auto result = volume.reconstruct(2, [&](int s) {
-    return phantom::forward_project(g,
-                                    phantom::shale_phantom(g.image_size,
-                                                           20 + s));
-  });
-  ASSERT_EQ(result.slices.size(), 2u);
-  EXPECT_NE(result.slices[0], result.slices[1]);
-  const auto* sharded = volume.slice_reconstructor().shard_op();
+  const core::Reconstructor recon(g, config);
+  std::vector<std::vector<real>> slices;
+  for (int s = 0; s < 2; ++s)
+    slices.push_back(recon
+                         .reconstruct(phantom::forward_project(
+                             g, phantom::shale_phantom(g.image_size, 20 + s)))
+                         .image);
+  ASSERT_EQ(slices.size(), 2u);
+  EXPECT_NE(slices[0], slices[1]);
+  const auto* sharded = recon.shard_op();
   ASSERT_NE(sharded, nullptr);
   EXPECT_EQ(sharded->num_shards(), 4);
   EXPECT_GT(sharded->stats().applies, 0);
@@ -165,15 +166,27 @@ TEST(Integration, TikhonovVolumeOnNoisySlices) {
 
   core::Config config;
   config.iterations = 20;
-  const core::VolumeReconstructor volume(g, config);
-  const auto plain = volume.reconstruct(3, source, {});
-  const auto regularized =
-      volume.reconstruct(3, source, {.warm_start = false, .z_lambda = 5.0});
+  const core::Reconstructor recon(g, config);
+  // The neighbour chain: slice s is pulled toward slice s-1's image.
+  const auto chain = [&](double z_lambda) {
+    std::vector<std::vector<real>> slices;
+    for (int s = 0; s < 3; ++s) {
+      core::SolveExtras extras;
+      if (!slices.empty() && z_lambda > 0.0) {
+        extras.prior_image = slices.back();
+        extras.prior_lambda = z_lambda;
+      }
+      slices.push_back(recon.reconstruct(source(s), &extras).image);
+    }
+    return slices;
+  };
+  const auto plain = chain(0.0);
+  const auto regularized = chain(5.0);
   double err_plain = 0.0, err_reg = 0.0;
   for (int s = 0; s < 3; ++s) {
-    err_plain += phantom::rmse(plain.slices[static_cast<std::size_t>(s)],
+    err_plain += phantom::rmse(plain[static_cast<std::size_t>(s)],
                                truths[static_cast<std::size_t>(s)]);
-    err_reg += phantom::rmse(regularized.slices[static_cast<std::size_t>(s)],
+    err_reg += phantom::rmse(regularized[static_cast<std::size_t>(s)],
                              truths[static_cast<std::size_t>(s)]);
   }
   // Slices 1-2 are pulled toward their (equally noisy but independent)

@@ -690,6 +690,26 @@ TEST(StreamServe, SeededFaultStormIsTransparentUnderRetry) {
                       "storm stream vs clean stream");
 }
 
+TEST(StreamServe, CglsWarmStartMatchesCoreReconstruction) {
+  // A warm start is a CGLS extra too: admitted at submit, and the served
+  // image equals Reconstructor::reconstruct with the same extras bit for bit.
+  const auto f = make_serve_fixture();
+  core::Config cgls = f.config;
+  cgls.solver = core::SolverKind::CGLS;
+  const core::Reconstructor recon(f.geom, cgls);
+  const auto cold = recon.reconstruct(f.sino);
+  core::SolveExtras extras;
+  extras.warm_start_image = cold.image;
+  const auto local = recon.reconstruct(f.sino, &extras);
+
+  serve::Server server({.workers = 1});
+  serve::RequestOptions warm;
+  warm.warm_start_image = cold.image;
+  const auto served = server.wait(server.submit(f.geom, cgls, f.sino, warm));
+  ASSERT_EQ(served.status, serve::RequestStatus::Ok);
+  expect_bitwise_eq(served.image, local.image, "served vs core warm CGLS");
+}
+
 TEST(StreamServe, ExtrasValidationAtSubmit) {
   const auto f = make_serve_fixture();
   serve::Server server({.workers = 1});

@@ -509,6 +509,69 @@ TEST(SpmmSolver, BlockSolverRequiresCgls) {
                InvalidArgument);
 }
 
+TEST(SpmmSolver, WarmLanesMatchPerSliceWarmBitwise) {
+  // A k-lane solve from an x0 slab equals k one-lane warm starts, with the
+  // damped warm-start term (s -= λ²·x0) exercised and lanes stopping early
+  // at different iterations.
+  const auto g = geometry::make_geometry(48, 32);
+  const core::Reconstructor recon(g, core::Config{});
+  const auto& op = recon.op();
+  const auto m = static_cast<std::size_t>(op.num_rows());
+  const auto n = static_cast<std::size_t>(op.num_cols());
+  const idx_t k = 3;
+  const auto clean = phantom::forward_project(g, phantom::shepp_logan(32));
+  AlignedVector<real> y_slab(m * k), x0_slab(n * k);
+  core::SliceWorkspace ws;
+  for (idx_t s = 0; s < k; ++s) {
+    AlignedVector<real> sino = clean;
+    Rng rng(300 + static_cast<std::uint64_t>(s));
+    phantom::add_poisson_noise(sino, 300.0 * (s + 1), rng);
+    (void)core::ingest_and_order(g, core::Config{}, recon.sinogram_ordering(),
+                                 sino, ws);
+    std::copy(ws.ordered.begin(), ws.ordered.end(),
+              y_slab.begin() + static_cast<std::ptrdiff_t>(s * m));
+    const auto x0 = testutil::random_vector(
+        static_cast<idx_t>(n), 400 + static_cast<std::uint64_t>(s));
+    std::copy(x0.begin(), x0.end(),
+              x0_slab.begin() + static_cast<std::ptrdiff_t>(s * n));
+  }
+  solve::CglsOptions opt;
+  opt.max_iterations = 40;
+  opt.early_stop = true;
+  opt.tikhonov_lambda = 0.5;
+  const auto lanes = solve::cgls_lanes(op, y_slab, x0_slab, k, opt);
+  ASSERT_EQ(lanes.slices.size(), static_cast<std::size_t>(k));
+  for (idx_t s = 0; s < k; ++s) {
+    SCOPED_TRACE("lane " + std::to_string(s));
+    const auto lane = static_cast<std::size_t>(s);
+    const auto ref = solve::cgls_warm(
+        op, std::span<const real>(y_slab).subspan(lane * m, m),
+        std::span<const real>(x0_slab).subspan(lane * n, n), opt);
+    const auto& got = lanes.slices[lane];
+    EXPECT_EQ(ref.iterations, got.iterations);
+    ASSERT_EQ(ref.x.size(), got.x.size());
+    EXPECT_EQ(0, std::memcmp(ref.x.data(), got.x.data(),
+                             ref.x.size() * sizeof(real)));
+    ASSERT_EQ(ref.history.size(), got.history.size());
+    for (std::size_t i = 0; i < ref.history.size(); ++i)
+      EXPECT_EQ(ref.history[i].residual_norm, got.history[i].residual_norm);
+  }
+}
+
+TEST(SpmmSolver, CheckpointFileNeedsOneLane) {
+  // One checkpoint file holds one lane's recursion; k > 1 lanes sharing it
+  // would corrupt it, so the path is a typed rejection there.
+  const auto g = geometry::make_geometry(24, 16);
+  const core::Reconstructor recon(g, core::Config{});
+  const AlignedVector<real> y_slab(
+      2 * static_cast<std::size_t>(recon.op().num_rows()), real{1});
+  solve::BlockCglsOptions opt;
+  opt.max_iterations = 2;
+  opt.checkpoint.path = "unused.ckpt";
+  EXPECT_THROW((void)solve::cgls_block(recon.op(), y_slab, 2, opt),
+               InvalidArgument);
+}
+
 // ---------------------------------------------------------------------------
 // Batch level: block_width waves vs width-1 workers.
 
