@@ -81,16 +81,15 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
       geometry_.tomogram_extent(), config_.ordering, config_.tile_size);
   report_.ordering_seconds = phase.seconds();
 
-  // Step 2: memoized ray tracing. When nothing but the buffered operator
-  // reads the traced matrix — no trace cache, no tuner measuring it, no
-  // shard slices — the rays are traced straight into the buffered forward
-  // and the CSR A never exists (DESIGN.md §23). Every other config traces
-  // the ordered CSR A, loaded from the checked cache when one is configured
-  // and intact, else recomputed (and the cache repopulated with an atomic
-  // write).
+  // Step 2: memoized ray tracing. When nothing but a buffered operator
+  // reads the traced matrix — no trace cache, no tuner measuring it — the
+  // rays are traced straight into the buffered forward and the CSR A never
+  // exists (DESIGN.md §23); the serial operator and the shard tiles are both
+  // built from it. Every other config traces the ordered CSR A, loaded from
+  // the checked cache when one is configured and intact, else recomputed
+  // (and the cache repopulated with an atomic write).
   phase.reset();
   const bool direct = config_.kernel == KernelKind::Buffered &&
-                      config_.num_shards == 1 &&
                       config_.autotune == AutotuneMode::Off &&
                       config_.cache_dir.empty();
   sparse::BufferedMatrix fwd;  // the direct route's traced forward
@@ -135,11 +134,14 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
   }
 
   if (config_.num_shards > 1) {
-    // Sharded path: per-shard row slices of A and A^T with
-    // precomputed halo-exchange plans (shard/sharded_operator.hpp). The
-    // shard slices are fp32 row copies of the traced matrix (validate_config
-    // already rejected reduced precision and non-Baseline/Buffered kernels
-    // here — no shard-local forms exist for them).
+    // Sharded path: per-shard tiles of A and A^T with precomputed
+    // halo-exchange plans (shard/sharded_operator.hpp). Buffered tiles are
+    // cut from the staged forward (the direct route's, or one staged from
+    // the CSR A, which is released first) and the backward staged from it;
+    // Baseline tiles are row slices of A and its CSR transpose. Tiles hold
+    // fp32 values (validate_config already rejected reduced precision and
+    // non-Baseline/Buffered kernels here — no shard-local forms exist for
+    // them).
     phase.reset();
     shard::ShardedOperator::Options opt;
     opt.num_shards = config_.num_shards;
@@ -150,7 +152,17 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
     opt.group_size = config_.shard_group_size;
     opt.pipeline_tiles = config_.shard_pipeline_tiles;
     opt.machine = perf::machine(config_.machine);
-    shard_op_ = std::make_unique<shard::ShardedOperator>(a, opt);
+    if (opt.kernel == shard::LocalKernel::Buffered) {
+      if (!direct) {
+        // Staged here rather than by the CSR constructor, so that A is
+        // released before the backward is staged from the forward.
+        fwd = sparse::build_buffered(a, config_.buffer);
+        a = sparse::CsrMatrix{};
+      }
+      shard_op_ = std::make_unique<shard::ShardedOperator>(std::move(fwd), opt);
+    } else {
+      shard_op_ = std::make_unique<shard::ShardedOperator>(a, opt);
+    }
     report_.partition_seconds = phase.seconds();
     report_.regular_bytes = shard_op_->bytes();
     active_op_ = shard_op_.get();
@@ -178,8 +190,9 @@ resil::IngestReport ingest_and_order(const geometry::Geometry& geometry,
                                      const hilbert::Ordering& sino_order,
                                      std::span<const real> sinogram,
                                      SliceWorkspace& ws) {
-  MEMXCT_CHECK(static_cast<std::int64_t>(sinogram.size()) ==
-               geometry.sinogram_extent().size());
+  if (static_cast<std::int64_t>(sinogram.size()) !=
+      geometry.sinogram_extent().size())
+    throw InvalidArgument("sinogram size does not match the geometry");
 
   // Ingest gate: a NaN here would poison every solver inner product from
   // the first backprojection on, so anomalies are rejected or repaired

@@ -80,8 +80,9 @@ struct SliceWorkspace {
 /// Front half of reconstruct_slice: ingest gate (validate / sanitize per
 /// config.ingest) followed by permutation into ordered sinogram space.
 /// Fills ws.ordered with the solver-ready measurement vector and returns
-/// the ingest report. Throws InvalidArgument under the Reject policy when
-/// the sinogram fails validation. Shared verbatim by the single-slice and
+/// the ingest report. Throws InvalidArgument for a sinogram whose size does
+/// not match the geometry, and under the Reject policy when the sinogram
+/// fails validation. Shared verbatim by the single-slice and
 /// block paths, so both see identical solver inputs.
 resil::IngestReport ingest_and_order(const geometry::Geometry& geometry,
                                      const Config& config,

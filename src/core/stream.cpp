@@ -16,14 +16,13 @@ AngleAccumulator::AngleAccumulator(const geometry::Geometry& geometry)
 
 void AngleAccumulator::add(int first_angle, int count,
                            std::span<const real> rows) {
-  MEMXCT_CHECK_MSG(count >= 1, "push_chunk: empty chunk");
-  MEMXCT_CHECK_MSG(
-      first_angle >= 0 &&
-          count <= static_cast<int>(mask_.size()) - first_angle,
-      "push_chunk: angle range outside the geometry");
-  MEMXCT_CHECK_MSG(static_cast<std::int64_t>(rows.size()) ==
-                       static_cast<std::int64_t>(count) * num_channels_,
-                   "push_chunk: row data size does not match the range");
+  if (count < 1) throw InvalidArgument("push_chunk: empty chunk");
+  if (first_angle < 0 || count > static_cast<int>(mask_.size()) - first_angle)
+    throw InvalidArgument("push_chunk: angle range outside the geometry");
+  if (static_cast<std::int64_t>(rows.size()) !=
+      static_cast<std::int64_t>(count) * num_channels_)
+    throw InvalidArgument(
+        "push_chunk: row data size does not match the range");
   std::copy(rows.begin(), rows.end(),
             sino_.begin() + static_cast<std::ptrdiff_t>(first_angle) *
                                 num_channels_);
@@ -68,8 +67,8 @@ std::vector<ReconstructionResult> reconstruct_stream(
     const Reconstructor& recon, std::span<const real> sinogram,
     int chunk_angles, const solve::CancelToken* cancel) {
   const auto& g = recon.geometry();
-  MEMXCT_CHECK(static_cast<std::int64_t>(sinogram.size()) ==
-               g.sinogram_extent().size());
+  if (static_cast<std::int64_t>(sinogram.size()) != g.sinogram_extent().size())
+    throw InvalidArgument("sinogram size does not match the geometry");
   const int total = static_cast<int>(g.num_angles);
   const int chunk = chunk_angles <= 0 ? total : std::min(chunk_angles, total);
 

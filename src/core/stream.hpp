@@ -39,7 +39,8 @@ class AngleAccumulator {
   /// Copies `count` angles from `first_angle` on (`rows`: count ×
   /// num_channels natural angle-major samples) and marks them arrived.
   /// Re-adding a range overwrites it, so a retry is bitwise idempotent.
-  /// Throws InvariantError for an empty or out-of-range chunk.
+  /// Throws InvalidArgument for an empty or out-of-range chunk, or rows
+  /// whose size does not match the range.
   void add(int first_angle, int count, std::span<const real> rows);
 
   [[nodiscard]] bool complete() const noexcept {

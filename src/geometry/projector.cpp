@@ -226,7 +226,8 @@ sparse::BufferedMatrix build_projection_buffered(
     for (idx_t p = 0; p < numparts; ++p) {
       trace_partition(tracer, p, false, rows);
       parts[static_cast<std::size_t>(p)] = {
-          scratch.footprint.count(rows, 0, rows.num_rows), rows.nnz()};
+          scratch.footprint.count(rows.row_columns(0, rows.num_rows)),
+          rows.nnz()};
     }
 #pragma omp single
     try {

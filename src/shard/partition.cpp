@@ -4,15 +4,19 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/grid.hpp"
 
 namespace memxct::shard {
 
-dist::DomainPartition partition_rows_aligned(const sparse::CsrMatrix& a,
-                                             int num_shards, idx_t partsize) {
+namespace {
+
+// Cuts `rows` rows of `total` nonzeros; nnz_before(r) is the nonzero count
+// of rows [0, r) for every r that is a multiple of partsize or is `rows`.
+template <class NnzBefore>
+dist::DomainPartition cut_aligned(idx_t rows, nnz_t total, int num_shards,
+                                  idx_t partsize, NnzBefore nnz_before) {
   MEMXCT_CHECK_MSG(num_shards >= 1, "shard partition: num_shards must be >= 1");
   MEMXCT_CHECK_MSG(partsize >= 1, "shard partition: partsize must be >= 1");
-  const idx_t rows = a.num_rows;
-  const nnz_t total = a.nnz();
 
   std::vector<idx_t> displ(static_cast<std::size_t>(num_shards) + 1, 0);
   displ.back() = rows;
@@ -32,9 +36,7 @@ dist::DomainPartition partition_rows_aligned(const sparse::CsrMatrix& a,
     double best_err = -1.0;
     for (idx_t b = cand; b <= rows; b += partsize) {
       const idx_t bb = b < rows ? b : rows;
-      const double err =
-          std::abs(static_cast<double>(a.displ[static_cast<std::size_t>(bb)]) -
-                   ideal);
+      const double err = std::abs(static_cast<double>(nnz_before(bb)) - ideal);
       if (best_err < 0.0 || err < best_err) {
         best_err = err;
         best = bb;
@@ -49,6 +51,28 @@ dist::DomainPartition partition_rows_aligned(const sparse::CsrMatrix& a,
     prev = best;
   }
   return dist::DomainPartition(num_shards, std::move(displ));
+}
+
+}  // namespace
+
+dist::DomainPartition partition_rows_aligned(const sparse::CsrMatrix& a,
+                                             int num_shards, idx_t partsize) {
+  return cut_aligned(a.num_rows, a.nnz(), num_shards, partsize,
+                     [&a](idx_t r) { return a.displ[r]; });
+}
+
+dist::DomainPartition partition_rows_aligned(const sparse::BufferedMatrix& b,
+                                             int num_shards) {
+  // Partition q's entries start at its first stage's first cell.
+  const idx_t partsize = b.config.partsize;
+  return cut_aligned(b.num_rows, b.nnz(), num_shards, partsize,
+                     [&b, partsize](idx_t r) {
+                       const idx_t part = ceil_div(r, partsize);
+                       const auto stage = static_cast<std::size_t>(
+                           b.partdispl[static_cast<std::size_t>(part)]);
+                       return b.displ[stage *
+                                      static_cast<std::size_t>(partsize)];
+                     });
 }
 
 }  // namespace memxct::shard

@@ -14,6 +14,7 @@
 #pragma once
 
 #include "dist/partition.hpp"
+#include "sparse/buffered.hpp"
 #include "sparse/csr.hpp"
 
 namespace memxct::shard {
@@ -27,5 +28,11 @@ namespace memxct::shard {
 /// local matrices and exchange zero bytes.
 [[nodiscard]] dist::DomainPartition partition_rows_aligned(
     const sparse::CsrMatrix& a, int num_shards, idx_t partsize);
+
+/// The same cuts for the rows of a staged matrix at its own partsize, read
+/// from its per-partition nonzero prefix: for b = build_buffered(a, config)
+/// they equal partition_rows_aligned(a, num_shards, config.partsize).
+[[nodiscard]] dist::DomainPartition partition_rows_aligned(
+    const sparse::BufferedMatrix& b, int num_shards);
 
 }  // namespace memxct::shard

@@ -3,11 +3,12 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/grid.hpp"
 #include "perf/timer.hpp"
 #include "shard/partition.hpp"
 #include "sparse/footprint.hpp"
@@ -26,7 +27,8 @@ std::int64_t buffered_bytes(const sparse::BufferedMatrix& b) {
          static_cast<std::int64_t>(b.map.size() * sizeof(idx_t)) +
          static_cast<std::int64_t>(b.displ.size() * sizeof(nnz_t)) +
          static_cast<std::int64_t>(b.ind.size() * sizeof(buf_idx_t)) +
-         static_cast<std::int64_t>(b.val.size() * sizeof(real));
+         static_cast<std::int64_t>(b.val.size() * sizeof(real)) +
+         static_cast<std::int64_t>(b.val16.size() * sizeof(std::uint16_t));
 }
 
 std::int64_t plan_rank_bytes(const ExchangePlan& plan, int p) {
@@ -43,13 +45,79 @@ std::int64_t plan_rank_bytes(const ExchangePlan& plan, int p) {
   return b;
 }
 
-// Lowers `slot` to `value` if that is smaller; concurrent callers leave the
-// minimum of all their values, whatever their order.
-void atomic_min(int& slot, int value) {
-  std::atomic_ref<int> a(slot);
-  int cur = a.load();
-  while (cur > value && !a.compare_exchange_weak(cur, value)) {
+ShardedOperator::Options checked(ShardedOperator::Options opt) {
+  MEMXCT_CHECK_MSG(opt.num_shards >= 1,
+                   "sharded operator: num_shards must be >= 1");
+  opt.group_size = std::max(1, opt.group_size);
+  return opt;
+}
+
+// Uniform pipeline tile count, bounded by the largest shard's partition
+// count so every non-empty tile is at least one kernel partition.
+int tile_count(const dist::DomainPartition& sino,
+               const dist::DomainPartition& tomo, idx_t partsize,
+               const ShardedOperator::Options& opt) {
+  idx_t max_np = 1;
+  for (int p = 0; p < opt.num_shards; ++p) {
+    max_np = std::max(max_np, ceil_div(sino.size(p), partsize));
+    max_np = std::max(max_np, ceil_div(tomo.size(p), partsize));
   }
+  const int tiles = opt.pipeline_tiles > 0 ? opt.pipeline_tiles : 4;
+  return std::max(1, std::min<int>(tiles, static_cast<int>(max_np)));
+}
+
+// The column ids that rows [r0, r1) read, whose distinct values are the
+// range's footprint: a CSR range's entries, or a staged range's map slice
+// (each partition's distinct columns). Range ends are multiples of the
+// partition size or the row count.
+std::span<const idx_t> range_columns(const sparse::CsrMatrix& m, idx_t r0,
+                                     idx_t r1) {
+  return m.row_columns(r0, r1);
+}
+
+std::span<const idx_t> range_columns(const sparse::BufferedMatrix& m,
+                                     idx_t r0, idx_t r1) {
+  const idx_t ps = m.config.partsize;
+  const nnz_t b = m.stagedispl[static_cast<std::size_t>(
+      m.partdispl[static_cast<std::size_t>(ceil_div(r0, ps))])];
+  const nnz_t e = m.stagedispl[static_cast<std::size_t>(
+      m.partdispl[static_cast<std::size_t>(ceil_div(r1, ps))])];
+  return {m.map.data() + b, static_cast<std::size_t>(e - b)};
+}
+
+// Rows [r0, r1) with their columns compacted to the footprint `index` holds
+// (`cols` columns): the Baseline-CSR tile, a row slice of A or A^T.
+sparse::CsrMatrix cut_rows(const sparse::CsrMatrix& m, idx_t r0, idx_t r1,
+                           const sparse::FootprintIndex& index, idx_t cols) {
+  // The slice's arrays are sized once and filled here, so the filling
+  // thread first-touches their pages.
+  sparse::CsrMatrix local;
+  local.num_rows = r1 - r0;
+  local.num_cols = cols;
+  local.displ.resize(static_cast<std::size_t>(local.num_rows) + 1);
+  const nnz_t base = m.displ[r0];
+  for (idx_t r = 0; r <= local.num_rows; ++r)
+    local.displ[static_cast<std::size_t>(r)] = m.displ[r0 + r] - base;
+  const nnz_t n = local.displ.back();
+  local.ind.resize(static_cast<std::size_t>(n));
+  local.val.resize(static_cast<std::size_t>(n));
+#pragma omp parallel for schedule(static)
+  for (nnz_t j = 0; j < n; ++j) {
+    local.ind[static_cast<std::size_t>(j)] = index.position(m.ind[base + j]);
+    local.val[static_cast<std::size_t>(j)] = m.val[base + j];
+  }
+  return local;
+}
+
+// The same rows as a Buffered tile: the staged matrix's partitions cut out
+// with their map compacted, byte for byte what build_buffered makes of the
+// compacted CSR slice.
+sparse::BufferedMatrix cut_rows(const sparse::BufferedMatrix& m, idx_t r0,
+                                idx_t r1, const sparse::FootprintIndex& index,
+                                idx_t cols) {
+  const idx_t ps = m.config.partsize;
+  return sparse::cut_partitions(m, ceil_div(r0, ps), ceil_div(r1, ps), index,
+                                cols);
 }
 
 }  // namespace
@@ -72,8 +140,13 @@ ShardedOperator::ShardedOperator(const sparse::CsrMatrix& a,
                                  const Options& opt)
     : ShardedOperator(build_storage(a, opt)) {}
 
+ShardedOperator::ShardedOperator(sparse::BufferedMatrix fwd,
+                                 const Options& opt)
+    : ShardedOperator(build_storage(std::move(fwd), opt)) {}
+
+template <class Matrix>
 ShardedOperator::Side ShardedOperator::build_side(
-    const sparse::CsrMatrix& m, dist::DomainPartition rows,
+    const Matrix& m, dist::DomainPartition rows,
     const dist::DomainPartition& input_owner, const Options& opt,
     idx_t partsize, int tiles) {
   const int P = opt.num_shards;
@@ -88,7 +161,7 @@ ShardedOperator::Side ShardedOperator::build_side(
   for (int p = 0; p < P; ++p) {
     const idx_t rb = side.rows.begin(p);
     const idx_t local_rows = side.rows.end(p) - rb;
-    const idx_t np = std::max<idx_t>(1, (local_rows + partsize - 1) / partsize);
+    const idx_t np = std::max<idx_t>(1, ceil_div(local_rows, partsize));
     auto& blocks = side.tiles[static_cast<std::size_t>(p)];
     blocks.resize(static_cast<std::size_t>(tiles));
     for (int t = 0; t < tiles; ++t) {
@@ -118,13 +191,11 @@ ShardedOperator::Side ShardedOperator::build_side(
   };
 
   // One parallel region: footprints per shard, then one loop over the
-  // P × tiles blocks. Every block writes only its own arrays, so the bytes
-  // do not depend on which thread builds which block; the only shared
-  // output, first_tile, is a minimum and so is order-independent too. With
-  // fewer blocks than threads, a block per thread would leave threads idle
-  // while each nested buffered build runs on one: the region then stays
-  // inactive, the blocks run in sequence, and each block's buffered build
-  // gets the whole team.
+  // P × tiles blocks. Every block writes only its own tile, so the bytes do
+  // not depend on which thread builds which block. With fewer blocks than
+  // threads, a block per thread would leave threads idle while each nested
+  // copy runs on one: the region then stays inactive, the blocks run in
+  // sequence, and each block's copy gets the whole team.
   const int num_blocks = P * tiles;
 #pragma omp parallel if (num_blocks >= omp_get_max_threads())
   {
@@ -132,53 +203,37 @@ ShardedOperator::Side ShardedOperator::build_side(
 #pragma omp for schedule(dynamic, 1)
     for (int p = 0; p < P; ++p) {
       guarded([&] {
-        auto& fp = side.footprint[static_cast<std::size_t>(p)];
-        fp = footprint.collect(m, side.rows.begin(p), side.rows.end(p));
-        first_tile[static_cast<std::size_t>(p)].assign(fp.size(), tiles);
+        const auto sp = static_cast<std::size_t>(p);
+        auto& fp = side.footprint[sp];
+        fp = footprint.collect(
+            range_columns(m, side.rows.begin(p), side.rows.end(p)));
+        // The exchange plan needs, per footprint column, the first tile
+        // that reads it: tiles in descending order leave the least.
+        footprint.index(fp);
+        auto& ft = first_tile[sp];
+        ft.assign(fp.size(), tiles);
+        for (int t = tiles - 1; t >= 0; --t) {
+          const TileBlock& block = side.tiles[sp][static_cast<std::size_t>(t)];
+          for (const idx_t c : range_columns(m, block.row_begin,
+                                             block.row_begin + block.rows))
+            ft[static_cast<std::size_t>(footprint.position(c))] = t;
+        }
       });
     }
 #pragma omp for schedule(dynamic, 1)
     for (int b = 0; b < num_blocks; ++b) {
       guarded([&] {
-        const int p = b / tiles;
-        const int t = b % tiles;
-        const auto& fp = side.footprint[static_cast<std::size_t>(p)];
-        auto& ft = first_tile[static_cast<std::size_t>(p)];
-        TileBlock& block = side.tiles[static_cast<std::size_t>(p)]
-                                     [static_cast<std::size_t>(t)];
+        const auto sp = static_cast<std::size_t>(b / tiles);
+        TileBlock& block = side.tiles[sp][static_cast<std::size_t>(b % tiles)];
+        if (block.rows == 0) return;
+        const auto& fp = side.footprint[sp];
         footprint.index(fp);
-
-        // The slice's arrays are sized once and filled here, so this thread
-        // first-touches their pages.
-        sparse::CsrMatrix& local = block.local;
-        local.num_rows = block.rows;
-        local.num_cols = static_cast<idx_t>(fp.size());
-        local.displ.resize(static_cast<std::size_t>(block.rows) + 1);
-        const nnz_t base = m.displ[block.row_begin];
-        for (idx_t r = 0; r <= block.rows; ++r)
-          local.displ[static_cast<std::size_t>(r)] =
-              m.displ[block.row_begin + r] - base;
-        const nnz_t block_nnz = local.displ.back();
-        local.ind.resize(static_cast<std::size_t>(block_nnz));
-        local.val.resize(static_cast<std::size_t>(block_nnz));
-        // Like the buffered build below, the copy runs on this thread in an
-        // active region and on the team in an inactive one.
-#pragma omp parallel for schedule(static)
-        for (nnz_t j = 0; j < block_nnz; ++j) {
-          const idx_t pos = footprint.position(m.ind[base + j]);
-          local.ind[static_cast<std::size_t>(j)] = pos;
-          local.val[static_cast<std::size_t>(j)] = m.val[base + j];
-          atomic_min(ft[static_cast<std::size_t>(pos)], t);
-        }
-        if (opt.kernel == LocalKernel::Buffered && block.rows > 0) {
-          // Nested in an active region, the buffered build runs on this
-          // thread; in an inactive one it gets the team.
-          block.buffered = sparse::build_buffered(local, opt.buffer);
-          // The buffered structure is self-contained; the CSR slice it was
-          // staged from is dead weight — drop it so each shard's residency
-          // is the buffered footprint alone (the apply never reads it).
-          local = sparse::CsrMatrix{};
-        }
+        auto tile = cut_rows(m, block.row_begin, block.row_begin + block.rows,
+                             footprint, static_cast<idx_t>(fp.size()));
+        if constexpr (std::is_same_v<Matrix, sparse::CsrMatrix>)
+          block.local = std::move(tile);
+        else
+          block.buffered = std::move(tile);
       });
     }
   }
@@ -190,48 +245,73 @@ ShardedOperator::Side ShardedOperator::build_side(
 
 std::shared_ptr<const ShardedOperator::Storage> ShardedOperator::build_storage(
     const sparse::CsrMatrix& a, Options opt) {
-  MEMXCT_CHECK_MSG(opt.num_shards >= 1,
-                   "sharded operator: num_shards must be >= 1");
-  if (opt.group_size < 1) opt.group_size = 1;
-  const idx_t ps = opt.kernel == LocalKernel::Buffered ? opt.buffer.partsize
-                                                       : sparse::kCsrPartsize;
-  sparse::CsrMatrix at = sparse::transpose(a);
-  dist::DomainPartition sino = partition_rows_aligned(a, opt.num_shards, ps);
-  dist::DomainPartition tomo = partition_rows_aligned(at, opt.num_shards, ps);
+  opt = checked(std::move(opt));
+  if (opt.kernel == LocalKernel::Buffered)
+    return build_storage(sparse::build_buffered(a, opt.buffer), opt);
 
-  // Uniform pipeline tile count, bounded by the largest shard's partition
-  // count so every non-empty tile is at least one kernel partition.
-  idx_t max_np = 1;
-  for (int p = 0; p < opt.num_shards; ++p) {
-    max_np = std::max(max_np, (sino.size(p) + ps - 1) / ps);
-    max_np = std::max(max_np, (tomo.size(p) + ps - 1) / ps);
-  }
-  int tiles = opt.pipeline_tiles > 0 ? opt.pipeline_tiles : 4;
-  tiles = std::max(1, std::min<int>(tiles, static_cast<int>(max_np)));
-
-  // Backward side first, so A^T is released before the forward side is
+  // Baseline CSR: row slices of A and of its CSR transpose. The backward
+  // side is built first, so A^T is released before the forward side is
   // built: the peak is A + A^T + one side, not A + A^T + both.
+  const idx_t ps = sparse::kCsrPartsize;
+  sparse::CsrMatrix at = sparse::transpose(a);
+  const dist::DomainPartition sino =
+      partition_rows_aligned(a, opt.num_shards, ps);
+  const dist::DomainPartition tomo =
+      partition_rows_aligned(at, opt.num_shards, ps);
+  const int tiles = tile_count(sino, tomo, ps, opt);
   Side bwd = build_side(at, tomo, sino, opt, ps, tiles);
   at = sparse::CsrMatrix{};
   Side fwd = build_side(a, sino, tomo, opt, ps, tiles);
-  Storage st{opt,           a.num_rows,     a.num_cols, tiles,
-             std::move(fwd), std::move(bwd), {}};
+  return finish_storage(
+      {opt, a.num_rows, a.num_cols, tiles, std::move(fwd), std::move(bwd), {}});
+}
 
-  st.rank_bytes.assign(static_cast<std::size_t>(opt.num_shards), 0);
-  for (int p = 0; p < opt.num_shards; ++p) {
+std::shared_ptr<const ShardedOperator::Storage> ShardedOperator::build_storage(
+    sparse::BufferedMatrix fwd, Options opt) {
+  opt = checked(std::move(opt));
+  MEMXCT_CHECK_MSG(opt.kernel == LocalKernel::Buffered,
+                   "sharded operator: a staged forward builds Buffered shards");
+  MEMXCT_CHECK_MSG(fwd.config.partsize == opt.buffer.partsize &&
+                       fwd.config.buffsize == opt.buffer.buffsize,
+                   "sharded operator: forward staged in another BufferConfig");
+  // Every tile is a range of the serial pair's partitions (shard and tile
+  // cuts snap to partsize), so the tiles are cut from the staged forward and
+  // from the backward staged from it, and the build never holds a CSR A or
+  // A^T. Each side's source is released once its tiles are cut, backward
+  // first: the peak is forward + backward + one side.
+  const idx_t ps = fwd.config.partsize;
+  sparse::BufferedMatrix bwd =
+      sparse::build_buffered_transpose(fwd, fwd.config);
+  const dist::DomainPartition sino =
+      partition_rows_aligned(fwd, opt.num_shards);
+  const dist::DomainPartition tomo =
+      partition_rows_aligned(bwd, opt.num_shards);
+  const int tiles = tile_count(sino, tomo, ps, opt);
+  Side bwd_side = build_side(bwd, tomo, sino, opt, ps, tiles);
+  bwd = sparse::BufferedMatrix{};
+  Side fwd_side = build_side(fwd, sino, tomo, opt, ps, tiles);
+  const idx_t num_rows = fwd.num_rows;
+  const idx_t num_cols = fwd.num_cols;
+  fwd = sparse::BufferedMatrix{};
+  return finish_storage({opt, num_rows, num_cols, tiles, std::move(fwd_side),
+                         std::move(bwd_side), {}});
+}
+
+std::shared_ptr<const ShardedOperator::Storage>
+ShardedOperator::finish_storage(Storage st) {
+  const int P = st.opt.num_shards;
+  st.rank_bytes.assign(static_cast<std::size_t>(P), 0);
+  for (int p = 0; p < P; ++p) {
+    const auto sp = static_cast<std::size_t>(p);
     std::int64_t b = 0;
     for (const Side* side : {&st.fwd, &st.bwd}) {
-      const auto sp = static_cast<std::size_t>(p);
       b += static_cast<std::int64_t>(side->footprint[sp].size() *
                                      sizeof(idx_t));
-      for (const TileBlock& block : side->tiles[sp]) {
-        b += block.local.regular_bytes();
-        if (opt.kernel == LocalKernel::Buffered)
-          b += buffered_bytes(block.buffered);
-      }
+      for (const TileBlock& block : side->tiles[sp])
+        b += block.local.regular_bytes() + buffered_bytes(block.buffered);
       b += plan_rank_bytes(side->plan, p);
     }
-    st.rank_bytes[static_cast<std::size_t>(p)] = b;
+    st.rank_bytes[sp] = b;
   }
   return std::make_shared<const Storage>(std::move(st));
 }

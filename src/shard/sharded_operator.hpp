@@ -8,7 +8,8 @@
 // shard::reduce_traffic counts that traffic for the paper benches. This
 // operator instead runs owner-computes in BOTH directions: a shard computes
 // every output row it owns, over a column-compacted row slice of A
-// (forward) or A^T (backprojection), and the exchange C moves exact *input
+// (forward) or A^T (backprojection), cut from the serial build's staged
+// pair for the buffered kernel, and the exchange C moves exact *input
 // copies* (halo duplication, the paper's backprojection strategy) instead
 // of partial sums. Every floating-point accumulation therefore happens wholly
 // inside one shard, in the serial kernel's order — which is what buys the
@@ -93,10 +94,19 @@ class ShardedOperator final : public solve::LinearOperator {
     perf::MachineSpec machine = perf::machine("Theta");
   };
 
-  /// Builds per-shard row slices of `a` (and of its transpose) plus the
-  /// exchange plans. `a` is the full operator in ordered index space —
-  /// the same matrix the serial MemXCTOperator memoizes.
+  /// Builds the shard tiles of both directions plus the exchange plans.
+  /// `a` is the full operator in ordered index space — the same matrix the
+  /// serial MemXCTOperator memoizes. Buffered: the constructor below on
+  /// build_buffered(a, opt.buffer). BaselineCsr: row slices of `a` and of
+  /// its CSR transpose.
   ShardedOperator(const sparse::CsrMatrix& a, const Options& opt);
+
+  /// Buffered only: builds from A's fp32 staged forward, staged in
+  /// opt.buffer (geometry::build_projection_buffered or build_buffered).
+  /// The backward is staged from it (sparse::build_buffered_transpose) and
+  /// every tile is cut from the pair (sparse::cut_partitions), so no CSR A
+  /// or A^T exists during the build.
+  ShardedOperator(sparse::BufferedMatrix fwd, const Options& opt);
 
   [[nodiscard]] idx_t num_rows() const override { return num_rows_; }
   [[nodiscard]] idx_t num_cols() const override { return num_cols_; }
@@ -156,11 +166,12 @@ class ShardedOperator final : public solve::LinearOperator {
  private:
   /// One shard × pipeline-tile row slice with columns compacted to the
   /// shard's footprint (monotone remap — per-row entry order preserved).
+  /// An empty tile holds no matrix.
   struct TileBlock {
     idx_t row_begin = 0;  ///< Global row of the slice's first row.
     idx_t rows = 0;
-    sparse::CsrMatrix local;
-    sparse::BufferedMatrix buffered;  ///< Built for LocalKernel::Buffered.
+    sparse::CsrMatrix local;          ///< LocalKernel::BaselineCsr.
+    sparse::BufferedMatrix buffered;  ///< LocalKernel::Buffered.
   };
 
   /// Everything one apply direction needs. Aggregate (DomainPartition has
@@ -200,11 +211,19 @@ class ShardedOperator final : public solve::LinearOperator {
 
   [[nodiscard]] static std::shared_ptr<const Storage> build_storage(
       const sparse::CsrMatrix& a, Options opt);
-  [[nodiscard]] static Side build_side(const sparse::CsrMatrix& m,
+  [[nodiscard]] static std::shared_ptr<const Storage> build_storage(
+      sparse::BufferedMatrix fwd, Options opt);
+  /// Cuts one direction's tiles from `m` (a CsrMatrix for BaselineCsr, a
+  /// BufferedMatrix for Buffered) and plans its exchange.
+  template <class Matrix>
+  [[nodiscard]] static Side build_side(const Matrix& m,
                                        dist::DomainPartition rows,
                                        const dist::DomainPartition& input_owner,
                                        const Options& opt, idx_t partsize,
                                        int tiles);
+  /// Fills the per-rank byte counts.
+  [[nodiscard]] static std::shared_ptr<const Storage> finish_storage(
+      Storage st);
 
   /// Gathers self-owned entries and returns the resolved tile count.
   void gather_self(const Side& side, SideState& state, std::span<const real> x,

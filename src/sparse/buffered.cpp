@@ -148,7 +148,7 @@ void StagedBuilder::place(idx_t p, const CsrMatrix& rows, idx_t r0,
       static_cast<std::size_t>(
           b.stagedispl[static_cast<std::size_t>(stage0 + stages)] -
           b.stagedispl[static_cast<std::size_t>(stage0)]));
-  footprint.collect(rows, r0, r1, map);
+  footprint.collect(rows.row_columns(r0, r1), map);
   footprint.index(map);
 
   // An entry's position in the partition's sorted distinct columns gives its
@@ -217,8 +217,8 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
 #pragma omp for schedule(dynamic, 4)
     for (idx_t p = 0; p < numparts; ++p) {
       const auto [r0, r1] = rows_of(p);
-      parts[static_cast<std::size_t>(p)] = {footprint.count(a, r0, r1),
-                                            a.displ[r1] - a.displ[r0]};
+      parts[static_cast<std::size_t>(p)] = {
+          footprint.count(a.row_columns(r0, r1)), a.displ[r1] - a.displ[r0]};
     }
   }
 
@@ -232,6 +232,63 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
       build.place(p, a, rows_of(p).first, scratch);
   }
   return std::move(build).finish();
+}
+
+BufferedMatrix cut_partitions(const BufferedMatrix& b, idx_t p0, idx_t p1,
+                              const FootprintIndex& footprint,
+                              idx_t num_cols) {
+  MEMXCT_CHECK(0 <= p0 && p0 <= p1 && p1 <= b.num_partitions());
+  const idx_t partsize = b.config.partsize;
+  BufferedMatrix t;
+  t.num_rows = std::min(p1 * partsize, b.num_rows) -
+               std::min(p0 * partsize, b.num_rows);
+  t.num_cols = num_cols;
+  t.config = b.config;
+  t.storage = b.storage;
+  if (p0 == p1) {
+    t.partdispl = {0, 1};
+    t.stagedispl = {0, 0};
+    t.stagenz = {0};
+    t.displ.assign(static_cast<std::size_t>(partsize) + 1, 0);
+    return t;
+  }
+
+  // Stage structure: the cut's slices of partdispl, stagenz and stagedispl.
+  const idx_t s0 = b.partdispl[static_cast<std::size_t>(p0)];
+  const idx_t s1 = b.partdispl[static_cast<std::size_t>(p1)];
+  t.partdispl.assign(b.partdispl.begin() + p0, b.partdispl.begin() + p1 + 1);
+  for (idx_t& s : t.partdispl) s -= s0;
+  t.stagenz.assign(b.stagenz.begin() + s0, b.stagenz.begin() + s1);
+  t.stagedispl.assign(b.stagedispl.begin() + s0,
+                      b.stagedispl.begin() + s1 + 1);
+  const nnz_t m0 = t.stagedispl.front();
+  for (nnz_t& d : t.stagedispl) d -= m0;
+  t.map.resize(static_cast<std::size_t>(t.stagedispl.back()));
+  for (std::size_t i = 0; i < t.map.size(); ++i)
+    t.map[i] = footprint.position(b.map[static_cast<std::size_t>(m0) + i]);
+
+  // Runs: the cut's (stage, row) cells, rebased to its first entry, and the
+  // entries they bound.
+  const auto c0 = static_cast<std::size_t>(s0) * partsize;
+  const auto c1 = static_cast<std::size_t>(s1) * partsize;
+  const nnz_t e0 = b.displ[c0];
+  t.displ.resize(c1 - c0 + 1);
+  for (std::size_t i = 0; i < t.displ.size(); ++i)
+    t.displ[i] = b.displ[c0 + i] - e0;
+  const nnz_t n = t.displ.back();
+  const auto copy = [&](auto& dst, const auto& src) {
+    dst.resize(static_cast<std::size_t>(n));
+#pragma omp parallel for schedule(static)
+    for (nnz_t j = 0; j < n; ++j)
+      dst[static_cast<std::size_t>(j)] = src[static_cast<std::size_t>(e0 + j)];
+  };
+  copy(t.ind, b.ind);
+  if (b.storage == ValueStorage::Fp32)
+    copy(t.val, b.val);
+  else
+    copy(t.val16, b.val16);
+  t.validate();
+  return t;
 }
 
 void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,

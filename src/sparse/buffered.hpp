@@ -120,6 +120,21 @@ inline void for_each_in_run(const buf_idx_t* ind, const V* val, nnz_t nnz,
 [[nodiscard]] BufferedMatrix build_buffered(const CsrMatrix& a,
                                             const BufferConfig& config = {});
 
+/// Partitions [p0, p1) of `b` as a matrix of their own: rows
+/// [p0·partsize, min(p1·partsize, num_rows)) with their stages, every
+/// offset rebased to the cut, and every map entry c replaced by
+/// footprint.position(c). `footprint` must be indexed to `num_cols` sorted
+/// columns that include each column the cut's map holds. A build stages a
+/// partition from its sorted distinct columns by count alone, and the remap
+/// is monotone, so the cut equals build_buffered of the same rows with their
+/// columns compacted to that footprint, byte for byte; an empty range gives
+/// the one empty partition build_buffered gives a row-less matrix. The
+/// value array b holds (val or val16) is copied.
+[[nodiscard]] BufferedMatrix cut_partitions(const BufferedMatrix& b, idx_t p0,
+                                            idx_t p1,
+                                            const FootprintIndex& footprint,
+                                            idx_t num_cols);
+
 /// Footprint size and nonzero count of one partition: what the first pass
 /// of a staged build measures.
 struct PartitionSize {

@@ -27,6 +27,13 @@ struct CsrMatrix {
     return displ.empty() ? 0 : displ.back();
   }
 
+  /// Column indices of rows [r0, r1), in stored order.
+  [[nodiscard]] std::span<const idx_t> row_columns(idx_t r0,
+                                                   idx_t r1) const noexcept {
+    return {ind.data() + displ[r0],
+            static_cast<std::size_t>(displ[r1] - displ[r0])};
+  }
+
   /// Bytes of "regular data" (ind + val + displ), the Table 3 metric.
   [[nodiscard]] std::int64_t regular_bytes() const noexcept {
     return static_cast<std::int64_t>(ind.size()) * sizeof(idx_t) +

@@ -11,14 +11,12 @@ FootprintIndex::FootprintIndex(idx_t num_cols)
       pos_of_(static_cast<std::size_t>(num_cols), 0) {}
 
 template <class Fn>
-void FootprintIndex::for_each_distinct(const CsrMatrix& a, idx_t r0, idx_t r1,
-                                       Fn&& fn) {
+void FootprintIndex::for_each_distinct(std::span<const idx_t> cols, Fn&& fn) {
   if (++stamp_ == 0) {  // wrapped: no stale stamp may equal a new one
     std::fill(seen_.begin(), seen_.end(), 0);
     stamp_ = 1;
   }
-  for (nnz_t k = a.displ[r0]; k < a.displ[r1]; ++k) {
-    const idx_t c = a.ind[k];
+  for (const idx_t c : cols) {
     auto& s = seen_[static_cast<std::size_t>(c)];
     if (s != stamp_) {
       s = stamp_;
@@ -27,25 +25,24 @@ void FootprintIndex::for_each_distinct(const CsrMatrix& a, idx_t r0, idx_t r1,
   }
 }
 
-std::vector<idx_t> FootprintIndex::collect(const CsrMatrix& a, idx_t r0,
-                                           idx_t r1) {
-  std::vector<idx_t> cols;
-  for_each_distinct(a, r0, r1, [&cols](idx_t c) { cols.push_back(c); });
-  std::sort(cols.begin(), cols.end());
-  cols.shrink_to_fit();
-  return cols;
+std::vector<idx_t> FootprintIndex::collect(std::span<const idx_t> cols) {
+  std::vector<idx_t> out;
+  for_each_distinct(cols, [&out](idx_t c) { out.push_back(c); });
+  std::sort(out.begin(), out.end());
+  out.shrink_to_fit();
+  return out;
 }
 
-idx_t FootprintIndex::count(const CsrMatrix& a, idx_t r0, idx_t r1) {
+idx_t FootprintIndex::count(std::span<const idx_t> cols) {
   idx_t n = 0;
-  for_each_distinct(a, r0, r1, [&n](idx_t) { ++n; });
+  for_each_distinct(cols, [&n](idx_t) { ++n; });
   return n;
 }
 
-void FootprintIndex::collect(const CsrMatrix& a, idx_t r0, idx_t r1,
+void FootprintIndex::collect(std::span<const idx_t> cols,
                              std::span<idx_t> out) {
   std::size_t n = 0;
-  for_each_distinct(a, r0, r1, [&](idx_t c) { out[n++] = c; });
+  for_each_distinct(cols, [&](idx_t c) { out[n++] = c; });
   MEMXCT_CHECK(n == out.size());
   std::sort(out.begin(), out.end());
 }

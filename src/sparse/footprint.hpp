@@ -2,19 +2,20 @@
 // footprint").
 //
 // The buffered build (sparse/buffered.cpp) and the shard build
-// (shard/sharded_operator.cpp) both relabel every nonzero of a row range to
-// its column's rank among the range's sorted distinct columns. A column
-// stamp collects the distinct columns in one pass over the entries, so only
-// the footprint itself is sorted, never the range's full index list; a
-// dense position table then answers each entry's rank in O(1) instead of a
-// binary search per nonzero. Total cost is O(nnz + footprint·log footprint).
+// (shard/sharded_operator.cpp) both relabel every column id of a range (a
+// row range's nonzeros, or a shard's staged map entries) to its rank among
+// the range's sorted distinct columns. A column stamp collects the distinct
+// columns in one pass over the entries, so only the footprint itself is
+// sorted, never the range's full index list; a dense position table then
+// answers each entry's rank in O(1) instead of a binary search per
+// nonzero. Total cost is O(nnz + footprint·log footprint).
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "sparse/csr.hpp"
+#include "common/types.hpp"
 
 namespace memxct::sparse {
 
@@ -23,13 +24,13 @@ class FootprintIndex {
  public:
   explicit FootprintIndex(idx_t num_cols);
 
-  /// Sorted distinct columns touched by rows [r0, r1) of `a`.
-  [[nodiscard]] std::vector<idx_t> collect(const CsrMatrix& a, idx_t r0,
-                                           idx_t r1);
+  /// Sorted distinct values of the column list `cols` (for a row range,
+  /// CsrMatrix::row_columns).
+  [[nodiscard]] std::vector<idx_t> collect(std::span<const idx_t> cols);
   /// Their count, without storing them.
-  [[nodiscard]] idx_t count(const CsrMatrix& a, idx_t r0, idx_t r1);
-  /// Writes them to `out`, whose size must be count(a, r0, r1).
-  void collect(const CsrMatrix& a, idx_t r0, idx_t r1, std::span<idx_t> out);
+  [[nodiscard]] idx_t count(std::span<const idx_t> cols);
+  /// Writes them to `out`, whose size must be count(cols).
+  void collect(std::span<const idx_t> cols, std::span<idx_t> out);
 
   /// Makes position() answer ranks within `cols` (sorted and distinct).
   void index(std::span<const idx_t> cols);
@@ -41,10 +42,9 @@ class FootprintIndex {
   }
 
  private:
-  /// Calls fn(c) for each distinct column c of rows [r0, r1), in entry
-  /// order.
+  /// Calls fn(c) for each distinct value c of `cols`, in list order.
   template <class Fn>
-  void for_each_distinct(const CsrMatrix& a, idx_t r0, idx_t r1, Fn&& fn);
+  void for_each_distinct(std::span<const idx_t> cols, Fn&& fn);
 
   std::vector<std::uint32_t> seen_;  ///< Per column: last walk's stamp.
   std::uint32_t stamp_ = 0;

@@ -56,19 +56,7 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, KernelKinds,
                                            KernelKind::Buffered,
                                            KernelKind::Library));
 
-// Bytes of matrix-array (UninitAllocator) storage held by the arrays.
-template <class... V>
-std::int64_t matrix_bytes(const V&... arrays) {
-  return (static_cast<std::int64_t>(arrays.capacity() *
-                                    sizeof(typename V::value_type)) +
-          ...);
-}
-std::int64_t matrix_bytes_of(const sparse::CsrMatrix& m) {
-  return matrix_bytes(m.ind, m.val);
-}
-std::int64_t matrix_bytes_of(const sparse::BufferedMatrix& m) {
-  return matrix_bytes(m.map, m.displ, m.ind, m.val, m.val16);
-}
+using testutil::matrix_bytes_of;
 
 TEST(OperatorBuild, BufferedBuildHoldsAtMostTwoMatrices) {
   // The CSR constructor's Buffered build holds A and the fp32 forward, then
@@ -387,7 +375,7 @@ TEST(Reconstructor, RejectsWrongSinogramSize) {
   const auto data = phantom::generate(spec, 15);
   const Reconstructor recon(data.geometry, []{ Config c; c.iterations = 2; return c; }());
   const AlignedVector<real> wrong(13);
-  EXPECT_THROW(recon.reconstruct(wrong), InvariantError);
+  EXPECT_THROW(recon.reconstruct(wrong), InvalidArgument);
 }
 
 }  // namespace

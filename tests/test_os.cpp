@@ -500,6 +500,28 @@ TEST(Streaming, SingleChunkDegeneratesToMaskedBatch) {
                     "chunk_angles<=0 vs one full push");
 }
 
+TEST(Streaming, BadChunksAreTypedInputErrors) {
+  // A chunk outside the angle range, an empty one and rows of the wrong
+  // size are caller input, rejected as InvalidArgument before any angle is
+  // marked arrived.
+  const auto f = make_fixture(streaming_config());
+  const auto angles = static_cast<int>(f.geom.num_angles);
+  const auto chan = static_cast<std::size_t>(f.geom.num_channels);
+  const std::span<const real> sino(f.sino);
+  core::StreamingReconstructor session(*f.recon);
+  EXPECT_THROW((void)session.push_chunk(angles - 1, 2, sino.first(2 * chan)),
+               InvalidArgument);
+  EXPECT_THROW((void)session.push_chunk(-1, 1, sino.first(chan)),
+               InvalidArgument);
+  EXPECT_THROW((void)session.push_chunk(0, 0, {}), InvalidArgument);
+  EXPECT_THROW((void)session.push_chunk(0, 2, sino.first(chan)),
+               InvalidArgument);
+  EXPECT_THROW((void)core::reconstruct_stream(*f.recon, sino.first(chan), 4),
+               InvalidArgument);
+  EXPECT_FALSE(session.complete());
+  EXPECT_TRUE(session.preview().empty());
+}
+
 TEST(Streaming, RepushAfterRejectedChunkIsBitwiseIdentical) {
   // Determinism contract (core/stream.hpp): a chunk that fails ingest
   // leaves the preview untouched; re-pushing the pristine data yields the

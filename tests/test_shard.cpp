@@ -11,6 +11,8 @@
 #include <set>
 #include <string>
 
+#include "common/aligned.hpp"
+#include "common/grid.hpp"
 #include "core/opkey.hpp"
 #include "core/reconstructor.hpp"
 #include "geometry/projector.hpp"
@@ -20,6 +22,7 @@
 #include "shard/plan.hpp"
 #include "shard/sharded_operator.hpp"
 #include "solve/cgls.hpp"
+#include "sparse/footprint.hpp"
 #include "sparse/spmv.hpp"
 #include "sparse/transpose.hpp"
 #include "test_util.hpp"
@@ -510,9 +513,10 @@ TEST(ShardBuild, StorageDoesNotDependOnThreadCount) {
 }
 
 TEST(ShardBuild, BlockFailureThrowsOutOfTheParallelBuild) {
-  // A buffer too wide for 16-bit slots fails inside a block's buffered
-  // build; the failure reaches the caller as an exception, at any thread
-  // count.
+  // A buffer too wide for 16-bit slots fails in the serial staged build of
+  // A, before any tile is cut; the block loop's guard still carries a
+  // failure inside a block out of the parallel region. The failure reaches
+  // the caller as an exception, at any thread count.
   const auto a = make_matrix();
   ShardedOperator::Options opt;
   opt.num_shards = 3;
@@ -523,6 +527,120 @@ TEST(ShardBuild, BlockFailureThrowsOutOfTheParallelBuild) {
     EXPECT_THROW(ShardedOperator(a, opt), InvariantError) << threads;
   }
   omp_set_num_threads(saved);
+}
+
+TEST(ShardBuild, CutTilesMatchBuildBufferedOfCompactedSlices) {
+  // A Buffered tile is a range of the serial staged matrix's partitions,
+  // cut with its map compacted to the shard's footprint. It must equal, on
+  // every array, the buffered build of the footprint-compacted CSR slice
+  // the tile was staged from before, in fp32 and in bf16.
+  const auto a = make_matrix();
+  const auto at = sparse::transpose(a);
+  const int tiles = 4;
+  bool saw_multistage = false, saw_ragged = false;
+  bool saw_empty_shard = false, saw_empty_tail_tile = false;
+  for (const idx_t partsize : {32, 128, 256})
+    for (const idx_t buffsize : {16, 4096})
+      for (const sparse::CsrMatrix* m : {&a, &at}) {
+        const sparse::BufferConfig config{partsize, buffsize};
+        const auto b = sparse::build_buffered(*m, config);
+        const auto b16 =
+            sparse::compress_buffered(b, sparse::ValueStorage::Bf16);
+        saw_multistage |= b.num_stages() > b.num_partitions();
+        saw_ragged |= m->num_rows % partsize != 0;
+        sparse::FootprintIndex index(m->num_cols);
+        for (const int shards : {1, 3, 4, 7}) {
+          const auto cuts = partition_rows_aligned(b, shards);
+          const auto csr_cuts = partition_rows_aligned(*m, shards, partsize);
+          for (int p = 0; p < shards; ++p) {
+            EXPECT_EQ(cuts.begin(p), csr_cuts.begin(p));
+            EXPECT_EQ(cuts.end(p), csr_cuts.end(p));
+            const auto fp =
+                index.collect(m->row_columns(cuts.begin(p), cuts.end(p)));
+            index.index(fp);
+            const idx_t q0 = ceil_div(cuts.begin(p), partsize);
+            const idx_t q1 = ceil_div(cuts.end(p), partsize);
+            saw_empty_shard |= q0 == q1;
+            for (int t = 0; t < tiles; ++t) {
+              const idx_t t0 = q0 + (q1 - q0) * t / tiles;
+              const idx_t t1 = q0 + (q1 - q0) * (t + 1) / tiles;
+              saw_empty_tail_tile |= q0 < q1 && t0 == t1;
+              SCOPED_TRACE(testing::Message()
+                           << (m == &a ? "A" : "A^T") << " partsize "
+                           << partsize << " buffsize " << buffsize << " P "
+                           << shards << " shard " << p << " tile " << t);
+              const auto slice = testutil::compacted_slice(
+                  *m, std::min(t0 * partsize, m->num_rows),
+                  std::min(t1 * partsize, m->num_rows), fp);
+              const auto want = sparse::build_buffered(slice, config);
+              const auto cols = static_cast<idx_t>(fp.size());
+              const auto cut = sparse::cut_partitions(b, t0, t1, index, cols);
+              testutil::expect_same_buffered(cut, want);
+              testutil::expect_same_buffered(
+                  cut, testutil::reference_build_buffered(slice, config));
+              testutil::expect_same_buffered(
+                  sparse::cut_partitions(b16, t0, t1, index, cols),
+                  sparse::compress_buffered(want, sparse::ValueStorage::Bf16));
+            }
+          }
+        }
+      }
+  EXPECT_TRUE(saw_multistage);
+  EXPECT_TRUE(saw_ragged);
+  EXPECT_TRUE(saw_empty_shard);
+  EXPECT_TRUE(saw_empty_tail_tile);
+}
+
+TEST(ShardBuild, BufferedBuildHoldsNoCsrMatrix) {
+  // A sharded Buffered Reconstructor cuts its tiles from the staged pair:
+  // its matrix-byte high-water is forward + backward + one side's tiles, or
+  // one source + both sides' tiles (a side's tiles hold its source's
+  // entries plus one displ word per tile).
+  // The CSR-slice build held A + A^T + one side, above that bound. With a
+  // cache hit, A is released once the forward is staged from it.
+  const auto g = geometry::make_geometry(48, 40);
+  core::Config config;
+  config.ordering = hilbert::CurveKind::Hilbert;
+  config.tile_size = 4;
+  config.buffer = {32, 256};
+  config.num_shards = 4;
+  std::int64_t a_bytes = 0, at_bytes = 0, fwd = 0, bwd = 0;
+  {
+    const hilbert::Ordering sino(g.sinogram_extent(), config.ordering,
+                                 config.tile_size);
+    const hilbert::Ordering tomo(g.tomogram_extent(), config.ordering,
+                                 config.tile_size);
+    const auto a = geometry::build_projection_matrix(g, sino, tomo);
+    const auto at = sparse::transpose(a);
+    a_bytes = testutil::matrix_bytes_of(a);
+    at_bytes = testutil::matrix_bytes_of(at);
+    fwd = testutil::matrix_bytes_of(sparse::build_buffered(a, config.buffer));
+    bwd = testutil::matrix_bytes_of(sparse::build_buffered(at, config.buffer));
+  }
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "memxct_shard_build_memory";
+  std::filesystem::remove_all(dir);
+  core::Config cached = config;
+  cached.cache_dir = dir.string();
+  { const core::Reconstructor fill(g, cached); }
+
+  MatrixByteCounter& counter = matrix_byte_counter();
+  for (const core::Config* c : {&config, &cached}) {
+    SCOPED_TRACE(c->cache_dir.empty() ? "direct" : "cache hit");
+    const std::int64_t others = counter.live();
+    counter.reset_high_water();
+    const core::Reconstructor recon(g, *c);
+    EXPECT_EQ(recon.preprocess_report().cache_hit, c == &cached);
+    const std::int64_t held = counter.high_water() - others;
+    const int blocks = config.num_shards * recon.shard_op()->pipeline_tiles();
+    const std::int64_t bound =
+        fwd + bwd + std::max(fwd, bwd) +
+        2 * blocks * static_cast<std::int64_t>(sizeof(nnz_t));
+    EXPECT_GE(held, fwd + bwd);
+    EXPECT_LE(held, bound);
+    EXPECT_GT(a_bytes + at_bytes + std::min(fwd, bwd), bound);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -577,6 +695,41 @@ TEST(ShardedReconstruction, BaselineKernelParity) {
   sharded.num_shards = 3;
   const auto result = core::Reconstructor(e.g, sharded).reconstruct(e.sino);
   EXPECT_TRUE(bitwise_equal(result.image, serial.image));
+}
+
+TEST(ShardedReconstruction, DirectAndCacheHitRoutesAreBitwiseEqual) {
+  // Without a cache a sharded Reconstructor traces straight into the staged
+  // forward; on a cache hit it stages the forward from the cached CSR A.
+  // Both cut the same tiles, so their images memcmp-equal each other and
+  // the unsharded image.
+  const EndToEnd e;
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "memxct_shard_route_parity";
+  std::filesystem::remove_all(dir);
+  core::Config config;
+  config.iterations = 6;
+  const auto serial = core::Reconstructor(e.g, config).reconstruct(e.sino);
+  core::Config cached = config;
+  cached.cache_dir = dir.string();
+  EXPECT_FALSE(core::Reconstructor(e.g, cached).preprocess_report().cache_hit);
+  for (const int shards : {2, 3, 4}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    core::Config direct = config;
+    direct.num_shards = shards;
+    cached.num_shards = shards;
+    const core::Reconstructor from_trace(e.g, direct);
+    const core::Reconstructor from_cache(e.g, cached);
+    EXPECT_FALSE(from_trace.preprocess_report().cache_hit);
+    EXPECT_TRUE(from_cache.preprocess_report().cache_hit);
+    ASSERT_NE(from_trace.shard_op(), nullptr);
+    ASSERT_NE(from_cache.shard_op(), nullptr);
+    EXPECT_EQ(from_trace.shard_op()->bytes(), from_cache.shard_op()->bytes());
+    const auto a = from_trace.reconstruct(e.sino);
+    const auto b = from_cache.reconstruct(e.sino);
+    EXPECT_TRUE(bitwise_equal(a.image, serial.image));
+    EXPECT_TRUE(bitwise_equal(b.image, serial.image));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedReconstruction, OpkeyDistinguishesShardCounts) {

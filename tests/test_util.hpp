@@ -145,6 +145,45 @@ inline sparse::BufferedMatrix reference_build_buffered(
   return b;
 }
 
+/// Rows [r0, r1) of `a` with every column replaced by its rank in
+/// `footprint` (sorted, and holding every column those rows touch), found
+/// by binary search: the CSR slice a shard tile was staged from before the
+/// tiles were cut from the serial pair. sparse::cut_partitions must give
+/// build_buffered of it byte for byte.
+inline sparse::CsrMatrix compacted_slice(const sparse::CsrMatrix& a,
+                                         idx_t r0, idx_t r1,
+                                         std::span<const idx_t> footprint) {
+  sparse::CsrMatrix s;
+  s.num_rows = r1 - r0;
+  s.num_cols = static_cast<idx_t>(footprint.size());
+  s.displ.push_back(0);
+  for (idx_t r = r0; r < r1; ++r) {
+    for (nnz_t k = a.displ[r]; k < a.displ[r + 1]; ++k) {
+      s.ind.push_back(static_cast<idx_t>(
+          std::lower_bound(footprint.begin(), footprint.end(), a.ind[k]) -
+          footprint.begin()));
+      s.val.push_back(a.val[k]);
+    }
+    s.displ.push_back(static_cast<nnz_t>(s.ind.size()));
+  }
+  return s;
+}
+
+/// Bytes of matrix-array (UninitAllocator) storage held by the arrays: what
+/// matrix_byte_counter() counts for them.
+template <class... V>
+std::int64_t matrix_bytes(const V&... arrays) {
+  return (static_cast<std::int64_t>(arrays.capacity() *
+                                    sizeof(typename V::value_type)) +
+          ...);
+}
+inline std::int64_t matrix_bytes_of(const sparse::CsrMatrix& m) {
+  return matrix_bytes(m.ind, m.val);
+}
+inline std::int64_t matrix_bytes_of(const sparse::BufferedMatrix& m) {
+  return matrix_bytes(m.map, m.displ, m.ind, m.val, m.val16);
+}
+
 /// Expects two staged matrices equal in shape, configuration and storage
 /// and byte for byte on every array.
 inline void expect_same_buffered(const sparse::BufferedMatrix& got,
