@@ -81,8 +81,9 @@ int main() {
   std::printf(
       "\nNote: with one OpenMP thread the atomic variant happens to retain\n"
       "order; the paper's objection concerns many-thread runs where the\n"
-      "interleaving randomizes rows and the buffered builder would reject\n"
-      "them (it requires sorted rows).\n");
+      "interleaving randomizes rows, so a CSR apply sums each row in a\n"
+      "run-dependent order. (The buffered builder reads a row in any\n"
+      "column order.)\n");
 
   // The forward and backward staged layouts, each built both ways.
   const sparse::BufferConfig config{};

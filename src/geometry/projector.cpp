@@ -78,7 +78,8 @@ class RowTracer {
             static_cast<idx_t>(g.tomogram_extent().size()))) {}
 
   /// Row i's entries in ray path order: enough to count them or their
-  /// distinct columns.
+  /// distinct columns, or to place them (StagedBuilder::place reads a row
+  /// in any column order).
   std::span<const Entry> trace(idx_t i) {
     const Cell rc = sino_.cell(i);
     trace_ray(g_, rc.row, rc.col, segments_);
@@ -89,10 +90,10 @@ class RowTracer {
     return entries_;
   }
 
-  /// Row i as CSR stores it: entries by strictly ascending column. The
-  /// ordered columns of a row are distinct (trace_ray emits each pixel once,
-  /// and the ordering is a bijection), so the stable radix sort leaves them
-  /// in the order a comparison sort would.
+  /// Row i as CSR stores it, for build_projection_matrix: entries by
+  /// strictly ascending column. The ordered columns of a row are distinct
+  /// (trace_ray emits each pixel once, and the ordering is a bijection), so
+  /// the stable radix sort leaves them in the order a comparison sort would.
   std::span<const Entry> trace_sorted(idx_t i) {
     trace(i);
     radix_sort_by_column(entries_, scratch_, counts_, digit_bits_);
@@ -183,8 +184,8 @@ sparse::BufferedMatrix build_projection_buffered(
       sparse::StagedBuilder::num_partitions(num_rays, config);
 
   // Rows of partition p, traced into the per-thread `rows` (rows[0, n) are
-  // A's rows [p·partsize, p·partsize + n)); column-sorted when `sorted`.
-  const auto trace_partition = [&](RowTracer& tracer, idx_t p, bool sorted,
+  // A's rows [p·partsize, p·partsize + n)), entries in ray path order.
+  const auto trace_partition = [&](RowTracer& tracer, idx_t p,
                                    sparse::CsrMatrix& rows) {
     const idx_t r0 = p * config.partsize;
     const idx_t r1 = std::min<idx_t>(r0 + config.partsize, num_rays);
@@ -195,8 +196,7 @@ sparse::BufferedMatrix build_projection_buffered(
     rows.ind.clear();
     rows.val.clear();
     for (idx_t r = r0; r < r1; ++r) {
-      const std::span<const Entry> row =
-          sorted ? tracer.trace_sorted(r) : tracer.trace(r);
+      const std::span<const Entry> row = tracer.trace(r);
       const std::size_t k = rows.ind.size();
       rows.ind.resize(k + row.size());
       rows.val.resize(k + row.size());
@@ -211,8 +211,8 @@ sparse::BufferedMatrix build_projection_buffered(
 
   // Both passes run in one region, so each thread's scratch serves both
   // and the allocator keeps one set of it per thread, not two. The
-  // forward's allocation may fail: its exception is carried out of the
-  // region and rethrown.
+  // forward's allocation may fail and place() may throw: the first
+  // exception is carried out of the region and rethrown.
   std::vector<sparse::PartitionSize> parts(static_cast<std::size_t>(numparts));
   std::optional<sparse::StagedBuilder> build;
   std::exception_ptr error;
@@ -224,7 +224,7 @@ sparse::BufferedMatrix build_projection_buffered(
     // Pass 1: each partition's nonzeros and footprint size.
 #pragma omp for schedule(dynamic, 1)
     for (idx_t p = 0; p < numparts; ++p) {
-      trace_partition(tracer, p, false, rows);
+      trace_partition(tracer, p, rows);
       parts[static_cast<std::size_t>(p)] = {
           scratch.footprint.count(rows.row_columns(0, rows.num_rows)),
           rows.nnz()};
@@ -236,12 +236,18 @@ sparse::BufferedMatrix build_projection_buffered(
       error = std::current_exception();
     }
     // Pass 2 (every thread sees `error` after the single's barrier): trace
-    // each partition again, sorted, and place it.
+    // each partition again and place it. place() reads a row's entries in
+    // any column order, so they are not sorted.
     if (!error) {
 #pragma omp for schedule(dynamic, 1)
       for (idx_t p = 0; p < numparts; ++p) {
-        trace_partition(tracer, p, true, rows);
-        build->place(p, rows, 0, scratch);
+        try {
+          trace_partition(tracer, p, rows);
+          build->place(p, rows, 0, scratch);
+        } catch (...) {
+#pragma omp critical(memxct_build_projection_buffered_error)
+          if (!error) error = std::current_exception();
+        }
       }
     }
   }

@@ -4,8 +4,9 @@
 // Row i of A is the ray of ordered sinogram index i; its nonzeros are the
 // pixels the ray intersects, with column = ordered tomogram index and value
 // = intersection length. Building directly in ordered index space means no
-// separate permutation pass and keeps entries of each row sorted by ordered
-// column (the buffered kernel's builder relies on that).
+// separate permutation pass. The CSR A keeps each row's entries sorted by
+// ordered column (a per-row radix sort); the staged build reads rows in any
+// column order, so the direct trace below does not sort.
 //
 // build_projection_buffered traces the same rows one buffered partition at a
 // time and places them straight into the staged forward, so a caller that
@@ -29,7 +30,8 @@ namespace memxct::geometry {
 /// into per-thread scratch: byte for byte
 /// sparse::build_buffered(build_projection_matrix(...), config), without
 /// the CSR A. Two parallel passes over partitions, like the CSR trace: each
-/// partition's nonzeros and footprint size, then trace, sort and place.
+/// partition's nonzeros and footprint size, then trace and place, rows in
+/// ray path order.
 [[nodiscard]] sparse::BufferedMatrix build_projection_buffered(
     const Geometry& geometry, const hilbert::Ordering& sinogram_order,
     const hilbert::Ordering& tomogram_order,

@@ -1,6 +1,8 @@
 #include "sparse/buffered.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <exception>
 #include <span>
 #include <utility>
 #include <vector>
@@ -153,7 +155,8 @@ void StagedBuilder::place(idx_t p, const CsrMatrix& rows, idx_t r0,
 
   // An entry's position in the partition's sorted distinct columns gives its
   // stage (position / buffsize) and 16-bit slot (position % buffsize); a
-  // counting pass then lays the entries out stage-major.
+  // counting pass then lays the entries out stage-major. Counts do not
+  // depend on the order of a row's entries.
   counts.assign(static_cast<std::size_t>(stages) * partsize, 0);
   for (idx_t r = r0; r < r1; ++r) {
     const idx_t j = r - r0;
@@ -164,7 +167,7 @@ void StagedBuilder::place(idx_t p, const CsrMatrix& rows, idx_t r0,
   }
 
   // Stage-major prefix sum -> displ for every (stage, row) cell, plus
-  // per-cell cursors for placement. displ[0] = 0 by construction, and every
+  // per-cell starts for placement. displ[0] = 0 by construction, and every
   // other start is the previous cell's end, so the array is consistent
   // across partition boundaries.
   nnz_t cursor = first_[static_cast<std::size_t>(p)];
@@ -177,19 +180,44 @@ void StagedBuilder::place(idx_t p, const CsrMatrix& rows, idx_t r0,
   }
   MEMXCT_CHECK(cursor == first_[static_cast<std::size_t>(p) + 1]);
 
-  // Placement: rows are column-sorted, so entries of one (stage, row) cell
-  // arrive in ascending slot order.
+  // Placement: a row's entries may come in any column order, but a cell
+  // holds them by ascending slot. The row's positions are marked in a
+  // bitmap over the footprint (values beside them by position), and its
+  // bits are walked in ascending order: a stage's positions are one
+  // contiguous bit range, so the row's cell of each stage is filled from
+  // one cursor held in a register. A row that holds a column twice writes
+  // fewer entries than it was counted for, so its cells are left short,
+  // never overfull, and it throws. One row's bitmap is built at a time, so
+  // the scratch stays O(num_cols + footprint) at any partsize.
+  Bitmap& marked = scratch.row;
+  marked.resize(static_cast<idx_t>(map.size()));
+  scratch.row_val.resize(map.size());
+  real* const row_val = scratch.row_val.data();
+  buf_idx_t* const ind = b.ind.data();
+  real* const val = b.val.data();
   for (idx_t r = r0; r < r1; ++r) {
-    const idx_t j = r - r0;
     for (nnz_t k = rows.displ[r]; k < rows.displ[r + 1]; ++k) {
       const idx_t pos = footprint.position(rows.ind[k]);
-      nnz_t& cur =
-          counts[static_cast<std::size_t>(pos / buffsize) * partsize + j];
-      b.ind[static_cast<std::size_t>(cur)] =
-          static_cast<buf_idx_t>(pos % buffsize);
-      b.val[static_cast<std::size_t>(cur)] = rows.val[k];
-      ++cur;
+      marked.insert(pos);
+      row_val[pos] = rows.val[k];
     }
+    nnz_t written = 0, cur = 0;
+    idx_t base = 0, end = 0;  // the current stage's positions: [base, end)
+    marked.drain([&](idx_t w, std::uint64_t word) {
+      for (; word != 0; word &= word - 1, ++cur, ++written) {
+        const idx_t pos = w * 64 + std::countr_zero(word);
+        if (pos >= end) {
+          const idx_t s = pos / buffsize;
+          base = s * buffsize;
+          end = base + buffsize;
+          cur = counts[static_cast<std::size_t>(s) * partsize + (r - r0)];
+        }
+        ind[cur] = static_cast<buf_idx_t>(pos - base);
+        val[cur] = row_val[pos];
+      }
+    });
+    MEMXCT_CHECK_MSG(written == rows.displ[r + 1] - rows.displ[r],
+                     "a row holds a column more than once");
   }
 }
 
@@ -222,15 +250,25 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
     }
   }
 
-  // Pass 2 (parallel): fill map, displ, ind, val per partition.
+  // Pass 2 (parallel): fill map, displ, ind, val per partition. A row that
+  // holds a column twice makes place() throw; the first such error is
+  // carried out of the region and rethrown.
   StagedBuilder build(a.num_rows, a.num_cols, config, parts);
+  std::exception_ptr error;
 #pragma omp parallel
   {
     StagedBuilder::Scratch scratch(a.num_cols);
 #pragma omp for schedule(dynamic, 4)
-    for (idx_t p = 0; p < numparts; ++p)
-      build.place(p, a, rows_of(p).first, scratch);
+    for (idx_t p = 0; p < numparts; ++p) {
+      try {
+        build.place(p, a, rows_of(p).first, scratch);
+      } catch (...) {
+#pragma omp critical(memxct_build_buffered_error)
+        if (!error) error = std::current_exception();
+      }
+    }
   }
+  if (error) std::rethrow_exception(error);
   return std::move(build).finish();
 }
 

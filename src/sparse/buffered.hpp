@@ -157,15 +157,20 @@ class StagedBuilder {
   StagedBuilder(idx_t num_rows, idx_t num_cols, const BufferConfig& config,
                 std::span<const PartitionSize> parts);
 
-  /// Per-thread scratch of place().
+  /// Per-thread scratch of place(): O(num_cols + footprint) at any
+  /// partsize.
   struct Scratch {
     explicit Scratch(idx_t num_cols) : footprint(num_cols) {}
     FootprintIndex footprint;
-    std::vector<nnz_t> counts;  ///< Per (stage, row) entry counts.
+    std::vector<nnz_t> counts;  ///< Per (stage, row): count, then start.
+    Bitmap row;                 ///< The footprint positions of one row.
+    std::vector<real> row_val;  ///< Per footprint position: the row's value.
   };
 
-  /// Fills partition p from rows [r0, r0 + its row count) of `rows`, which
-  /// hold its columns sorted within each row: map, displ, ind and val.
+  /// Fills partition p from rows [r0, r0 + its row count) of `rows`: map,
+  /// displ, ind and val. A row may hold its entries in any column order;
+  /// the bytes are those of the same rows sorted. A row that holds a
+  /// column twice throws InvariantError.
   void place(idx_t p, const CsrMatrix& rows, idx_t r0, Scratch& scratch);
 
   /// The validated matrix, once every partition is placed.

@@ -301,6 +301,96 @@ std::vector<OracleCase> oracle_cases() {
   };
 }
 
+TEST(Footprint, BitmapReadBackEqualsSortUnique) {
+  // collect and count against sort + unique on seeded random column lists:
+  // empty, one column, the last column, a num_cols off a multiple of 64,
+  // tiny and full-width footprints, and many calls on one index so that a
+  // bit left set by one call would show up in the next.
+  for (const idx_t num_cols : {1, 63, 64, 65, 1000, 70001}) {
+    FootprintIndex footprint(num_cols);
+    Rng rng(static_cast<std::uint64_t>(num_cols));
+    const auto check = [&](const std::vector<idx_t>& cols) {
+      std::vector<idx_t> want = cols;
+      std::sort(want.begin(), want.end());
+      want.erase(std::unique(want.begin(), want.end()), want.end());
+      EXPECT_EQ(footprint.count(cols), static_cast<idx_t>(want.size()));
+      EXPECT_EQ(footprint.collect(cols), want);
+      std::vector<idx_t> out(want.size());
+      footprint.collect(cols, out);
+      EXPECT_EQ(out, want);
+    };
+    SCOPED_TRACE(num_cols);
+    check({});
+    check({0});
+    check({num_cols - 1});
+    check({num_cols - 1, 0, num_cols - 1});
+    for (int call = 0; call < 40; ++call) {
+      // Spans from one column to the whole width; lengths up to 3x it.
+      const auto span = static_cast<idx_t>(
+          1 + rng.next_u64() % static_cast<std::uint64_t>(num_cols));
+      const auto lo = static_cast<idx_t>(
+          rng.next_u64() % static_cast<std::uint64_t>(num_cols - span + 1));
+      std::vector<idx_t> cols(rng.next_u64() % (3 * span + 1));
+      for (idx_t& c : cols)
+        c = lo + static_cast<idx_t>(rng.next_u64() %
+                                    static_cast<std::uint64_t>(span));
+      check(cols);
+    }
+    // A too-short output throws and still leaves the index empty.
+    if (num_cols == 1) continue;
+    std::vector<idx_t> few(1);
+    EXPECT_THROW(footprint.collect(std::vector<idx_t>{0, num_cols - 1}, few),
+                 InvariantError);
+    check({num_cols / 2});
+  }
+}
+
+/// `a` with each row's entries in a seeded random order: a CSR matrix only
+/// in layout, as the direct trace hands rows to StagedBuilder::place.
+CsrMatrix shuffled_rows(CsrMatrix a, std::uint64_t seed) {
+  Rng rng(seed);
+  for (idx_t r = 0; r < a.num_rows; ++r)
+    for (nnz_t k = a.displ[r + 1] - 1; k > a.displ[r]; --k) {
+      const nnz_t other =
+          a.displ[r] + static_cast<nnz_t>(rng.next_u64() % static_cast<
+                                               std::uint64_t>(k - a.displ[r] + 1));
+      std::swap(a.ind[static_cast<std::size_t>(k)],
+                a.ind[static_cast<std::size_t>(other)]);
+      std::swap(a.val[static_cast<std::size_t>(k)],
+                a.val[static_cast<std::size_t>(other)]);
+    }
+  return a;
+}
+
+TEST(StagedBuilder, UnsortedRowsPlaceAsSortedBytewise) {
+  // place() reads a row's entries in any column order; the bytes are the
+  // reference builder's of the sorted rows, at partsize {1, 7, 128} x
+  // buffsize {1, 64, 100, 65536}.
+  const CsrMatrix a = testutil::random_csr(150, 300, 0.3, 71);
+  const CsrMatrix shuffled = shuffled_rows(a, 72);
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(3);
+  for (const idx_t partsize : {1, 7, 128})
+    for (const idx_t buffsize : {1, 64, 100, 65536}) {
+      const BufferConfig config{partsize, buffsize};
+      SCOPED_TRACE(testing::Message() << partsize << " x " << buffsize);
+      testutil::expect_same_buffered(
+          build_buffered(shuffled, config),
+          testutil::reference_build_buffered(a, config));
+    }
+  omp_set_num_threads(saved);
+}
+
+TEST(StagedBuilder, RepeatedColumnInARowThrows) {
+  CsrMatrix a = testutil::random_csr(20, 40, 0.3, 73);
+  ASSERT_GE(a.displ[6] - a.displ[5], 2);
+  a.ind[static_cast<std::size_t>(a.displ[5] + 1)] =
+      a.ind[static_cast<std::size_t>(a.displ[5])];
+  for (const idx_t buffsize : {1, 64, 4096})
+    EXPECT_THROW(static_cast<void>(build_buffered(a, {8, buffsize})),
+                 InvariantError);
+}
+
 class BufferedOracle : public ::testing::TestWithParam<OracleCase> {};
 
 TEST_P(BufferedOracle, MatchesReferenceBuilderBytewise) {

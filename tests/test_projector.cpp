@@ -223,6 +223,33 @@ TEST(Projector, BufferedTraceMatchesBuildBufferedBytewise) {
   EXPECT_TRUE(saw_multi_stage);
 }
 
+TEST(Projector, BufferedTraceMatchesReferenceBuilderBytewise) {
+  // The direct trace and build_buffered share StagedBuilder::place, so
+  // their equality alone would not catch a placement fault: the direct
+  // route is also held to the reference builder of the sorted CSR trace,
+  // at buffsize 100 (stage edges inside a bitmap word) and partsize 1.
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(3);
+  for (const Geometry& g : {make_geometry(32, 32), make_geometry(37, 29)})
+    for (const auto kind :
+         {hilbert::CurveKind::Hilbert, hilbert::CurveKind::RowMajor})
+      for (const sparse::BufferConfig config :
+           {sparse::BufferConfig{128, 4096}, sparse::BufferConfig{32, 100},
+            sparse::BufferConfig{1, 4096}, sparse::BufferConfig{1, 100}}) {
+        const hilbert::Ordering sino(g.sinogram_extent(), kind);
+        const hilbert::Ordering tomo(g.tomogram_extent(), kind);
+        SCOPED_TRACE(testing::Message()
+                     << g.num_angles << "x" << g.num_channels << " "
+                     << hilbert::to_string(kind) << " partsize "
+                     << config.partsize << " buffsize " << config.buffsize);
+        testutil::expect_same_buffered(
+            build_projection_buffered(g, sino, tomo, config),
+            testutil::reference_build_buffered(
+                build_projection_matrix(g, sino, tomo), config));
+      }
+  omp_set_num_threads(saved);
+}
+
 TEST(Projector, MismatchedOrderingExtentsRejected) {
   const Geometry g = make_geometry(8, 8);
   const hilbert::Ordering wrong(Extent2D{4, 4}, hilbert::CurveKind::Hilbert,
