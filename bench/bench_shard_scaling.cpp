@@ -1,5 +1,5 @@
-// Sharded-operator scaling smoke: P ∈ {1, 2, 4} shards over one phantom
-// geometry, asserting the subsystem's two headline properties end to end:
+// Sharded-operator scaling report: P ∈ {1, 2, 4} shards over one phantom
+// geometry, reporting the subsystem's two headline properties end to end:
 //
 //   1. bitwise parity — every P-shard CGLS image memcmp-equals the serial
 //      P=1 reconstruction (owner-computes + halo duplication: no FP partial
@@ -7,6 +7,11 @@
 //   2. memory-centric scaling — the max per-rank resident footprint shrinks
 //      ~1/P as P grows (the Table 1 contrast with compute-centric
 //      duplication), and the exchange stays sparser than dense duplication.
+//
+// The parity and per-rank-footprint gates are unit tests
+// (ShardScaling.ImagesMatchSerialAndRankBytesShrink in test_shard, run
+// under both presets); this binary reports them in its table and JSON and
+// gates only the exchange traffic below.
 //
 // Comm-gate fine print: parallel-beam CT couples every shard to the centre
 // of rotation (every angle's rays cross it), so the AGGREGATE per-rank sent
@@ -25,7 +30,7 @@
 //
 //   bench_shard_scaling [--json <path>] [--quick]
 //
-// Exits nonzero when parity or scaling is violated — CI runs this as a
+// Exits nonzero when the exchange traffic gates fail — CI runs this as a
 // gate, not just a report. Honors MEMXCT_BENCH_SCALE like every bench.
 #include <cstdio>
 #include <cstring>
@@ -184,20 +189,9 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", json_path.c_str());
   }
 
-  // CI gates.
+  // CI gates: the exchange traffic. Parity and the per-rank footprint are
+  // gated by test_shard.
   int violations = 0;
-  for (const Row& r : rows)
-    if (!r.bitwise_equal) {
-      std::fprintf(stderr, "FAIL: P=%d image differs from the serial path\n",
-                   r.shards);
-      ++violations;
-    }
-  if (!(rows[2].max_rank_bytes < rows[1].max_rank_bytes &&
-        rows[1].max_rank_bytes < rows[0].max_rank_bytes)) {
-    std::fprintf(stderr,
-                 "FAIL: max per-rank resident bytes do not shrink with P\n");
-    ++violations;
-  }
   if (!(rows[2].sent_per_peer < rows[1].sent_per_peer)) {
     std::fprintf(stderr,
                  "FAIL: per-peer exchange message size does not shrink from "
@@ -213,8 +207,7 @@ int main(int argc, char** argv) {
     ++violations;
   }
   if (violations == 0)
-    std::printf("\nOK: bitwise parity at every P; per-rank footprint and "
-                "per-peer traffic shrink with P; aggregate exchange beats "
-                "dense duplication\n");
+    std::printf("\nOK: per-peer traffic shrinks with P; aggregate exchange "
+                "beats dense duplication\n");
   return violations == 0 ? 0 : 1;
 }

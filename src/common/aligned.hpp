@@ -5,19 +5,29 @@
 // per-thread output partitions. Arrays of kHugePageFloorBytes or more are
 // mapped on 2 MiB boundaries and advised into transparent huge pages, so
 // the build passes that first touch them fault 2 MiB at a time instead of
-// 4 KiB (DESIGN.md §22).
+// 4 KiB (DESIGN.md §22). A build that converts a matrix array it never
+// reads again hands the array's consumed pages back as it goes
+// (release_consumed, DESIGN.md §23).
 #pragma once
 
 #include <sys/mman.h>
+#include <unistd.h>
 
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#endif
+
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <mutex>
 #include <new>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -45,8 +55,9 @@ inline std::atomic<std::int64_t>& aligned_alloc_count() noexcept {
 }
 
 /// Test hook: bytes of matrix-array (UninitAllocator) storage alive in the
-/// process, and their high-water mark since the last reset. A test pins the
-/// peak matrix footprint of an operator build with it.
+/// process, less the pages release_consumed handed back, and their
+/// high-water mark since the last reset. A test pins the peak resident
+/// matrix footprint of an operator build with it.
 class MatrixByteCounter {
  public:
   [[nodiscard]] std::int64_t live() const noexcept {
@@ -71,8 +82,45 @@ class MatrixByteCounter {
     live_.fetch_sub(bytes, std::memory_order_relaxed);
   }
 
+  /// Bytes handed back from the live array at `base`, which then counts
+  /// them no more.
+  void release(const void* base, std::int64_t bytes) {
+    remove(bytes);
+    released_total_.fetch_add(bytes, std::memory_order_relaxed);
+    const std::lock_guard lock(mutex_);
+    const auto it = find(base);
+    if (it != released_.end())
+      it->second += bytes;
+    else
+      released_.emplace_back(base, bytes);
+  }
+  /// The bytes released from the array at `base`, forgotten as it is freed.
+  std::int64_t forget(const void* base) {
+    const std::lock_guard lock(mutex_);
+    const auto it = find(base);
+    if (it == released_.end()) return 0;
+    const std::int64_t bytes = it->second;
+    *it = released_.back();
+    released_.pop_back();
+    return bytes;
+  }
+  /// Bytes released over the process's life.
+  [[nodiscard]] std::int64_t released_total() const noexcept {
+    return released_total_.load(std::memory_order_relaxed);
+  }
+
  private:
-  std::atomic<std::int64_t> live_{0}, high_{0};
+  /// Per live array with released pages: its base and those bytes.
+  using Released = std::vector<std::pair<const void*, std::int64_t>>;
+
+  Released::iterator find(const void* base) {
+    return std::find_if(released_.begin(), released_.end(),
+                        [base](const auto& e) { return e.first == base; });
+  }
+
+  std::atomic<std::int64_t> live_{0}, high_{0}, released_total_{0};
+  std::mutex mutex_;
+  Released released_;
 };
 
 inline MatrixByteCounter& matrix_byte_counter() noexcept {
@@ -208,8 +256,15 @@ class UninitAllocator : public AlignedAllocator<T> {
   }
 
   void deallocate(T* p, std::size_t n) noexcept {
-    detail::free_bytes(p, n * sizeof(T), kMatrixMapFloorBytes);
-    matrix_byte_counter().remove(static_cast<std::int64_t>(n * sizeof(T)));
+    const std::size_t bytes = n * sizeof(T);
+    // Only mapped arrays have pages released (release_consumed).
+    const std::int64_t released =
+        bytes < kMatrixMapFloorBytes ? 0 : matrix_byte_counter().forget(p);
+#ifdef __SANITIZE_ADDRESS__
+    if (released > 0) ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+#endif
+    detail::free_bytes(p, bytes, kMatrixMapFloorBytes);
+    matrix_byte_counter().remove(static_cast<std::int64_t>(bytes) - released);
   }
 
   // Only the argument-less form is declared: std::allocator_traits
@@ -224,5 +279,65 @@ class UninitAllocator : public AlignedAllocator<T> {
 /// UninitAllocator): the storage of build-pass-filled matrix arrays.
 template <class T>
 using UninitVector = std::vector<T, UninitAllocator<T>>;
+
+/// The allocator of a build's per-thread scratch: every array is mapped,
+/// whatever its size, so the pages go back to the OS when the build frees
+/// it. Heap scratch would stay resident in the malloc arena of each thread
+/// that ran the build. Not counted by matrix_byte_counter().
+template <class T>
+class ScratchAllocator : public AlignedAllocator<T> {
+ public:
+  using value_type = T;
+
+  ScratchAllocator() noexcept = default;
+  template <class U>
+  ScratchAllocator(const ScratchAllocator<U>&) noexcept {}
+
+  [[nodiscard]] T* allocate(std::size_t n) {
+    if (n > detail::max_elements<T>()) throw std::bad_alloc();
+    return static_cast<T*>(detail::allocate_bytes(n * sizeof(T), 0));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    detail::free_bytes(p, n * sizeof(T), 0);
+  }
+};
+
+template <class T>
+using ScratchVector = std::vector<T, ScratchAllocator<T>>;
+
+/// The OS page size.
+inline std::size_t page_bytes() noexcept {
+  static const auto bytes = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return bytes;
+}
+
+/// Hands the whole pages inside elements [first, last) of the matrix array
+/// `v` back to the OS (madvise MADV_DONTNEED), for a build that has
+/// converted that range and never reads it again. The range is rounded
+/// inward to whole pages, so a page shared with a neighbouring range stays;
+/// disjoint ranges release disjoint pages, and a range is released at most
+/// once. Arrays under kMatrixMapFloorBytes live on the heap and are left
+/// as they are. A released page reads as zeros; under AddressSanitizer it
+/// is poisoned instead, so a read after release aborts. The array keeps its
+/// size, and matrix_byte_counter() stops counting the released bytes.
+template <class T>
+void release_consumed(UninitVector<T>& v, std::size_t first,
+                      std::size_t last) {
+  if (v.capacity() * sizeof(T) < kMatrixMapFloorBytes || first >= last)
+    return;
+  const std::size_t page = page_bytes();
+  const auto base = reinterpret_cast<std::uintptr_t>(v.data());
+  const std::uintptr_t lo = (base + first * sizeof(T) + page - 1) / page * page;
+  const std::uintptr_t hi = (base + last * sizeof(T)) / page * page;
+  if (hi <= lo) return;
+  void* const p = reinterpret_cast<void*>(lo);
+#ifdef __SANITIZE_ADDRESS__
+  ASAN_POISON_MEMORY_REGION(p, hi - lo);
+#else
+  // Advice on a private anonymous mapping: it cannot fail here.
+  madvise(p, hi - lo, MADV_DONTNEED);
+#endif
+  matrix_byte_counter().release(v.data(), static_cast<std::int64_t>(hi - lo));
+}
 
 }  // namespace memxct

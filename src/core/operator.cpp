@@ -143,9 +143,12 @@ std::shared_ptr<const MemXCTOperator::Storage> MemXCTOperator::build_storage(
                           " is only supported for the buffered kernel, not " +
                           to_string(kind));
   if (kind == KernelKind::Buffered) {
-    // A is released before the backward exists: the build holds A and the
-    // forward, then the forward and the backward (DESIGN.md §23).
-    sparse::BufferedMatrix fwd = sparse::build_buffered(a, buffer);
+    // A is consumed by the forward's build (its values become the
+    // forward's, its indices are released as they are placed) and gone
+    // before the backward exists: the build holds A's indices, the values
+    // and the forward's indices, then the forward and the backward
+    // (DESIGN.md §23).
+    sparse::BufferedMatrix fwd = sparse::build_buffered(std::move(a), buffer);
     a = {};
     return build_storage(std::move(fwd), schedule, precision);
   }
@@ -178,11 +181,13 @@ std::shared_ptr<const MemXCTOperator::Storage> MemXCTOperator::build_storage(
   s->num_rows = fwd.num_rows;
   s->num_cols = fwd.num_cols;
   s->nnz = fwd.nnz();
-  // The backward is written straight from the fp32 forward, in its final
-  // precision, and only then is the forward compressed: the build never
-  // holds a CSR A^T (DESIGN.md §23).
+  // The forward is compressed first, releasing its fp32 values as they are
+  // quantized, and the backward is written straight from it in the same
+  // precision: the build never holds a CSR A^T, nor the fp32 values beside
+  // the 16-bit backward (DESIGN.md §23).
+  fwd = sparse::compress_buffered(std::move(fwd), precision);
   s->bwd.matrix = sparse::build_buffered_transpose(fwd, fwd.config, precision);
-  s->fwd.matrix = sparse::compress_buffered(std::move(fwd), precision);
+  s->fwd.matrix = std::move(fwd);
   finish_storage(*s);
   return s;
 }

@@ -155,8 +155,9 @@ Reconstructor::Reconstructor(const geometry::Geometry& geometry,
     if (opt.kernel == shard::LocalKernel::Buffered) {
       if (!direct) {
         // Staged here rather than by the CSR constructor, so that A is
-        // released before the backward is staged from the forward.
-        fwd = sparse::build_buffered(a, config_.buffer);
+        // consumed by the forward's build and gone before the backward is
+        // staged from the forward.
+        fwd = sparse::build_buffered(std::move(a), config_.buffer);
         a = sparse::CsrMatrix{};
       }
       shard_op_ = std::make_unique<shard::ShardedOperator>(std::move(fwd), opt);

@@ -183,67 +183,75 @@ sparse::BufferedMatrix build_projection_buffered(
   const idx_t numparts =
       sparse::StagedBuilder::num_partitions(num_rays, config);
 
-  // Rows of partition p, traced into the per-thread `rows` (rows[0, n) are
-  // A's rows [p·partsize, p·partsize + n)), entries in ray path order.
-  const auto trace_partition = [&](RowTracer& tracer, idx_t p,
-                                   sparse::CsrMatrix& rows) {
-    const idx_t r0 = p * config.partsize;
-    const idx_t r1 = std::min<idx_t>(r0 + config.partsize, num_rays);
-    rows.num_rows = r1 - r0;
-    rows.num_cols = num_pixels;
-    rows.displ.resize(static_cast<std::size_t>(rows.num_rows) + 1);
-    rows.displ[0] = 0;
-    rows.ind.clear();
-    rows.val.clear();
-    for (idx_t r = r0; r < r1; ++r) {
-      const std::span<const Entry> row = tracer.trace(r);
-      const std::size_t k = rows.ind.size();
-      rows.ind.resize(k + row.size());
-      rows.val.resize(k + row.size());
-      for (std::size_t e = 0; e < row.size(); ++e) {
-        rows.ind[k + e] = row[e].col;
-        rows.val[k + e] = row[e].len;
-      }
-      rows.displ[static_cast<std::size_t>(r - r0) + 1] =
-          static_cast<nnz_t>(k + row.size());
-    }
-  };
-
-  // Both passes run in one region, so each thread's scratch serves both
-  // and the allocator keeps one set of it per thread, not two. The
-  // forward's allocation may fail and place() may throw: the first
-  // exception is carried out of the region and rethrown.
+  // Pass 1 (parallel): each partition's nonzeros and footprint size, its
+  // rows traced and their columns marked, nothing stored.
   std::vector<sparse::PartitionSize> parts(static_cast<std::size_t>(numparts));
-  std::optional<sparse::StagedBuilder> build;
-  std::exception_ptr error;
-#pragma omp parallel
+  nnz_t widest = 0;
+#pragma omp parallel reduction(max : widest)
   {
     RowTracer tracer(g, sinogram_order, tomogram_order);
-    sparse::StagedBuilder::Scratch scratch(num_pixels);
-    sparse::CsrMatrix rows;
-    // Pass 1: each partition's nonzeros and footprint size.
+    sparse::Bitmap cols(num_pixels);
 #pragma omp for schedule(dynamic, 1)
     for (idx_t p = 0; p < numparts; ++p) {
-      trace_partition(tracer, p, rows);
-      parts[static_cast<std::size_t>(p)] = {
-          scratch.footprint.count(rows.row_columns(0, rows.num_rows)),
-          rows.nnz()};
+      const idx_t r0 = p * config.partsize;
+      const idx_t r1 = std::min<idx_t>(r0 + config.partsize, num_rays);
+      sparse::PartitionSize& part = parts[static_cast<std::size_t>(p)];
+      for (idx_t r = r0; r < r1; ++r) {
+        const std::span<const Entry> row = tracer.trace(r);
+        for (const Entry& e : row) cols.insert(e.col);
+        part.nnz += static_cast<nnz_t>(row.size());
+      }
+      cols.drain([&part](idx_t, std::uint64_t word) {
+        part.cols += std::popcount(word);
+      });
+      widest = std::max(widest, part.nnz);
     }
-#pragma omp single
-    try {
-      build.emplace(num_rays, num_pixels, config, parts);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    // Pass 2 (every thread sees `error` after the single's barrier): trace
-    // each partition again and place it. place() reads a row's entries in
-    // any column order, so they are not sorted.
-    if (!error) {
+  }
+
+  // Pass 2 (parallel): trace each partition again into the thread's scratch
+  // partition, sized once from pass 1's widest, and place it. place() reads
+  // a row's entries in any column order, so they are not sorted. The
+  // scratch is mapped (ScratchVector), so the finished build returns it.
+  // The forward's allocation may fail and place() may throw: the first
+  // exception is carried out of the region and rethrown.
+  std::optional<sparse::StagedBuilder> build;
+  std::exception_ptr error;
+  try {
+    build.emplace(num_rays, num_pixels, config, parts);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  if (!error) {
+#pragma omp parallel
+    {
+      RowTracer tracer(g, sinogram_order, tomogram_order);
+      sparse::StagedBuilder::Scratch scratch(num_pixels);
+      ScratchVector<nnz_t> displ(static_cast<std::size_t>(config.partsize) +
+                                 1);
+      ScratchVector<idx_t> ind(static_cast<std::size_t>(widest));
+      ScratchVector<real> val(static_cast<std::size_t>(widest));
 #pragma omp for schedule(dynamic, 1)
       for (idx_t p = 0; p < numparts; ++p) {
         try {
-          trace_partition(tracer, p, rows);
-          build->place(p, rows, 0, scratch);
+          const idx_t r0 = p * config.partsize;
+          const idx_t r1 = std::min<idx_t>(r0 + config.partsize, num_rays);
+          displ[0] = 0;
+          std::size_t k = 0;
+          for (idx_t r = r0; r < r1; ++r) {
+            const std::span<const Entry> row = tracer.trace(r);
+            MEMXCT_CHECK(k + row.size() <= ind.size());
+            for (const Entry& e : row) {
+              ind[k] = e.col;
+              val[k++] = e.len;
+            }
+            displ[static_cast<std::size_t>(r - r0) + 1] =
+                static_cast<nnz_t>(k);
+          }
+          build->place(p,
+                       {{displ.data(), static_cast<std::size_t>(r1 - r0) + 1},
+                        ind.data(),
+                        val.data()},
+                       scratch);
         } catch (...) {
 #pragma omp critical(memxct_build_projection_buffered_error)
           if (!error) error = std::current_exception();

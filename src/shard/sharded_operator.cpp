@@ -111,13 +111,14 @@ sparse::CsrMatrix cut_rows(const sparse::CsrMatrix& m, idx_t r0, idx_t r1,
 
 // The same rows as a Buffered tile: the staged matrix's partitions cut out
 // with their map compacted, byte for byte what build_buffered makes of the
-// compacted CSR slice.
-sparse::BufferedMatrix cut_rows(const sparse::BufferedMatrix& m, idx_t r0,
+// compacted CSR slice. The cut consumes the rows: their pages are released
+// once copied.
+sparse::BufferedMatrix cut_rows(sparse::BufferedMatrix&& m, idx_t r0,
                                 idx_t r1, const sparse::FootprintIndex& index,
                                 idx_t cols) {
   const idx_t ps = m.config.partsize;
-  return sparse::cut_partitions(m, ceil_div(r0, ps), ceil_div(r1, ps), index,
-                                cols);
+  return sparse::cut_partitions(std::move(m), ceil_div(r0, ps),
+                                ceil_div(r1, ps), index, cols);
 }
 
 }  // namespace
@@ -146,7 +147,7 @@ ShardedOperator::ShardedOperator(sparse::BufferedMatrix fwd,
 
 template <class Matrix>
 ShardedOperator::Side ShardedOperator::build_side(
-    const Matrix& m, dist::DomainPartition rows,
+    Matrix&& m, dist::DomainPartition rows,
     const dist::DomainPartition& input_owner, const Options& opt,
     idx_t partsize, int tiles) {
   const int P = opt.num_shards;
@@ -228,9 +229,13 @@ ShardedOperator::Side ShardedOperator::build_side(
         if (block.rows == 0) return;
         const auto& fp = side.footprint[sp];
         footprint.index(fp);
-        auto tile = cut_rows(m, block.row_begin, block.row_begin + block.rows,
-                             footprint, static_cast<idx_t>(fp.size()));
-        if constexpr (std::is_same_v<Matrix, sparse::CsrMatrix>)
+        // A Buffered source (an rvalue) gives up each block's rows as they
+        // are cut; the blocks' row ranges are disjoint.
+        auto tile = cut_rows(std::forward<Matrix>(m), block.row_begin,
+                             block.row_begin + block.rows, footprint,
+                             static_cast<idx_t>(fp.size()));
+        if constexpr (std::is_same_v<std::remove_cvref_t<Matrix>,
+                                     sparse::CsrMatrix>)
           block.local = std::move(tile);
         else
           block.buffered = std::move(tile);
@@ -277,8 +282,9 @@ std::shared_ptr<const ShardedOperator::Storage> ShardedOperator::build_storage(
   // Every tile is a range of the serial pair's partitions (shard and tile
   // cuts snap to partsize), so the tiles are cut from the staged forward and
   // from the backward staged from it, and the build never holds a CSR A or
-  // A^T. Each side's source is released once its tiles are cut, backward
-  // first: the peak is forward + backward + one side.
+  // A^T. Each side consumes its source as it cuts it, backward first: a
+  // block's source pages are released once its tile is copied, so the peak
+  // is forward + backward + one tile in flight per thread.
   const idx_t ps = fwd.config.partsize;
   sparse::BufferedMatrix bwd =
       sparse::build_buffered_transpose(fwd, fwd.config);
@@ -287,9 +293,9 @@ std::shared_ptr<const ShardedOperator::Storage> ShardedOperator::build_storage(
   const dist::DomainPartition tomo =
       partition_rows_aligned(bwd, opt.num_shards);
   const int tiles = tile_count(sino, tomo, ps, opt);
-  Side bwd_side = build_side(bwd, tomo, sino, opt, ps, tiles);
+  Side bwd_side = build_side(std::move(bwd), tomo, sino, opt, ps, tiles);
   bwd = sparse::BufferedMatrix{};
-  Side fwd_side = build_side(fwd, sino, tomo, opt, ps, tiles);
+  Side fwd_side = build_side(std::move(fwd), sino, tomo, opt, ps, tiles);
   const idx_t num_rows = fwd.num_rows;
   const idx_t num_cols = fwd.num_cols;
   fwd = sparse::BufferedMatrix{};

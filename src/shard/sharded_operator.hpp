@@ -104,8 +104,9 @@ class ShardedOperator final : public solve::LinearOperator {
   /// Buffered only: builds from A's fp32 staged forward, staged in
   /// opt.buffer (geometry::build_projection_buffered or build_buffered).
   /// The backward is staged from it (sparse::build_buffered_transpose) and
-  /// every tile is cut from the pair (sparse::cut_partitions), so no CSR A
-  /// or A^T exists during the build.
+  /// every tile is cut from the pair (sparse::cut_partitions), which each
+  /// cut consumes, so no CSR A or A^T exists during the build and its peak
+  /// is forward + backward + one tile in flight per thread.
   ShardedOperator(sparse::BufferedMatrix fwd, const Options& opt);
 
   [[nodiscard]] idx_t num_rows() const override { return num_rows_; }
@@ -214,9 +215,10 @@ class ShardedOperator final : public solve::LinearOperator {
   [[nodiscard]] static std::shared_ptr<const Storage> build_storage(
       sparse::BufferedMatrix fwd, Options opt);
   /// Cuts one direction's tiles from `m` (a CsrMatrix for BaselineCsr, a
-  /// BufferedMatrix for Buffered) and plans its exchange.
+  /// BufferedMatrix rvalue for Buffered, consumed block by block) and plans
+  /// its exchange.
   template <class Matrix>
-  [[nodiscard]] static Side build_side(const Matrix& m,
+  [[nodiscard]] static Side build_side(Matrix&& m,
                                        dist::DomainPartition rows,
                                        const dist::DomainPartition& input_owner,
                                        const Options& opt, idx_t partsize,

@@ -69,7 +69,8 @@ idx_t StagedBuilder::num_partitions(idx_t num_rows,
 
 StagedBuilder::StagedBuilder(idx_t num_rows, idx_t num_cols,
                              const BufferConfig& config,
-                             std::span<const PartitionSize> parts) {
+                             std::span<const PartitionSize> parts,
+                             UninitVector<real> val) {
   const idx_t numparts = num_partitions(num_rows, config);
   MEMXCT_CHECK(static_cast<idx_t>(parts.size()) == numparts);
   b_.num_rows = num_rows;
@@ -106,7 +107,12 @@ StagedBuilder::StagedBuilder(idx_t num_rows, idx_t num_cols,
   b_.displ.resize(static_cast<std::size_t>(total_stages) * partsize + 1);
   b_.displ[0] = 0;
   b_.ind.resize(static_cast<std::size_t>(total_nnz));
-  b_.val.resize(static_cast<std::size_t>(total_nnz));
+  if (val.empty()) {
+    b_.val.resize(static_cast<std::size_t>(total_nnz));
+  } else {
+    MEMXCT_CHECK(val.size() == static_cast<std::size_t>(total_nnz));
+    b_.val = std::move(val);
+  }
 
   // Stage starts into map: stage s of partition p holds the s-th buffsize
   // chunk of the partition's distinct columns.
@@ -129,19 +135,19 @@ StagedBuilder::StagedBuilder(idx_t num_rows, idx_t num_cols,
   MEMXCT_CHECK(s == total_stages);
 }
 
-void StagedBuilder::place(idx_t p, const CsrMatrix& rows, idx_t r0,
-                          Scratch& scratch) {
+void StagedBuilder::place(idx_t p, const Rows& rows, Scratch& scratch) {
   BufferedMatrix& b = b_;
   const idx_t partsize = b.config.partsize;
   const idx_t buffsize = b.config.buffsize;
-  const idx_t r1 = r0 + std::min<idx_t>(partsize, b.num_rows - p * partsize);
+  const idx_t n = std::min<idx_t>(partsize, b.num_rows - p * partsize);
   const idx_t stage0 = b.partdispl[static_cast<std::size_t>(p)];
   const idx_t stages = b.partdispl[static_cast<std::size_t>(p) + 1] - stage0;
   FootprintIndex& footprint = scratch.footprint;
-  std::vector<nnz_t>& counts = scratch.counts;
-  MEMXCT_CHECK(rows.displ[r1] - rows.displ[r0] ==
-               first_[static_cast<std::size_t>(p) + 1] -
-                   first_[static_cast<std::size_t>(p)]);
+  ScratchVector<nnz_t>& counts = scratch.counts;
+  const std::span<const nnz_t> displ = rows.displ;
+  MEMXCT_CHECK(displ.size() == static_cast<std::size_t>(n) + 1);
+  MEMXCT_CHECK(displ[n] - displ[0] == first_[static_cast<std::size_t>(p) + 1] -
+                                          first_[static_cast<std::size_t>(p)]);
 
   // map: the partition's sorted distinct columns, chunked by stage,
   // collected in place; the slice then indexes the footprint.
@@ -150,7 +156,9 @@ void StagedBuilder::place(idx_t p, const CsrMatrix& rows, idx_t r0,
       static_cast<std::size_t>(
           b.stagedispl[static_cast<std::size_t>(stage0 + stages)] -
           b.stagedispl[static_cast<std::size_t>(stage0)]));
-  footprint.collect(rows.row_columns(r0, r1), map);
+  footprint.collect({rows.ind + displ[0],
+                     static_cast<std::size_t>(displ[n] - displ[0])},
+                    map);
   footprint.index(map);
 
   // An entry's position in the partition's sorted distinct columns gives its
@@ -158,13 +166,11 @@ void StagedBuilder::place(idx_t p, const CsrMatrix& rows, idx_t r0,
   // counting pass then lays the entries out stage-major. Counts do not
   // depend on the order of a row's entries.
   counts.assign(static_cast<std::size_t>(stages) * partsize, 0);
-  for (idx_t r = r0; r < r1; ++r) {
-    const idx_t j = r - r0;
-    for (nnz_t k = rows.displ[r]; k < rows.displ[r + 1]; ++k) {
+  for (idx_t j = 0; j < n; ++j)
+    for (nnz_t k = displ[j]; k < displ[j + 1]; ++k) {
       const idx_t stage = footprint.position(rows.ind[k]) / buffsize;
       ++counts[static_cast<std::size_t>(stage) * partsize + j];
     }
-  }
 
   // Stage-major prefix sum -> displ for every (stage, row) cell, plus
   // per-cell starts for placement. displ[0] = 0 by construction, and every
@@ -195,8 +201,8 @@ void StagedBuilder::place(idx_t p, const CsrMatrix& rows, idx_t r0,
   real* const row_val = scratch.row_val.data();
   buf_idx_t* const ind = b.ind.data();
   real* const val = b.val.data();
-  for (idx_t r = r0; r < r1; ++r) {
-    for (nnz_t k = rows.displ[r]; k < rows.displ[r + 1]; ++k) {
+  for (idx_t j = 0; j < n; ++j) {
+    for (nnz_t k = displ[j]; k < displ[j + 1]; ++k) {
       const idx_t pos = footprint.position(rows.ind[k]);
       marked.insert(pos);
       row_val[pos] = rows.val[k];
@@ -210,13 +216,13 @@ void StagedBuilder::place(idx_t p, const CsrMatrix& rows, idx_t r0,
           const idx_t s = pos / buffsize;
           base = s * buffsize;
           end = base + buffsize;
-          cur = counts[static_cast<std::size_t>(s) * partsize + (r - r0)];
+          cur = counts[static_cast<std::size_t>(s) * partsize + j];
         }
         ind[cur] = static_cast<buf_idx_t>(pos - base);
         val[cur] = row_val[pos];
       }
     });
-    MEMXCT_CHECK_MSG(written == rows.displ[r + 1] - rows.displ[r],
+    MEMXCT_CHECK_MSG(written == displ[j + 1] - displ[j],
                      "a row holds a column more than once");
   }
 }
@@ -226,7 +232,15 @@ BufferedMatrix StagedBuilder::finish() && {
   return std::move(b_);
 }
 
-BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
+namespace {
+
+/// The staged build of `a`. With `consumed` (the same matrix, owned by the
+/// caller's rvalue), A's values become the forward's value array: each
+/// partition's values are copied into the thread's scratch before place()
+/// overwrites their range, and A's indices are released once their
+/// partition is placed.
+BufferedMatrix stage(const CsrMatrix& a, const BufferConfig& config,
+                     CsrMatrix* consumed) {
   const idx_t numparts = StagedBuilder::num_partitions(a.num_rows, config);
   const idx_t partsize = config.partsize;
   const auto rows_of = [&](idx_t p) {
@@ -239,7 +253,8 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
   // kept: place() collects each footprint straight into its slice of `map`,
   // so the build never holds the columns twice.
   std::vector<PartitionSize> parts(static_cast<std::size_t>(numparts));
-#pragma omp parallel
+  nnz_t widest = 0;
+#pragma omp parallel reduction(max : widest)
   {
     FootprintIndex footprint(a.num_cols);
 #pragma omp for schedule(dynamic, 4)
@@ -247,21 +262,51 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
       const auto [r0, r1] = rows_of(p);
       parts[static_cast<std::size_t>(p)] = {
           footprint.count(a.row_columns(r0, r1)), a.displ[r1] - a.displ[r0]};
+      widest = std::max(widest, a.displ[r1] - a.displ[r0]);
     }
   }
 
   // Pass 2 (parallel): fill map, displ, ind, val per partition. A row that
   // holds a column twice makes place() throw; the first such error is
   // carried out of the region and rethrown.
-  StagedBuilder build(a.num_rows, a.num_cols, config, parts);
+  const real* const a_val = a.val.data();  // kept by the adoption below
+  StagedBuilder build(a.num_rows, a.num_cols, config, parts,
+                      consumed != nullptr ? std::move(consumed->val)
+                                          : UninitVector<real>{});
   std::exception_ptr error;
 #pragma omp parallel
   {
     StagedBuilder::Scratch scratch(a.num_cols);
+    ScratchVector<nnz_t> displ;
+    ScratchVector<real> val;
+    if (consumed != nullptr) {
+      displ.resize(static_cast<std::size_t>(partsize) + 1);
+      val.resize(static_cast<std::size_t>(widest));
+    }
 #pragma omp for schedule(dynamic, 4)
     for (idx_t p = 0; p < numparts; ++p) {
       try {
-        build.place(p, a, rows_of(p).first, scratch);
+        const auto [r0, r1] = rows_of(p);
+        if (consumed == nullptr) {
+          build.place(p,
+                      {{a.displ.data() + r0,
+                        static_cast<std::size_t>(r1 - r0) + 1},
+                       a.ind.data(),
+                       a.val.data()},
+                      scratch);
+          continue;
+        }
+        const nnz_t e0 = a.displ[r0], e1 = a.displ[r1];
+        for (idx_t r = r0; r <= r1; ++r)
+          displ[static_cast<std::size_t>(r - r0)] = a.displ[r] - e0;
+        std::copy(a_val + e0, a_val + e1, val.data());
+        build.place(p,
+                    {{displ.data(), static_cast<std::size_t>(r1 - r0) + 1},
+                     a.ind.data() + e0,
+                     val.data()},
+                    scratch);
+        release_consumed(consumed->ind, static_cast<std::size_t>(e0),
+                         static_cast<std::size_t>(e1));
       } catch (...) {
 #pragma omp critical(memxct_build_buffered_error)
         if (!error) error = std::current_exception();
@@ -270,6 +315,16 @@ BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
   }
   if (error) std::rethrow_exception(error);
   return std::move(build).finish();
+}
+
+}  // namespace
+
+BufferedMatrix build_buffered(const CsrMatrix& a, const BufferConfig& config) {
+  return stage(a, config, nullptr);
+}
+
+BufferedMatrix build_buffered(CsrMatrix&& a, const BufferConfig& config) {
+  return stage(a, config, &a);
 }
 
 BufferedMatrix cut_partitions(const BufferedMatrix& b, idx_t p0, idx_t p1,
@@ -329,6 +384,31 @@ BufferedMatrix cut_partitions(const BufferedMatrix& b, idx_t p0, idx_t p1,
   return t;
 }
 
+BufferedMatrix cut_partitions(BufferedMatrix&& b, idx_t p0, idx_t p1,
+                              const FootprintIndex& footprint,
+                              idx_t num_cols) {
+  BufferedMatrix t = cut_partitions(std::as_const(b), p0, p1, footprint,
+                                    num_cols);
+  if (p0 == p1) return t;
+  // The copied ranges. displ[c0] and displ[c1] bound the neighbouring cuts'
+  // runs as well, so only the words strictly between them are released.
+  const auto s0 = static_cast<std::size_t>(
+      b.partdispl[static_cast<std::size_t>(p0)]);
+  const auto s1 = static_cast<std::size_t>(
+      b.partdispl[static_cast<std::size_t>(p1)]);
+  const auto c0 = s0 * static_cast<std::size_t>(b.config.partsize);
+  const auto c1 = s1 * static_cast<std::size_t>(b.config.partsize);
+  const auto e0 = static_cast<std::size_t>(b.displ[c0]);
+  const auto e1 = static_cast<std::size_t>(b.displ[c1]);
+  release_consumed(b.map, static_cast<std::size_t>(b.stagedispl[s0]),
+                   static_cast<std::size_t>(b.stagedispl[s1]));
+  release_consumed(b.displ, c0 + 1, c1);
+  release_consumed(b.ind, e0, e1);
+  release_consumed(b.val, e0, e1);
+  release_consumed(b.val16, e0, e1);
+  return t;
+}
+
 void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,
                    std::span<real> y) {
   apply(a, {}, 1, x, y);
@@ -338,13 +418,21 @@ BufferedMatrix compress_buffered(BufferedMatrix b, ValueStorage storage) {
   if (storage == b.storage) return b;
   MEMXCT_CHECK_MSG(b.storage == ValueStorage::Fp32,
                    "compress_buffered quantizes fp32 values only");
+  // Blocks of 1 MiB of fp32 values: each block's pages are released as
+  // soon as it is quantized, so the values are never resident twice.
+  constexpr nnz_t kBlock = nnz_t{1} << 18;
   const nnz_t n = b.nnz();
   b.val16.resize(static_cast<std::size_t>(n));
 #pragma omp parallel for schedule(static)
-  for (nnz_t j = 0; j < n; ++j)
-    b.val16[static_cast<std::size_t>(j)] =
-        encode_value(b.val[static_cast<std::size_t>(j)], storage);
-  b.val = UninitVector<real>();  // release the fp32 copy
+  for (nnz_t j0 = 0; j0 < n; j0 += kBlock) {
+    const nnz_t j1 = std::min(j0 + kBlock, n);
+    for (nnz_t j = j0; j < j1; ++j)
+      b.val16[static_cast<std::size_t>(j)] =
+          encode_value(b.val[static_cast<std::size_t>(j)], storage);
+    release_consumed(b.val, static_cast<std::size_t>(j0),
+                     static_cast<std::size_t>(j1));
+  }
+  b.val = UninitVector<real>();
   b.storage = storage;
   return b;
 }

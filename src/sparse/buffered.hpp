@@ -120,6 +120,15 @@ inline void for_each_in_run(const buf_idx_t* ind, const V* val, nnz_t nnz,
 [[nodiscard]] BufferedMatrix build_buffered(const CsrMatrix& a,
                                             const BufferConfig& config = {});
 
+/// The same bytes, consuming `a`: its value array becomes the forward's,
+/// each partition's values permuted in place, and the pages of its `ind`
+/// are released (release_consumed) once their partition is placed. So the
+/// build holds A's indices, one copy of the values and the forward's
+/// indices, never A and the forward. `a` is left with its `displ` and its
+/// released `ind`, to be destroyed.
+[[nodiscard]] BufferedMatrix build_buffered(CsrMatrix&& a,
+                                            const BufferConfig& config = {});
+
 /// Partitions [p0, p1) of `b` as a matrix of their own: rows
 /// [p0·partsize, min(p1·partsize, num_rows)) with their stages, every
 /// offset rebased to the cut, and every map entry c replaced by
@@ -131,6 +140,15 @@ inline void for_each_in_run(const buf_idx_t* ind, const V* val, nnz_t nnz,
 /// the one empty partition build_buffered gives a row-less matrix. The
 /// value array b holds (val or val16) is copied.
 [[nodiscard]] BufferedMatrix cut_partitions(const BufferedMatrix& b, idx_t p0,
+                                            idx_t p1,
+                                            const FootprintIndex& footprint,
+                                            idx_t num_cols);
+
+/// The same cut, consuming partitions [p0, p1) of `b`: once they are
+/// copied, the pages of their `map`, `displ`, `ind` and value ranges are
+/// released (release_consumed). `b` keeps its shape; its other partitions
+/// may still be cut, concurrently too, and read as before.
+[[nodiscard]] BufferedMatrix cut_partitions(BufferedMatrix&& b, idx_t p0,
                                             idx_t p1,
                                             const FootprintIndex& footprint,
                                             idx_t num_cols);
@@ -154,24 +172,36 @@ class StagedBuilder {
   [[nodiscard]] static idx_t num_partitions(idx_t num_rows,
                                             const BufferConfig& config);
 
+  /// `val`, when given, becomes the matrix's value array instead of a new
+  /// one; it must hold the total nonzero count, and place() overwrites
+  /// each partition's range of it.
   StagedBuilder(idx_t num_rows, idx_t num_cols, const BufferConfig& config,
-                std::span<const PartitionSize> parts);
+                std::span<const PartitionSize> parts,
+                UninitVector<real> val = {});
 
   /// Per-thread scratch of place(): O(num_cols + footprint) at any
-  /// partsize.
+  /// partsize, mapped so that a finished build returns it.
   struct Scratch {
     explicit Scratch(idx_t num_cols) : footprint(num_cols) {}
     FootprintIndex footprint;
-    std::vector<nnz_t> counts;  ///< Per (stage, row): count, then start.
-    Bitmap row;                 ///< The footprint positions of one row.
-    std::vector<real> row_val;  ///< Per footprint position: the row's value.
+    ScratchVector<nnz_t> counts;  ///< Per (stage, row): count, then start.
+    Bitmap row;                   ///< The footprint positions of one row.
+    ScratchVector<real> row_val;  ///< Per footprint position: the row's
+                                  ///< value.
   };
 
-  /// Fills partition p from rows [r0, r0 + its row count) of `rows`: map,
-  /// displ, ind and val. A row may hold its entries in any column order;
-  /// the bytes are those of the same rows sorted. A row that holds a
-  /// column twice throws InvariantError.
-  void place(idx_t p, const CsrMatrix& rows, idx_t r0, Scratch& scratch);
+  /// One partition's rows as place() reads them: row j holds entries
+  /// [displ[j], displ[j + 1]) of ind and val.
+  struct Rows {
+    std::span<const nnz_t> displ;  ///< Row count + 1 offsets.
+    const idx_t* ind = nullptr;
+    const real* val = nullptr;
+  };
+  /// Fills partition p from its rows: map, displ, ind and val. A row may
+  /// hold its entries in any column order; the bytes are those of the same
+  /// rows sorted. A row that holds a column twice throws InvariantError.
+  /// The rows may not alias the matrix's value array.
+  void place(idx_t p, const Rows& rows, Scratch& scratch);
 
   /// The validated matrix, once every partition is placed.
   [[nodiscard]] BufferedMatrix finish() &&;
@@ -190,7 +220,10 @@ void spmv_buffered(const BufferedMatrix& a, std::span<const real> x,
 /// (bf16 or fp16 bits in val16; identity for Fp32). Structure and index
 /// streams are kept as they are, so the reduced-precision apply walks the
 /// same runs in the same order. Quantization is idempotent: a matrix whose
-/// values are already representable keeps its bits.
+/// values are already representable keeps its bits. `b` is consumed: the
+/// pages of its fp32 values are released (release_consumed) block by block
+/// as they are quantized, so a moved-in matrix never has both copies of its
+/// values resident.
 [[nodiscard]] BufferedMatrix compress_buffered(BufferedMatrix b,
                                                ValueStorage storage);
 

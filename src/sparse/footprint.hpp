@@ -17,6 +17,7 @@
 #include <span>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/types.hpp"
 
 namespace memxct::sparse {
@@ -61,12 +62,13 @@ class Bitmap {
   }
 
  private:
-  std::vector<std::uint64_t> words_;
-  std::vector<std::uint8_t> groups_;  ///< Per 64 words: any bit set?
+  // Mapped, like all build scratch (common/aligned.hpp: ScratchAllocator).
+  ScratchVector<std::uint64_t> words_;
+  ScratchVector<std::uint8_t> groups_;  ///< Per 64 words: any bit set?
 };
 
 /// Per-thread scratch over a matrix's column space (a bit and a position
-/// word per column).
+/// word per column), mapped so that a finished build returns it.
 class FootprintIndex {
  public:
   explicit FootprintIndex(idx_t num_cols);
@@ -95,7 +97,7 @@ class FootprintIndex {
   void drain(std::span<const idx_t> cols, Fn&& fn);
 
   Bitmap marked_;              ///< The columns of the list being read.
-  std::vector<idx_t> pos_of_;  ///< Per column: rank in the footprint.
+  ScratchVector<idx_t> pos_of_;  ///< Per column: rank in the footprint.
 };
 
 }  // namespace memxct::sparse

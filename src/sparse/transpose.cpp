@@ -99,8 +99,10 @@ CsrMatrix transpose(const CsrMatrix& a) {
 BufferedMatrix build_buffered_transpose(const BufferedMatrix& fwd,
                                         const BufferConfig& config,
                                         ValueStorage storage) {
-  MEMXCT_CHECK_MSG(fwd.storage == ValueStorage::Fp32,
-                   "the staged transpose reads fp32 buffered values only");
+  MEMXCT_CHECK_MSG(
+      fwd.storage == ValueStorage::Fp32 || fwd.storage == storage,
+      "the staged transpose reads fp32 values or values already in its "
+      "storage");
   MEMXCT_CHECK(config.partsize >= 1);
   MEMXCT_CHECK_MSG(config.buffsize >= 1 && config.buffsize <= 65536,
                    "16-bit buffer addressing limits buffsize to 65536");
@@ -128,8 +130,9 @@ BufferedMatrix build_buffered_transpose(const BufferedMatrix& fwd,
   const Blocks parts(fwd.num_partitions());
   std::vector<Block> block(static_cast<std::size_t>(parts.count));
 
-  // walk(blk, f) calls f(P, fresh, r, j, v) for every entry (r, c, v) of
-  // block blk's forward partitions, c being row j of backward partition P.
+  // walk(blk, f) calls f(P, fresh, r, j, k) for every entry (r, c) of block
+  // blk's forward partitions, stored at k, c being row j of backward
+  // partition P.
   // It goes row by row and, within a row, stage by stage, so rows arrive
   // in ascending order and a row is new to P exactly when it differs from
   // the last row that touched P: `fresh` marks it. Such a row takes the
@@ -176,7 +179,7 @@ BufferedMatrix build_buffered_transpose(const BufferedMatrix& fwd,
                 b.slot[part] = static_cast<buf_idx_t>(rank % buffsize);
               }
             }
-            f(part, fresh, r, c - lo, fwd.val[static_cast<std::size_t>(k)]);
+            f(part, fresh, r, c - lo, static_cast<std::size_t>(k));
           }
         }
       }
@@ -187,7 +190,7 @@ BufferedMatrix build_buffered_transpose(const BufferedMatrix& fwd,
 #pragma omp parallel for schedule(static)
   for (idx_t blk = 0; blk < parts.count; ++blk) {
     block[static_cast<std::size_t>(blk)].rank0.assign(numparts, 0);
-    walk(blk, [](std::size_t, bool, idx_t, idx_t, real) {});
+    walk(blk, [](std::size_t, bool, idx_t, idx_t, std::size_t) {});
   }
 
   // Scan over partitions, blocks in order within each: blocks hold
@@ -227,7 +230,8 @@ BufferedMatrix build_buffered_transpose(const BufferedMatrix& fwd,
   for (idx_t blk = 0; blk < parts.count; ++blk) {
     Block& b = block[static_cast<std::size_t>(blk)];
     b.cells.assign(cells, 0);
-    walk(blk, [&](std::size_t part, bool fresh, idx_t r, idx_t j, real) {
+    walk(blk, [&](std::size_t part, bool fresh, idx_t r, idx_t j,
+                  std::size_t) {
       if (fresh)
         t.map[static_cast<std::size_t>(
             t.stagedispl[static_cast<std::size_t>(t.partdispl[part])] +
@@ -253,26 +257,35 @@ BufferedMatrix build_buffered_transpose(const BufferedMatrix& fwd,
   }
   MEMXCT_CHECK(offset == fwd.nnz());
 
-  // Pass 3: placement of slots and values.
+  // Pass 3: placement of slots and values. A forward already in `storage`
+  // gives its bits as they are: they are the encoding of its fp32 values.
   const auto nnz = static_cast<std::size_t>(offset);
   t.ind.resize(nnz);
   if (storage == ValueStorage::Fp32)
     t.val.resize(nnz);
   else
     t.val16.resize(nnz);
+  // put(k, e) writes the value of forward entry e to backward entry k.
+  const auto place = [&](auto&& put) {
 #pragma omp parallel for schedule(static)
-  for (idx_t blk = 0; blk < parts.count; ++blk) {
-    Block& b = block[static_cast<std::size_t>(blk)];
-    walk(blk, [&](std::size_t part, bool, idx_t, idx_t j, real v) {
-      const std::size_t i = b.cell0[part] + static_cast<std::size_t>(j);
-      const auto k = static_cast<std::size_t>(b.cells[i]++);
-      t.ind[k] = b.slot[part];
-      if (storage == ValueStorage::Fp32)
-        t.val[k] = v;
-      else
-        t.val16[k] = encode_value(v, storage);
+    for (idx_t blk = 0; blk < parts.count; ++blk) {
+      Block& b = block[static_cast<std::size_t>(blk)];
+      walk(blk, [&](std::size_t part, bool, idx_t, idx_t j, std::size_t e) {
+        const std::size_t i = b.cell0[part] + static_cast<std::size_t>(j);
+        const auto k = static_cast<std::size_t>(b.cells[i]++);
+        t.ind[k] = b.slot[part];
+        put(k, e);
+      });
+    }
+  };
+  if (storage == ValueStorage::Fp32)
+    place([&](std::size_t k, std::size_t e) { t.val[k] = fwd.val[e]; });
+  else if (fwd.storage == storage)
+    place([&](std::size_t k, std::size_t e) { t.val16[k] = fwd.val16[e]; });
+  else
+    place([&](std::size_t k, std::size_t e) {
+      t.val16[k] = encode_value(fwd.val[e], storage);
     });
-  }
   t.validate();
   return t;
 }

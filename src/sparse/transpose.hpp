@@ -19,14 +19,15 @@ namespace memxct::sparse {
 /// and the result is bitwise identical for any thread count.
 [[nodiscard]] CsrMatrix transpose(const CsrMatrix& a);
 
-/// A^T's staged layout written straight from a built fp32 buffered forward:
-/// for fwd = build_buffered(a, any config) it equals, array for array and
-/// byte for byte, compress_buffered(build_buffered(transpose(a), config),
-/// storage). No CSR A^T exists on the way, so the operator build holds at
-/// most the forward and the backward at once (DESIGN.md §23). Three
-/// OpenMP-parallel passes over blocks of forward partitions (footprint
-/// counts, map and cell counts, placement), bitwise identical for any
-/// thread count. Throws InvariantError unless fwd holds fp32 values.
+/// A^T's staged layout written straight from a built buffered forward: for
+/// fwd = build_buffered(a, any config), or compress_buffered of it into
+/// `storage`, it equals, array for array and byte for byte,
+/// compress_buffered(build_buffered(transpose(a), config), storage). No CSR
+/// A^T exists on the way, so the operator build holds at most the forward
+/// and the backward at once (DESIGN.md §23). Three OpenMP-parallel passes
+/// over blocks of forward partitions (footprint counts, map and cell
+/// counts, placement), bitwise identical for any thread count. Throws
+/// InvariantError unless fwd holds fp32 values or values in `storage`.
 [[nodiscard]] BufferedMatrix build_buffered_transpose(
     const BufferedMatrix& fwd, const BufferConfig& config = {},
     ValueStorage storage = ValueStorage::Fp32);

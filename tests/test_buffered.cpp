@@ -426,6 +426,115 @@ TEST_P(BufferedOracle, StagedTransposeMatchesReferenceBytewise) {
   omp_set_num_threads(saved);
 }
 
+/// The consuming conversions of `a`'s staged build against the
+/// non-consuming ones, at 1, 3 and 4 threads: build_buffered(A&&), the
+/// cuts of a few partition ranges (one empty) in fp32 and bf16, and
+/// compress_buffered of a moved-in forward. Each must give the same bytes
+/// on every array and hand back the pages of what it consumed.
+void expect_consuming_conversions_match(const CsrMatrix& a,
+                                        const BufferConfig& config) {
+  MatrixByteCounter& counter = matrix_byte_counter();
+  const int saved = omp_get_max_threads();
+  for (const int threads : {1, 3, 4}) {
+    omp_set_num_threads(threads);
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    const BufferedMatrix want = build_buffered(a, config);
+
+    // A's values become the forward's; its indices are released
+    // partition by partition.
+    CsrMatrix source = a;
+    testutil::expect_same_buffered(build_buffered(std::move(source), config),
+                                   want);
+    EXPECT_TRUE(source.val.empty());
+    for (idx_t p = 0; p < want.num_partitions(); ++p) {
+      const idx_t r0 = std::min(p * config.partsize, a.num_rows);
+      const idx_t r1 = std::min(r0 + config.partsize, a.num_rows);
+      testutil::expect_released(source.ind,
+                                static_cast<std::size_t>(a.displ[r0]),
+                                static_cast<std::size_t>(a.displ[r1]));
+    }
+
+    // Cuts of [0, n/3), [n/3, n/3), [n/3, 2n/3) and [2n/3, n), each
+    // compacted to its own footprint.
+    const idx_t n = want.num_partitions();
+    const std::vector<std::pair<idx_t, idx_t>> cuts = {
+        {0, n / 3}, {n / 3, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}};
+    for (const auto storage : {ValueStorage::Fp32, ValueStorage::Bf16}) {
+      SCOPED_TRACE(to_string(storage));
+      const BufferedMatrix b = compress_buffered(want, storage);
+      BufferedMatrix consumed = b;
+      FootprintIndex index(a.num_cols);
+      for (const auto& [p0, p1] : cuts) {
+        const nnz_t m0 = b.stagedispl[static_cast<std::size_t>(
+            b.partdispl[static_cast<std::size_t>(p0)])];
+        const nnz_t m1 = b.stagedispl[static_cast<std::size_t>(
+            b.partdispl[static_cast<std::size_t>(p1)])];
+        const auto fp = index.collect(
+            {b.map.data() + m0, static_cast<std::size_t>(m1 - m0)});
+        index.index(fp);
+        const auto cols = static_cast<idx_t>(fp.size());
+        testutil::expect_same_buffered(
+            cut_partitions(std::move(consumed), p0, p1, index, cols),
+            cut_partitions(b, p0, p1, index, cols));
+      }
+      for (const auto& [p0, p1] : cuts) {
+        const auto s0 = static_cast<std::size_t>(
+            b.partdispl[static_cast<std::size_t>(p0)]);
+        const auto s1 = static_cast<std::size_t>(
+            b.partdispl[static_cast<std::size_t>(p1)]);
+        const auto c0 = s0 * static_cast<std::size_t>(config.partsize);
+        const auto c1 = s1 * static_cast<std::size_t>(config.partsize);
+        const auto e0 = static_cast<std::size_t>(b.displ[c0]);
+        const auto e1 = static_cast<std::size_t>(b.displ[c1]);
+        testutil::expect_released(
+            consumed.map, static_cast<std::size_t>(b.stagedispl[s0]),
+            static_cast<std::size_t>(b.stagedispl[s1]));
+        testutil::expect_released(consumed.displ, c0 + 1, c1);
+        testutil::expect_released(consumed.ind, e0, e1);
+        testutil::expect_released(consumed.val, e0, e1);
+        testutil::expect_released(consumed.val16, e0, e1);
+      }
+    }
+
+    // The fp32 values are released as they are quantized: every whole page
+    // of them, counted once.
+    const BufferedMatrix want16 = compress_buffered(want, ValueStorage::Bf16);
+    BufferedMatrix fwd = want;
+    const std::size_t val_bytes = fwd.val.capacity() * sizeof(real);
+    const std::int64_t released = counter.released_total();
+    testutil::expect_same_buffered(
+        compress_buffered(std::move(fwd), ValueStorage::Bf16), want16);
+    EXPECT_EQ(counter.released_total() - released,
+              val_bytes < kMatrixMapFloorBytes
+                  ? 0
+                  : static_cast<std::int64_t>(want.val.size() *
+                                              sizeof(real) / page_bytes() *
+                                              page_bytes()));
+  }
+  omp_set_num_threads(saved);
+}
+
+TEST_P(BufferedOracle, ConsumingConversionsMatchBytewise) {
+  const auto& param = GetParam();
+  expect_consuming_conversions_match(param.matrix(), param.config);
+}
+
+TEST(Buffered, ConsumingConversionsReleaseAProjectionMatrix) {
+  // A projection matrix whose arrays are mapped (from kMatrixMapFloorBytes
+  // up), so that every conversion has pages to release.
+  const auto g = geometry::make_geometry(128, 96);
+  const hilbert::Ordering sino(g.sinogram_extent(),
+                               hilbert::CurveKind::Hilbert, 8);
+  const hilbert::Ordering tomo(g.tomogram_extent(),
+                               hilbert::CurveKind::Hilbert, 8);
+  const CsrMatrix a = geometry::build_projection_matrix(g, sino, tomo);
+  ASSERT_GE(a.ind.capacity() * sizeof(idx_t), 2 * kMatrixMapFloorBytes);
+  const BufferConfig config;
+  ASSERT_GE(build_buffered(a, config).ind.capacity() * sizeof(buf_idx_t),
+            2 * kMatrixMapFloorBytes);
+  expect_consuming_conversions_match(a, config);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Cases, BufferedOracle, ::testing::ValuesIn(oracle_cases()),
     [](const ::testing::TestParamInfo<OracleCase>& info) {

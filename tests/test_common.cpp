@@ -11,6 +11,7 @@
 #include "common/grid.hpp"
 #include "common/interleave.hpp"
 #include "common/rng.hpp"
+#include "test_util.hpp"
 
 namespace memxct {
 namespace {
@@ -122,6 +123,62 @@ TEST(Aligned, UninitVectorWritesExplicitValues) {
   big.resize(10);
   big.shrink_to_fit();
   EXPECT_EQ(big.back(), 1);
+}
+
+TEST(Aligned, ReleaseConsumedHandsBackInteriorPages) {
+  // Only the whole pages inside the range go, the counter stops counting
+  // exactly them, and freeing the array settles the count. A heap array
+  // under the map floor keeps every page.
+  MatrixByteCounter& counter = matrix_byte_counter();
+  const std::int64_t live = counter.live();
+  const std::size_t page = page_bytes();
+  {
+    UninitVector<float> v(3 * kMatrixMapFloorBytes / sizeof(float), 1.0f);
+    const std::size_t first = 1000, last = v.size() - 777;
+    const std::int64_t released = counter.released_total();
+    release_consumed(v, first, last);
+    const auto base = reinterpret_cast<std::uintptr_t>(v.data());
+    const std::uintptr_t lo =
+        (base + first * sizeof(float) + page - 1) / page * page;
+    const std::uintptr_t hi = (base + last * sizeof(float)) / page * page;
+    const auto bytes = static_cast<std::int64_t>(hi - lo);
+    EXPECT_GT(bytes, 0);
+    EXPECT_EQ(counter.released_total() - released, bytes);
+    EXPECT_EQ(counter.live() - live,
+              static_cast<std::int64_t>(v.size() * sizeof(float)) - bytes);
+    testutil::expect_released(v, first, last);
+    // The elements outside the whole pages keep their values.
+    EXPECT_EQ(v[first - 1], 1.0f);
+    EXPECT_EQ(v[(lo - base) / sizeof(float) - 1], 1.0f);
+    EXPECT_EQ(v[(hi - base) / sizeof(float)], 1.0f);
+    EXPECT_EQ(v.back(), 1.0f);
+    // An empty range, and a range inside one page, release nothing.
+    release_consumed(v, 5, 5);
+    release_consumed(v, 0, page / sizeof(float) - 1);
+    EXPECT_EQ(counter.released_total() - released, bytes);
+
+    UninitVector<float> small(1000, 2.0f);
+    release_consumed(small, 0, small.size());
+    EXPECT_EQ(counter.released_total() - released, bytes);
+    EXPECT_EQ(small[500], 2.0f);
+  }
+  EXPECT_EQ(counter.live(), live);
+}
+
+TEST(Aligned, ReadingAReleasedRangeAborts) {
+#ifdef __SANITIZE_ADDRESS__
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        UninitVector<float> v(kMatrixMapFloorBytes / sizeof(float), 1.0f);
+        release_consumed(v, 0, v.size());
+        volatile float x = v[v.size() / 2];
+        (void)x;
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "a released page reads as zeros outside AddressSanitizer";
+#endif
 }
 
 TEST(Rng, DeterministicBySeed) {

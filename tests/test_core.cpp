@@ -59,12 +59,14 @@ INSTANTIATE_TEST_SUITE_P(AllKernels, KernelKinds,
 using testutil::matrix_bytes_of;
 
 TEST(OperatorBuild, BufferedBuildHoldsAtMostTwoMatrices) {
-  // The CSR constructor's Buffered build holds A and the fp32 forward, then
-  // the forward and the backward: never a CSR A^T beside them (DESIGN.md
-  // §23). The bound counts fp32 forms; in 16 bits the backward is written
-  // compressed, so the forward's 16-bit copy fits in the room its fp32
-  // values would take. A default Reconstructor traces straight into the
-  // forward and never holds A: its build peaks at forward + backward.
+  // The CSR constructor's Buffered build consumes A as it stages the
+  // forward: A's values become the forward's and A's indices are released,
+  // so it never holds A beside the forward, and its peak is forward +
+  // backward, never a CSR A^T beside them (DESIGN.md §23). In 16 bits the
+  // forward is compressed first, its fp32 values released as they are
+  // quantized, and the backward is written from it in 16 bits: the peak is
+  // at most the fp32 forward + the 16-bit backward. A default Reconstructor
+  // traces straight into the forward and never holds A.
   const auto g = geometry::make_geometry(48, 40);
   const hilbert::Ordering sino(g.sinogram_extent(),
                                hilbert::CurveKind::Hilbert, 4);
@@ -72,27 +74,33 @@ TEST(OperatorBuild, BufferedBuildHoldsAtMostTwoMatrices) {
                                hilbert::CurveKind::Hilbert, 4);
   const sparse::CsrMatrix a = geometry::build_projection_matrix(g, sino, tomo);
   const sparse::BufferConfig buffer{32, 256};
-  std::int64_t fwd = 0, at = 0, bwd = 0;
+  const auto bf16 = sparse::ValueStorage::Bf16;
+  std::int64_t fwd = 0, at = 0, bwd = 0, fwd16 = 0, bwd16 = 0;
   {
     const sparse::CsrMatrix t = sparse::transpose(a);
     fwd = matrix_bytes_of(sparse::build_buffered(a, buffer));
     at = matrix_bytes_of(t);
     bwd = matrix_bytes_of(sparse::build_buffered(t, buffer));
+    fwd16 = matrix_bytes_of(
+        sparse::compress_buffered(sparse::build_buffered(a, buffer), bf16));
+    bwd16 = matrix_bytes_of(
+        sparse::compress_buffered(sparse::build_buffered(t, buffer), bf16));
   }
   MatrixByteCounter& counter = matrix_byte_counter();
-  for (const auto precision :
-       {sparse::ValueStorage::Fp32, sparse::ValueStorage::Bf16}) {
+  for (const auto precision : {sparse::ValueStorage::Fp32, bf16}) {
     SCOPED_TRACE(sparse::to_string(precision));
+    const bool fp32 = precision == sparse::ValueStorage::Fp32;
     sparse::CsrMatrix copy = a;
     const std::int64_t a_bytes = matrix_bytes_of(copy);
-    const std::int64_t bound = std::max(a_bytes + fwd, fwd + bwd);
-    EXPECT_GT(fwd + at + bwd, bound);  // the CSR A^T path exceeds it
+    const std::int64_t bound = fwd + (fp32 ? bwd : bwd16);
+    EXPECT_GT(a_bytes + fwd, bound);     // A + forward exceeds it
+    EXPECT_GT(fwd + at + bwd, bound);    // so does the CSR A^T path
     const std::int64_t others = counter.live() - a_bytes;
     counter.reset_high_water();
     const MemXCTOperator op(std::move(copy), KernelKind::Buffered, buffer, 64,
                             ScheduleKind::StaticPlan, precision);
     const std::int64_t held = counter.high_water() - others;
-    EXPECT_GE(held, a_bytes + fwd);
+    EXPECT_GE(held, fp32 ? fwd + bwd : fwd16 + bwd16);
     EXPECT_LE(held, bound);
   }
 
@@ -101,13 +109,18 @@ TEST(OperatorBuild, BufferedBuildHoldsAtMostTwoMatrices) {
   config.tile_size = 4;
   config.buffer = buffer;
   const std::int64_t a_bytes = matrix_bytes_of(a);
-  const std::int64_t others = counter.live();
-  counter.reset_high_water();
-  const Reconstructor recon(g, config);
-  const std::int64_t held = counter.high_water() - others;
-  EXPECT_GE(held, fwd + bwd);
-  EXPECT_LE(held, fwd + bwd);
-  EXPECT_LT(held, a_bytes + fwd);
+  for (const auto precision : {sparse::ValueStorage::Fp32, bf16}) {
+    SCOPED_TRACE(sparse::to_string(precision));
+    const bool fp32 = precision == sparse::ValueStorage::Fp32;
+    config.precision = precision;
+    const std::int64_t others = counter.live();
+    counter.reset_high_water();
+    const Reconstructor recon(g, config);
+    const std::int64_t held = counter.high_water() - others;
+    EXPECT_GE(held, fp32 ? fwd + bwd : fwd16 + bwd16);
+    EXPECT_LE(held, fwd + (fp32 ? bwd : bwd16));
+    EXPECT_LT(held, a_bytes + fwd);
+  }
 }
 
 // The Buffered operator of the CSR transpose path: both directions built by

@@ -591,56 +591,149 @@ TEST(ShardBuild, CutTilesMatchBuildBufferedOfCompactedSlices) {
   EXPECT_TRUE(saw_empty_tail_tile);
 }
 
+/// Bytes matrix_byte_counter() counts for the Buffered tile cut from rows
+/// [r0, r1) of `m`.
+std::int64_t tile_bytes(const sparse::BufferedMatrix& m, idx_t r0, idx_t r1) {
+  const idx_t ps = m.config.partsize;
+  const auto s0 = static_cast<std::size_t>(
+      m.partdispl[static_cast<std::size_t>(ceil_div(r0, ps))]);
+  const auto s1 = static_cast<std::size_t>(
+      m.partdispl[static_cast<std::size_t>(ceil_div(r1, ps))]);
+  const auto cells = static_cast<std::int64_t>(s1 - s0) * ps;
+  const nnz_t n = m.displ[s1 * static_cast<std::size_t>(ps)] -
+                  m.displ[s0 * static_cast<std::size_t>(ps)];
+  return (m.stagedispl[s1] - m.stagedispl[s0]) *
+             static_cast<std::int64_t>(sizeof(idx_t)) +
+         (cells + 1) * static_cast<std::int64_t>(sizeof(nnz_t)) +
+         n * static_cast<std::int64_t>(sizeof(buf_idx_t) + sizeof(real));
+}
+
+/// The widest tile of one side: each shard of `rows` split into `tiles`
+/// blocks of whole partitions, as the build splits it.
+std::int64_t widest_tile(const sparse::BufferedMatrix& m,
+                         const dist::DomainPartition& rows, int tiles) {
+  const idx_t ps = m.config.partsize;
+  std::int64_t widest = 0;
+  for (int p = 0; p < rows.num_ranks(); ++p) {
+    const idx_t rb = rows.begin(p);
+    const idx_t local = rows.end(p) - rb;
+    const idx_t np = std::max<idx_t>(1, ceil_div(local, ps));
+    for (int t = 0; t < tiles; ++t) {
+      const idx_t off0 = std::min<idx_t>(local, np * t / tiles * ps);
+      const idx_t off1 = std::min<idx_t>(local, np * (t + 1) / tiles * ps);
+      if (off1 > off0)
+        widest = std::max(widest, tile_bytes(m, rb + off0, rb + off1));
+    }
+  }
+  return widest;
+}
+
+/// Bytes of `m`'s arrays under kMatrixMapFloorBytes: heap storage, which
+/// release_consumed keeps.
+std::int64_t heap_bytes(const sparse::BufferedMatrix& m) {
+  std::int64_t b = 0;
+  const auto add = [&b](const auto& v) {
+    const auto bytes = static_cast<std::int64_t>(
+        v.capacity() * sizeof(typename std::decay_t<decltype(v)>::value_type));
+    if (bytes < static_cast<std::int64_t>(kMatrixMapFloorBytes)) b += bytes;
+  };
+  add(m.map);
+  add(m.displ);
+  add(m.ind);
+  add(m.val);
+  add(m.val16);
+  return b;
+}
+
 TEST(ShardBuild, BufferedBuildHoldsNoCsrMatrix) {
   // A sharded Buffered Reconstructor cuts its tiles from the staged pair:
-  // its matrix-byte high-water is forward + backward + one side's tiles, or
-  // one source + both sides' tiles (a side's tiles hold its source's
-  // entries plus one displ word per tile).
-  // The CSR-slice build held A + A^T + one side, above that bound. With a
-  // cache hit, A is released once the forward is staged from it.
-  const auto g = geometry::make_geometry(48, 40);
-  core::Config config;
-  config.ordering = hilbert::CurveKind::Hilbert;
-  config.tile_size = 4;
-  config.buffer = {32, 256};
-  config.num_shards = 4;
-  std::int64_t a_bytes = 0, at_bytes = 0, fwd = 0, bwd = 0;
-  {
-    const hilbert::Ordering sino(g.sinogram_extent(), config.ordering,
-                                 config.tile_size);
-    const hilbert::Ordering tomo(g.tomogram_extent(), config.ordering,
-                                 config.tile_size);
-    const auto a = geometry::build_projection_matrix(g, sino, tomo);
-    const auto at = sparse::transpose(a);
-    a_bytes = testutil::matrix_bytes_of(a);
-    at_bytes = testutil::matrix_bytes_of(at);
-    fwd = testutil::matrix_bytes_of(sparse::build_buffered(a, config.buffer));
-    bwd = testutil::matrix_bytes_of(sparse::build_buffered(at, config.buffer));
-  }
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "memxct_shard_build_memory";
-  std::filesystem::remove_all(dir);
-  core::Config cached = config;
-  cached.cache_dir = dir.string();
-  { const core::Reconstructor fill(g, cached); }
+  // its matrix-byte high-water lies between forward + backward and
+  // forward + backward + one side's tiles (a side's tiles hold its
+  // source's entries plus one displ word per tile). The CSR-slice build
+  // held A + A^T + one side, above that bound. With a cache hit, A is
+  // consumed as the forward is staged from it.
+  //
+  // Each cut consumes its source: once a tile is copied, the source pages
+  // it came from are released. So the resident high-water is forward +
+  // backward + one tile in flight per thread, plus what cannot be released:
+  // the source arrays that live on the heap, and up to two pages per array
+  // per block where neighbouring blocks share a page. Holding forward +
+  // backward + one side exceeds that bound at 128x96.
+  struct Case {
+    idx_t angles, channels;
+    bool resident;  ///< Arrays mapped, so the resident bound binds.
+  };
+  for (const Case& geometry_case : {Case{48, 40, false}, Case{128, 96, true}}) {
+    const auto g =
+        geometry::make_geometry(geometry_case.angles, geometry_case.channels);
+    SCOPED_TRACE(testing::Message() << geometry_case.angles << "x"
+                                    << geometry_case.channels);
+    core::Config config;
+    config.ordering = hilbert::CurveKind::Hilbert;
+    config.tile_size = 4;
+    config.buffer = {32, 256};
+    config.num_shards = 4;
+    sparse::BufferedMatrix fwd_matrix, bwd_matrix;
+    std::int64_t a_bytes = 0, at_bytes = 0, fwd = 0, bwd = 0;
+    {
+      const hilbert::Ordering sino(g.sinogram_extent(), config.ordering,
+                                   config.tile_size);
+      const hilbert::Ordering tomo(g.tomogram_extent(), config.ordering,
+                                   config.tile_size);
+      const auto a = geometry::build_projection_matrix(g, sino, tomo);
+      const auto at = sparse::transpose(a);
+      a_bytes = testutil::matrix_bytes_of(a);
+      at_bytes = testutil::matrix_bytes_of(at);
+      fwd_matrix = sparse::build_buffered(a, config.buffer);
+      bwd_matrix = sparse::build_buffered(at, config.buffer);
+      fwd = testutil::matrix_bytes_of(fwd_matrix);
+      bwd = testutil::matrix_bytes_of(bwd_matrix);
+    }
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "memxct_shard_build_memory";
+    std::filesystem::remove_all(dir);
+    core::Config cached = config;
+    cached.cache_dir = dir.string();
+    { const core::Reconstructor fill(g, cached); }
 
-  MatrixByteCounter& counter = matrix_byte_counter();
-  for (const core::Config* c : {&config, &cached}) {
-    SCOPED_TRACE(c->cache_dir.empty() ? "direct" : "cache hit");
-    const std::int64_t others = counter.live();
-    counter.reset_high_water();
-    const core::Reconstructor recon(g, *c);
-    EXPECT_EQ(recon.preprocess_report().cache_hit, c == &cached);
-    const std::int64_t held = counter.high_water() - others;
-    const int blocks = config.num_shards * recon.shard_op()->pipeline_tiles();
-    const std::int64_t bound =
-        fwd + bwd + std::max(fwd, bwd) +
-        2 * blocks * static_cast<std::int64_t>(sizeof(nnz_t));
-    EXPECT_GE(held, fwd + bwd);
-    EXPECT_LE(held, bound);
-    EXPECT_GT(a_bytes + at_bytes + std::min(fwd, bwd), bound);
+    MatrixByteCounter& counter = matrix_byte_counter();
+    for (const core::Config* c : {&config, &cached}) {
+      SCOPED_TRACE(c->cache_dir.empty() ? "direct" : "cache hit");
+      const std::int64_t others = counter.live();
+      counter.reset_high_water();
+      const core::Reconstructor recon(g, *c);
+      EXPECT_EQ(recon.preprocess_report().cache_hit, c == &cached);
+      const std::int64_t held = counter.high_water() - others;
+      const ShardedOperator& op = *recon.shard_op();
+      const int tiles = op.pipeline_tiles();
+      const int blocks = config.num_shards * tiles;
+      const std::int64_t bound =
+          fwd + bwd + std::max(fwd, bwd) +
+          2 * blocks * static_cast<std::int64_t>(sizeof(nnz_t));
+      EXPECT_GE(held, fwd + bwd);
+      EXPECT_LE(held, bound);
+      EXPECT_GT(a_bytes + at_bytes + std::min(fwd, bwd), bound);
+
+      const int threads = std::min(omp_get_max_threads(), blocks);
+      const std::int64_t in_flight =
+          threads *
+          std::max(widest_tile(fwd_matrix, op.sino_partition(), tiles),
+                   widest_tile(bwd_matrix, op.tomo_partition(), tiles));
+      const std::int64_t kept =
+          heap_bytes(fwd_matrix) + heap_bytes(bwd_matrix) +
+          2 * blocks *
+              (8 * static_cast<std::int64_t>(page_bytes()) +
+               3 * static_cast<std::int64_t>(sizeof(nnz_t)));
+      const std::int64_t resident = fwd + bwd + in_flight + kept;
+      EXPECT_LE(held, resident);
+      if (geometry_case.resident) {
+        EXPECT_LT(heap_bytes(fwd_matrix) + heap_bytes(bwd_matrix),
+                  (fwd + bwd) / 4);
+        EXPECT_GT(fwd + bwd + std::min(fwd, bwd), resident);
+      }
+    }
+    std::filesystem::remove_all(dir);
   }
-  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -654,6 +747,37 @@ struct EndToEnd {
     sino = phantom::forward_project(g, image);
   }
 };
+
+TEST(ShardScaling, ImagesMatchSerialAndRankBytesShrink) {
+  // bench_shard_scaling's two structural gates. Every P-shard CGLS image
+  // memcmp-equals the serial one (owner-computes + halo duplication: no FP
+  // partial sum crosses a shard), and the widest shard's resident bytes
+  // shrink as P grows. The geometry's matrix arrays are mapped, so each
+  // build releases its cut sources' pages: under the asan preset a tile
+  // read from a released page aborts, and without it the zeros it would
+  // read break the parity.
+  const idx_t size = 96;
+  const auto g = geometry::make_geometry(size * 3 / 2, size);
+  const auto sino = phantom::forward_project(g, phantom::shepp_logan(size));
+  core::Config config;
+  config.iterations = 6;
+  const core::Reconstructor serial(g, config);
+  const auto reference = serial.reconstruct(sino);
+  std::int64_t widest = serial.preprocess_report().regular_bytes;
+  for (const int shards : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    core::Config sharded = config;
+    sharded.num_shards = shards;
+    const core::Reconstructor recon(g, sharded);
+    const auto result = recon.reconstruct(sino);
+    EXPECT_TRUE(bitwise_equal(result.image, reference.image));
+    std::int64_t rank = 0;
+    for (int p = 0; p < shards; ++p)
+      rank = std::max(rank, recon.shard_op()->rank_bytes(p));
+    EXPECT_LT(rank, widest);
+    widest = rank;
+  }
+}
 
 TEST(ShardedReconstruction, CglsImagesAreBitwiseEqualToSerial) {
   const EndToEnd e;

@@ -247,5 +247,37 @@ TEST(Transpose, FromBufferedForwardMatchesCsrTransposeBitwise) {
       InvariantError);
 }
 
+TEST(Transpose, FromCompressedForwardCopiesItsBits) {
+  // A forward already in 16 bits gives the backward its bits as they are:
+  // the same bytes as the backward written from the fp32 forward.
+  const std::vector<CsrMatrix> cases = {
+      testutil::random_csr(97, 61, 0.1, 41),
+      testutil::banded_csr(300, 200, 12, 43),
+  };
+  const int saved = omp_get_max_threads();
+  for (const CsrMatrix& a : cases)
+    for (const BufferConfig& config :
+         {BufferConfig{3, 2}, BufferConfig{16, 64}, BufferConfig{}}) {
+      const BufferedMatrix fwd = build_buffered(a, config);
+      for (const ValueStorage storage :
+           {ValueStorage::Bf16, ValueStorage::Fp16}) {
+        const BufferedMatrix want =
+            build_buffered_transpose(fwd, config, storage);
+        const BufferedMatrix fwd16 = compress_buffered(fwd, storage);
+        for (const int threads : {1, 4}) {
+          omp_set_num_threads(threads);
+          SCOPED_TRACE(testing::Message()
+                       << a.num_rows << "x" << a.num_cols << " "
+                       << config.partsize << "/" << config.buffsize << " "
+                       << to_string(storage) << " on " << threads
+                       << " threads");
+          testutil::expect_same_buffered(
+              build_buffered_transpose(fwd16, config, storage), want);
+        }
+      }
+    }
+  omp_set_num_threads(saved);
+}
+
 }  // namespace
 }  // namespace memxct::sparse

@@ -2,8 +2,14 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include <algorithm>
+#include <cstdint>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -182,6 +188,33 @@ inline std::int64_t matrix_bytes_of(const sparse::CsrMatrix& m) {
 }
 inline std::int64_t matrix_bytes_of(const sparse::BufferedMatrix& m) {
   return matrix_bytes(m.map, m.displ, m.ind, m.val, m.val16);
+}
+
+/// Expects the whole pages inside elements [first, last) of the matrix
+/// array `v` released (release_consumed): not resident, or under
+/// AddressSanitizer poisoned. Heap arrays (under kMatrixMapFloorBytes) are
+/// never released, so nothing is expected of them.
+template <class T>
+void expect_released(const UninitVector<T>& v, std::size_t first,
+                     std::size_t last) {
+  if (v.capacity() * sizeof(T) < kMatrixMapFloorBytes || first >= last)
+    return;
+  const std::size_t page = page_bytes();
+  const auto base = reinterpret_cast<std::uintptr_t>(v.data());
+  const std::uintptr_t lo = (base + first * sizeof(T) + page - 1) / page * page;
+  const std::uintptr_t hi = (base + last * sizeof(T)) / page * page;
+  if (hi <= lo) return;
+#ifdef __SANITIZE_ADDRESS__
+  for (std::uintptr_t a = lo; a < hi; a += page)
+    for (const std::uintptr_t byte : {a, a + page - 1})
+      EXPECT_TRUE(__asan_address_is_poisoned(reinterpret_cast<void*>(byte)));
+#else
+  std::vector<unsigned char> resident((hi - lo) / page);
+  ASSERT_EQ(mincore(reinterpret_cast<void*>(lo), hi - lo, resident.data()), 0);
+  std::size_t kept = 0;
+  for (const unsigned char r : resident) kept += r & 1u;
+  EXPECT_EQ(kept, 0u) << "of " << resident.size() << " pages";
+#endif
 }
 
 /// Expects two staged matrices equal in shape, configuration and storage
